@@ -14,6 +14,7 @@ from .errors import (
     RateRangeError,
     ShapeConsistencyError,
     StaleCacheError,
+    TrainConfigError,
 )
 from .importance import ImportanceVector, score, score_bn_gamma, score_l1
 from .model_store import (

@@ -76,19 +76,19 @@ def _params_from(args) -> EmbedParams:
 
 
 def cmd_embed(args) -> int:
+    tune_cfg = TrainConfig(epochs=args.finetune_epochs, lr=0.001, seed=args.seed)
     model = load_model(args.arch, args.weights)
     params = _params_from(args)
     payload = WatermarkPayload(_parse_payload(args.payload), args.l)
     marked, receipt = pipeline.embed(model, payload, params,
                                      criterion=args.criterion, decoy=args.decoy)
-    if args.finetune_epochs > 0:
+    if tune_cfg.epochs > 0:
         if tuple(model.input_shape) != (1, 16, 16):
             raise NnwmError(
                 "--finetune-epochs uses the built-in 1x16x16 synthetic dataset; "
                 f"model input is {model.input_shape}")
         ds = synth_dataset(args.seed, 512, 256)
-        marked, _ = finetune(marked, ds, TrainConfig(epochs=args.finetune_epochs,
-                                                     lr=0.001, seed=args.seed))
+        marked, _ = finetune(marked, ds, tune_cfg)
     out_arch = f"{args.out_prefix}.json"
     out_weights = f"{args.out_prefix}.bin"
     save_model(marked, out_arch, out_weights)
@@ -255,10 +255,11 @@ def cmd_attack(args) -> int:
 
 
 def cmd_train_demo(args) -> int:
+    base_cfg = TrainConfig(epochs=args.epochs, lr=0.01, seed=args.seed)
+    tune_cfg = TrainConfig(epochs=args.finetune_epochs, lr=0.001, seed=args.seed + 1)
     ds = synth_dataset(args.seed, 512, 256)
     model = vgg_tiny(args.seed)
-    base, base_hist = finetune(model, ds, TrainConfig(
-        epochs=args.epochs, lr=0.01, seed=args.seed))
+    base, base_hist = finetune(model, ds, base_cfg)
     acc_base = evaluate(base, ds[1])
     rng = np.random.default_rng(args.seed)
     t = len(channel_counts(base))
@@ -267,8 +268,7 @@ def cmd_train_demo(args) -> int:
     params = EmbedParams(segment_length=args.l, key=_parse_key(args.key),
                          p_min=args.pmin, p_max=args.pmax)
     marked, receipt = pipeline.embed(base, payload, params, criterion=args.criterion)
-    tuned, tuned_hist = finetune(marked, ds, TrainConfig(
-        epochs=args.finetune_epochs, lr=0.001, seed=args.seed + 1))
+    tuned, tuned_hist = finetune(marked, ds, tune_cfg)
     acc_marked = evaluate(tuned, ds[1])
     report = pipeline.verify(bits, pipeline.extract(receipt, tuned))
     if args.metrics_csv:

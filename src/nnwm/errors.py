@@ -57,5 +57,9 @@ class InconsistencyError(NnwmError):
     """Suspect model has more channels than the original at some layer."""
 
 
+class TrainConfigError(NnwmError, ValueError):
+    """Training hyperparameter out of its valid range."""
+
+
 class StaleCacheError(NnwmError):
     """Backward pass invoked with a cache from a different forward pass."""

@@ -208,6 +208,8 @@ def extract(original: ModelGraph | Receipt, suspect: ModelGraph,
 def verify(expected: str, extracted: str | ExtractionResult,
            theta: float = 0.0) -> VerifyReport:
     """Bit error rate between expected and extracted; match iff BER <= theta."""
+    if not 0.0 <= theta <= 1.0:
+        raise CodecError(f"theta must lie in [0, 1], got {theta}")
     segments = None
     if isinstance(extracted, ExtractionResult):
         segments = extracted.segments

@@ -1,9 +1,17 @@
 """Minimal numpy forward/backward engine and SGD loop for fixture CNNs.
 
 Just enough to fine-tune the toy models after pruning and to run the
-fine-tuning attack: conv2d via im2col, batchnorm with batch statistics in
-train mode, relu, maxpool, global average pooling and a linear head, plus
-softmax cross-entropy and plain SGD with weight decay.
+fine-tuning attack: conv2d as one matrix product, batchnorm with batch
+statistics in train mode, relu, maxpool, global average pooling and a
+linear head, plus softmax cross-entropy and plain SGD with weight decay.
+
+A conv unfolds its padded input into a channel-major (Ci*kh*kw, N*Ho*Wo)
+patch matrix and multiplies it once by the (Co, Ci*kh*kw) weight matrix.
+The (Co, N*Ho*Wo) product is returned as an (N, Co, Ho, Wo) view, not
+copied back to NCHW memory; batchnorm and relu keep that channel-major
+order.  The backward pass reads the output gradient in the same order and
+accumulates the input gradient in a channel-major buffer, so neither the
+unfold copy nor the gradient scatter runs against the grain of memory.
 
 Batchnorm normalizes with the biased (1/N) batch variance in train mode
 and updates running statistics with momentum 0.1 (running variance uses
@@ -13,12 +21,13 @@ the graph it is given; finetune therefore always works on a private copy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ShapeConsistencyError, StaleCacheError
+from .errors import ShapeConsistencyError, StaleCacheError, TrainConfigError
 from .model_store import (
     BatchNormLayer,
     ConvLayer,
@@ -65,11 +74,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+            raise TrainConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise TrainConfigError(f"batch size must be >= 1, got {self.batch_size}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise TrainConfigError(f"learning rate must be finite and positive, got {self.lr}")
         if self.precision not in _DTYPES:
-            raise ValueError("precision must be 'f32' or 'f64'")
+            raise TrainConfigError("precision must be 'f32' or 'f64'")
 
 
 @dataclass
@@ -104,27 +115,20 @@ def _model_dtype(model: ModelGraph) -> np.dtype:
     raise ShapeConsistencyError("model has no parameterized layer")
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, sy: int, sx: int) -> tuple[np.ndarray, int, int]:
-    """(N*Ho*Wo, C*kh*kw) patch matrix from a padded input."""
-    n, c = x.shape[0], x.shape[1]
-    win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::sy, ::sx]
-    ho, wo = win.shape[2], win.shape[3]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * kh * kw)
-    return cols, ho, wo
-
-
 def _conv_forward(ly: ConvLayer, x: np.ndarray):
+    """Output as an (N, Co, Ho, Wo) view of (Co, N, Ho, Wo) memory, plus the
+    patch matrix and shapes that the backward pass needs."""
     (sy, sx), (py, px) = ly.stride, ly.padding
     co, ci, kh, kw = ly.weights.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (py, py), (px, px))) if (py or px) else x
-    cols, ho, wo = _im2col(xp, kh, kw, sy, sx)
-    wmat = ly.weights.reshape(co, ci * kh * kw)
-    out = cols @ wmat.T
-    if ly.bias is not None:
-        out = out + ly.bias
     n = x.shape[0]
-    out = out.reshape(n, ho, wo, co).transpose(0, 3, 1, 2)
-    return out, (cols, xp.shape, x.shape)
+    xp = np.pad(x, ((0, 0), (0, 0), (py, py), (px, px))) if (py or px) else x
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sy, ::sx]
+    ho, wo = win.shape[2], win.shape[3]
+    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(ci * kh * kw, n * ho * wo)
+    out = ly.weights.reshape(co, -1) @ cols
+    if ly.bias is not None:
+        out += ly.bias[:, None]
+    return out.reshape(co, n, ho, wo).transpose(1, 0, 2, 3), (cols, xp.shape, x.shape)
 
 
 def _conv_backward(ly: ConvLayer, ctx, dout: np.ndarray):
@@ -132,16 +136,15 @@ def _conv_backward(ly: ConvLayer, ctx, dout: np.ndarray):
     (sy, sx), (py, px) = ly.stride, ly.padding
     co, ci, kh, kw = ly.weights.shape
     n, _, ho, wo = dout.shape
-    dmat = dout.transpose(0, 2, 3, 1).reshape(n * ho * wo, co)
-    dw = (dmat.T @ cols).reshape(co, ci, kh, kw)
-    db = dmat.sum(axis=0) if ly.bias is not None else None
-    dcols = dmat @ ly.weights.reshape(co, ci * kh * kw)
-    dwin = dcols.reshape(n, ho, wo, ci, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    dxp = np.zeros(padded_shape, dtype=dout.dtype)
+    d = dout.transpose(1, 0, 2, 3).reshape(co, n * ho * wo)
+    dw = (d @ cols.T).reshape(co, ci, kh, kw)
+    db = d.sum(axis=1) if ly.bias is not None else None
+    dcols = (ly.weights.reshape(co, -1).T @ d).reshape(ci, kh, kw, n, ho, wo)
+    dxp = np.zeros((ci, n, padded_shape[2], padded_shape[3]), dtype=dout.dtype)
     for i in range(kh):
         for j in range(kw):
-            dxp[:, :, i:i + sy * ho:sy, j:j + sx * wo:sx] += dwin[:, :, i, j]
-    dx = dxp[:, :, py:py + in_shape[2], px:px + in_shape[3]] if (py or px) else dxp
+            dxp[:, :, i:i + sy * ho:sy, j:j + sx * wo:sx] += dcols[:, i, j]
+    dx = dxp.transpose(1, 0, 2, 3)[:, :, py:py + in_shape[2], px:px + in_shape[3]]
     return dx, dw, db
 
 

@@ -194,8 +194,10 @@ def fidelity_runs():
     """Baseline and marked+fine-tuned accuracy for 5 seeds.
 
     Arms: baseline, marked at full coverage for both criteria, and marked at
-    quarter coverage (one of five layers) for the trend check.
+    quarter coverage (one of five layers) for the trend check.  Returns the
+    arms and the wall time the runs took, which criterion 7 bounds.
     """
+    t0 = time.perf_counter()
     results = {"baseline": [], "l1": [], "bn": [], "quarter": []}
     for seed in range(5):
         ds = synth_dataset(1000 + seed, 512, 256)
@@ -215,19 +217,20 @@ def fidelity_runs():
         tuned, _ = finetune(marked, ds,
                             TrainConfig(epochs=5, lr=0.001, seed=seed + 200))
         results["quarter"].append(evaluate(tuned, ds[1]))
-    return results
+    return results, time.perf_counter() - t0
 
 
 def test_criterion_7_toy_fidelity(fidelity_runs):
+    runs, train_s = fidelity_runs
     t0 = time.perf_counter()
-    med = {arm: statistics.median(accs) for arm, accs in fidelity_runs.items()}
+    med = {arm: statistics.median(accs) for arm, accs in runs.items()}
     ok = (med["baseline"] >= 0.90
           and med["baseline"] - med["l1"] <= 0.05
           and med["baseline"] - med["bn"] <= 0.05)
     criterion(7, "toy fidelity after full-coverage marking", ok,
               f"median baseline {med['baseline']:.3f}, l1 {med['l1']:.3f}, "
-              f"bn {med['bn']:.3f}")
-    assert time.perf_counter() - t0 < 600.0
+              f"bn {med['bn']:.3f}, training {train_s:.1f}s")
+    assert train_s + time.perf_counter() - t0 < 600.0
 
 
 def test_criterion_8_wrong_key_ber():
@@ -247,8 +250,9 @@ def test_criterion_8_wrong_key_ber():
 
 
 def test_criterion_9_monotone_fidelity_trend(fidelity_runs):
-    med_quarter = statistics.median(fidelity_runs["quarter"])
-    med_full = statistics.median(fidelity_runs["l1"])
+    runs, _ = fidelity_runs
+    med_quarter = statistics.median(runs["quarter"])
+    med_full = statistics.median(runs["l1"])
     criterion(9, "lighter coverage is never much worse",
               med_quarter >= med_full - 0.02,
               f"median quarter-coverage {med_quarter:.3f} vs full {med_full:.3f}")

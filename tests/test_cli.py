@@ -180,6 +180,73 @@ def test_attack_unknown_type_exit_two(marked, capsys):
     assert exc.value.code == 2  # argparse rejects unknown choices
 
 
+@pytest.mark.parametrize("theta", ["nan", "-0.1", "1.5"])
+def test_verify_bad_theta_exit_two(marked, capsys, theta):
+    rc = main(["verify", "--receipt", str(marked / "r.json"),
+               "--suspect", str(marked / "marked.json"),
+               "--expect", BITS48, "--theta", theta])
+    assert rc == 2
+    assert "theta" in capsys.readouterr().err
+
+
+def test_attack_expect_bad_theta_exit_two(marked, capsys):
+    rc = main(["attack", "--type", "noise", "--sigma", "0.0",
+               "--arch", str(marked / "marked.json"),
+               "--weights", str(marked / "marked.bin"),
+               "--out-prefix", str(marked / "atk-theta"),
+               "--expect", BITS48, "--receipt", str(marked / "r.json"),
+               "--theta", "nan"])
+    assert rc == 2
+    assert "theta" in capsys.readouterr().err
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    """Fail the test if any fine-tuning starts."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("training started before the flags were checked")
+    monkeypatch.setattr("nnwm.cli.finetune", refuse)
+    monkeypatch.setattr("nnwm.pipeline.finetune", refuse)
+
+
+@pytest.fixture(scope="module")
+def tiny_host(tmp_path_factory):
+    d = tmp_path_factory.mktemp("tiny")
+    save_model(vgg_tiny(0), d / "tiny.json", d / "tiny.bin")
+    return d
+
+
+@pytest.mark.parametrize("flags", [["--epochs", "-1"], ["--finetune-epochs", "-2"]])
+def test_train_demo_bad_epochs_exit_two(no_training, capsys, flags):
+    rc = main(["train-demo", "--seed", "0", *flags])
+    assert rc == 2
+    assert "epochs must be >= 0" in capsys.readouterr().err
+
+
+def test_embed_bad_finetune_epochs_exit_two(no_training, tiny_host, capsys, tmp_path):
+    rc = main(["embed", "--arch", str(tiny_host / "tiny.json"),
+               "--weights", str(tiny_host / "tiny.bin"),
+               "--payload", "101", "--key", "k", "--l", "3",
+               "--finetune-epochs", "-3", "--out-prefix", str(tmp_path / "m"),
+               "--receipt", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert "epochs must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("flags", [["--lr", "nan"], ["--lr", "-0.1"], ["--lr", "inf"],
+                                   ["--epochs", "-1"]])
+def test_attack_finetune_bad_flags_exit_two(no_training, tiny_host, capsys, tmp_path,
+                                            flags):
+    rc = main(["attack", "--type", "finetune",
+               "--arch", str(tiny_host / "tiny.json"),
+               "--weights", str(tiny_host / "tiny.bin"),
+               "--out-prefix", str(tmp_path / "a"), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "a.json").exists()
+
+
 def test_hex_key_and_payload(host, capsys, tmp_path):
     rc = main(["embed", "--arch", str(host / "host.json"),
                "--weights", str(host / "host.bin"),

@@ -150,6 +150,9 @@ def test_verify_examples():
     assert verify("1010", "1000", theta=0.3).matched is True
     with pytest.raises(CodecError):
         verify("101", "10")
+    for theta in (float("nan"), float("inf"), -0.1, 1.5):
+        with pytest.raises(CodecError):
+            verify("1010", "1010", theta=theta)
 
 
 def test_decoy_mode_still_roundtrips():

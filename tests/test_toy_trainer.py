@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nnwm.errors import ShapeConsistencyError, StaleCacheError
+from nnwm.errors import ShapeConsistencyError, StaleCacheError, TrainConfigError
 from nnwm.fixtures import vgg_tiny
 from nnwm.model_store import (
     BatchNormLayer,
@@ -18,6 +18,8 @@ from nnwm.model_store import (
 from nnwm.toy_trainer import (
     Batch,
     TrainConfig,
+    _conv_backward,
+    _conv_forward,
     backward,
     evaluate,
     finetune,
@@ -35,6 +37,48 @@ def test_conv_forward_hand_value():
     out, _ = forward(model, np.ones((1, 1, 2, 2)), mode="eval")
     assert out.shape == (1, 1, 1, 1)
     assert out[0, 0, 0, 0] == pytest.approx(4.0)
+
+
+def naive_conv(x, w, b, stride, padding):
+    """Direct-loop reference convolution (cross-correlation, as in the trainer)."""
+    (sy, sx), (py, px) = stride, padding
+    n, _, h, wd = x.shape
+    co, _, kh, kw = w.shape
+    xp = np.zeros((n, x.shape[1], h + 2 * py, wd + 2 * px))
+    xp[:, :, py:py + h, px:px + wd] = x
+    ho, wo = (h + 2 * py - kh) // sy + 1, (wd + 2 * px - kw) // sx + 1
+    out = np.zeros((n, co, ho, wo))
+    for a in range(n):
+        for o in range(co):
+            for i in range(ho):
+                for j in range(wo):
+                    patch = xp[a, :, i * sy:i * sy + kh, j * sx:j * sx + kw]
+                    out[a, o, i, j] = np.sum(patch * w[o]) + b[o]
+    return out
+
+
+@pytest.mark.parametrize("kernel,stride,padding", [((3, 3), (2, 2), (1, 0)),
+                                                   ((3, 2), (2, 1), (0, 2))])
+def test_conv_kernels_vs_naive_reference(kernel, stride, padding):
+    rng = np.random.default_rng(17)
+    w = rng.normal(size=(4, 3, *kernel))
+    b = rng.normal(size=4)
+    ly = ConvLayer(w, b, stride, padding)
+    x = rng.normal(size=(5, 3, 9, 11))
+    ref = naive_conv(x, w, b, stride, padding)
+    # inside the net a conv's input is an NCHW view of channel-major memory
+    channel_major = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    for xin in (x, channel_major):
+        out, ctx = _conv_forward(ly, xin)
+        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
+        # adjoint identities of the linear maps x -> conv(x) and W -> conv(x)
+        dout = rng.normal(size=out.shape)
+        dx, dw, db = _conv_backward(ly, ctx, dout)
+        assert dx.shape == x.shape and dw.shape == w.shape
+        lin = float(np.vdot(dout, out - b.reshape(1, -1, 1, 1)))
+        assert float(np.vdot(dx, x)) == pytest.approx(lin, rel=1e-12)
+        assert float(np.vdot(dw, w)) == pytest.approx(lin, rel=1e-12)
+        np.testing.assert_allclose(db, dout.sum(axis=(0, 2, 3)), rtol=1e-12)
 
 
 def bn_only_model(gamma, beta, mean, var, eps=1e-5, channels=1):
@@ -301,6 +345,10 @@ def test_train_config_validation():
         TrainConfig(epochs=1, lr=0.0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=1, precision="f16")
+    for bad in ({"epochs": -1}, {"epochs": 1, "lr": float("nan")},
+                {"epochs": 1, "lr": float("inf")}, {"epochs": 1, "batch_size": 0}):
+        with pytest.raises(TrainConfigError):
+            TrainConfig(**bad)
     cfg = TrainConfig(epochs=1)
     assert cfg.lr == pytest.approx(0.001)
     assert cfg.weight_decay == pytest.approx(1e-4)
