@@ -2,12 +2,12 @@
 
 from .errors import (
     ArchitectureMismatchError,
+    AttackConfigError,
     BlobFormatError,
     BlobSizeError,
     CapacityError,
     CodecError,
     CriterionError,
-    InconsistencyError,
     ManifestError,
     NnwmError,
     PlanError,
@@ -52,7 +52,6 @@ from .pruner import (
     ReceiptLayer,
     apply_prune,
     load_receipt,
-    observed_rates,
     plan_layer,
     save_receipt,
 )
@@ -71,7 +70,6 @@ from .toy_trainer import (
 from .wm_codec import (
     EmbedParams,
     KeyStream,
-    QuantizerGrid,
     WatermarkPayload,
     assemble_bits,
     capacity,

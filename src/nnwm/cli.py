@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import pipeline, pruner, wm_codec
-from .errors import NnwmError
+from .errors import ArchitectureMismatchError, NnwmError
 from .fixtures import vgg_tiny
 from .importance import normalize_criterion, score
 from .model_store import (
@@ -71,8 +71,7 @@ def _emit(args, doc: dict, human: str) -> None:
 
 def _params_from(args) -> EmbedParams:
     return EmbedParams(segment_length=args.l, key=_parse_key(args.key),
-                       p_min=args.pmin, p_max=args.pmax,
-                       r_cov=getattr(args, "rcov", None))
+                       p_min=args.pmin, p_max=args.pmax)
 
 
 def cmd_embed(args) -> int:
@@ -118,8 +117,8 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _run_extract(args) -> pipeline.ExtractionResult:
-    suspect = load_arch(args.suspect)
+def _run_extract(args, suspect_arch: str) -> pipeline.ExtractionResult:
+    suspect = load_arch(suspect_arch)
     key = _parse_key(args.key) if args.key else None
     if args.receipt:
         receipt = pruner.load_receipt(args.receipt)
@@ -137,7 +136,7 @@ def _run_extract(args) -> pipeline.ExtractionResult:
 
 
 def cmd_extract(args) -> int:
-    result = _run_extract(args)
+    result = _run_extract(args, args.suspect)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     _emit(args, {
@@ -148,9 +147,10 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def _verify(args, suspect_arch: str) -> int:
+    """Extract from suspect_arch and compare with --expect; 0 match, 1 mismatch."""
     expected = _parse_payload(args.expect)
-    result = _run_extract(args)
+    result = _run_extract(args, suspect_arch)
     if args.n is not None and args.n != len(expected):
         raise NnwmError(f"--n {args.n} does not match --expect length {len(expected)}")
     report = pipeline.verify(expected, result, theta=args.theta)
@@ -162,6 +162,10 @@ def cmd_verify(args) -> int:
         "matched": report.matched, "extracted": report.extracted,
     }, f"BER {report.ber:.6f}  verdict: {verdict}")
     return 0 if report.matched else 1
+
+
+def cmd_verify(args) -> int:
+    return _verify(args, args.suspect)
 
 
 def cmd_capacity(args) -> int:
@@ -201,15 +205,12 @@ def cmd_inspect(args) -> int:
     c_orig = channel_counts(original)
     c_susp = channel_counts(suspect)
     if len(c_orig) != len(c_susp):
-        raise NnwmError(
+        raise ArchitectureMismatchError(
             f"original has {len(c_orig)} conv layers, suspect has {len(c_susp)}")
     params = EmbedParams(segment_length=args.l, key=b"", p_min=args.pmin, p_max=args.pmax)
-    rows = []
-    for i, (c, cp) in enumerate(zip(c_orig, c_susp)):
-        p_hat = (c - cp) / c
-        value, clamped = wm_codec.decode_rate_clamped(p_hat, params)
-        rows.append({"index": i, "c": c, "c_suspect": cp, "rate": p_hat,
-                     "value": value, "in_range": not clamped})
+    segments = pipeline.decode_segments(list(zip(range(len(c_orig)), c_orig, c_susp)), params)
+    rows = [{"index": s.layer_index, "c": s.c, "c_suspect": s.c_suspect, "rate": s.rate,
+             "value": s.value, "in_range": not s.clamped} for s in segments]
     lines = [f"{'index':>5} {'c':>5} {'c_susp':>6} {'rate':>9} {'d':>4} {'note':>6}"]
     for r in rows:
         note = "" if r["in_range"] else "clamp"
@@ -241,17 +242,8 @@ def cmd_attack(args) -> int:
     doc = {"command": "attack", "type": args.type,
            "out_arch": out_arch, "out_weights": out_weights,
            "channel_counts": channel_counts(attacked)}
-    human = f"applied {args.type}; wrote {out_arch}, {out_weights}"
-    if args.expect:
-        chain = argparse.Namespace(
-            suspect=out_arch, receipt=args.receipt, original=args.original,
-            key=args.key, n=args.n, l=args.l, pmin=args.pmin, pmax=args.pmax,
-            rcov=None, criterion=args.criterion, expect=args.expect,
-            theta=args.theta, json=args.json)
-        _emit(args, doc, human)
-        return cmd_verify(chain)
-    _emit(args, doc, human)
-    return 0
+    _emit(args, doc, f"applied {args.type}; wrote {out_arch}, {out_weights}")
+    return _verify(args, out_arch) if args.expect else 0
 
 
 def cmd_train_demo(args) -> int:
@@ -293,14 +285,12 @@ def cmd_train_demo(args) -> int:
     return 0
 
 
-def _add_scheme_flags(p: argparse.ArgumentParser, with_rcov: bool = False) -> None:
+def _add_scheme_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--l", type=int, default=3, help="segment length in bits")
     p.add_argument("--pmin", type=float, default=wm_codec.DEFAULT_P_MIN)
     p.add_argument("--pmax", type=float, default=wm_codec.DEFAULT_P_MAX)
     p.add_argument("--criterion", default="l1", choices=["l1", "bn"],
                    help="importance criterion (default l1)")
-    if with_rcov:
-        p.add_argument("--rcov", type=float, default=None)
 
 
 def _add_extract_flags(p: argparse.ArgumentParser) -> None:
@@ -325,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True)
     p.add_argument("--payload", required=True, help="bits, hex:<digits>, or @file")
     p.add_argument("--key", required=True)
-    _add_scheme_flags(p, with_rcov=True)
+    _add_scheme_flags(p)
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--receipt", required=True)
     p.add_argument("--finetune-epochs", type=int, default=0)

@@ -53,12 +53,12 @@ class ArchitectureMismatchError(NnwmError):
     """Original and suspect models have differing conv-layer structure."""
 
 
-class InconsistencyError(NnwmError):
-    """Suspect model has more channels than the original at some layer."""
-
-
 class TrainConfigError(NnwmError, ValueError):
-    """Training hyperparameter out of its valid range."""
+    """Training hyperparameter out of its valid range, or training diverged."""
+
+
+class AttackConfigError(NnwmError, ValueError):
+    """Attack parameter out of its valid range."""
 
 
 class StaleCacheError(NnwmError):

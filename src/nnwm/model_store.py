@@ -8,9 +8,12 @@ files:
   ``{"format": "nnwm-v1", "input": [C, H, W], "layers": [...]}``;
 * weight blob -- an 8-byte header (magic ``NNWM``, version u32
   little-endian) followed by the raw float32 tensors, little-endian,
-  row-major, concatenated in graph order.  Conv weights are stored as
-  (c_out, c_in, kh, kw) then the optional bias; batchnorm stores gamma,
-  beta, running_mean, running_var; linear stores weights then bias.
+  row-major, concatenated in graph order.  Each layer class lists the
+  arrays it owns once, in blob order, in ``ARRAYS`` (conv: weights
+  (c_out, c_in, kh, kw) then the optional bias; batchnorm: gamma, beta,
+  running_mean, running_var; linear: weights then bias) and the ones SGD
+  updates in ``TRAINABLE``.  Copies, blob I/O, casts and channel slicing
+  all walk ``layer_arrays``.
 
 Tensor offsets are always derived from the manifest shapes, never stored,
 so the manifest is the single source of truth.  load/save round-trip at
@@ -20,7 +23,7 @@ byte level.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator
 
@@ -43,6 +46,7 @@ DEFAULT_BN_EPS = 1e-5
 class ConvLayer:
     """2-D convolution; weights shaped (c_out, c_in, kh, kw)."""
 
+    ARRAYS = TRAINABLE = ("weights", "bias")
     weights: np.ndarray
     bias: np.ndarray | None = None
     stride: tuple[int, int] = (1, 1)
@@ -61,6 +65,8 @@ class ConvLayer:
 class BatchNormLayer:
     """Per-channel affine normalization over a (N, C, H, W) map."""
 
+    ARRAYS = ("gamma", "beta", "running_mean", "running_var")
+    TRAINABLE = ("gamma", "beta")
     gamma: np.ndarray
     beta: np.ndarray
     running_mean: np.ndarray
@@ -74,24 +80,26 @@ class BatchNormLayer:
 
 @dataclass
 class ReluLayer:
-    pass
+    ARRAYS = TRAINABLE = ()
 
 
 @dataclass
 class MaxPoolLayer:
+    ARRAYS = TRAINABLE = ()
     kernel: int
     stride: int
 
 
 @dataclass
 class GlobalAvgPoolLayer:
-    pass
+    ARRAYS = TRAINABLE = ()
 
 
 @dataclass
 class LinearLayer:
     """Fully connected layer; weights shaped (out_features, in_features)."""
 
+    ARRAYS = TRAINABLE = ("weights", "bias")
     weights: np.ndarray
     bias: np.ndarray | None = None
 
@@ -105,6 +113,14 @@ class LinearLayer:
 
 
 Layer = ConvLayer | BatchNormLayer | ReluLayer | MaxPoolLayer | GlobalAvgPoolLayer | LinearLayer
+
+
+def layer_arrays(ly: Layer) -> Iterator[tuple[str, np.ndarray]]:
+    """(attribute, array) pairs of one layer in pinned blob order; an absent bias is skipped."""
+    for attr in ly.ARRAYS:
+        arr = getattr(ly, attr)
+        if arr is not None:
+            yield attr, arr
 
 
 @dataclass
@@ -226,58 +242,20 @@ def validate(model: ModelGraph) -> None:
 
 def clone_graph(model: ModelGraph) -> ModelGraph:
     """Deep copy; all weight arrays are owned by the copy."""
-    layers: list[Layer] = []
-    for ly in model.layers:
-        if isinstance(ly, ConvLayer):
-            layers.append(ConvLayer(ly.weights.copy(),
-                                    None if ly.bias is None else ly.bias.copy(),
-                                    tuple(ly.stride), tuple(ly.padding)))
-        elif isinstance(ly, BatchNormLayer):
-            layers.append(BatchNormLayer(ly.gamma.copy(), ly.beta.copy(),
-                                         ly.running_mean.copy(), ly.running_var.copy(),
-                                         float(ly.eps)))
-        elif isinstance(ly, ReluLayer):
-            layers.append(ReluLayer())
-        elif isinstance(ly, MaxPoolLayer):
-            layers.append(MaxPoolLayer(ly.kernel, ly.stride))
-        elif isinstance(ly, GlobalAvgPoolLayer):
-            layers.append(GlobalAvgPoolLayer())
-        elif isinstance(ly, LinearLayer):
-            layers.append(LinearLayer(ly.weights.copy(),
-                                      None if ly.bias is None else ly.bias.copy()))
-        else:
-            raise ShapeConsistencyError(f"unknown layer type {type(ly).__name__}")
+    layers = [replace(ly, **{attr: arr.copy() for attr, arr in layer_arrays(ly)})
+              for ly in model.layers]
     return ModelGraph(layers, tuple(model.input_shape), model.name)
 
 
 def iter_named_params(model: ModelGraph) -> Iterator[tuple[int, str, np.ndarray]]:
     """Yield (layer position, attribute name, array) for every trainable tensor."""
     for pos, ly in enumerate(model.layers):
-        if isinstance(ly, ConvLayer):
-            yield pos, "weights", ly.weights
-            if ly.bias is not None:
-                yield pos, "bias", ly.bias
-        elif isinstance(ly, BatchNormLayer):
-            yield pos, "gamma", ly.gamma
-            yield pos, "beta", ly.beta
-        elif isinstance(ly, LinearLayer):
-            yield pos, "weights", ly.weights
-            if ly.bias is not None:
-                yield pos, "bias", ly.bias
+        for attr, arr in layer_arrays(ly):
+            if attr in ly.TRAINABLE:
+                yield pos, attr, arr
 
 
 # --- serialization ---------------------------------------------------------
-
-def _weight_arrays(ly: Layer) -> list[np.ndarray]:
-    """Arrays of one layer in pinned blob order."""
-    if isinstance(ly, ConvLayer):
-        return [ly.weights] + ([ly.bias] if ly.bias is not None else [])
-    if isinstance(ly, BatchNormLayer):
-        return [ly.gamma, ly.beta, ly.running_mean, ly.running_var]
-    if isinstance(ly, LinearLayer):
-        return [ly.weights] + ([ly.bias] if ly.bias is not None else [])
-    return []
-
 
 def _layer_to_record(ly: Layer) -> dict:
     if isinstance(ly, ConvLayer):
@@ -306,83 +284,86 @@ def _require(rec: dict, key: str, idx: int):
     return rec[key]
 
 
+def _int(rec: dict, key: str, idx: int) -> int:
+    v = _require(rec, key, idx)
+    if type(v) is not int:
+        raise ManifestError(f"layer {idx}: '{key}' must be an integer, got {v!r}")
+    return v
+
+
 def _int_pair(rec: dict, key: str, idx: int) -> tuple[int, int]:
     v = _require(rec, key, idx)
-    if not (isinstance(v, list) and len(v) == 2 and all(isinstance(x, int) for x in v)):
+    if not (isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v)):
         raise ManifestError(f"layer {idx}: '{key}' must be a pair of integers")
-    return int(v[0]), int(v[1])
+    return v[0], v[1]
 
 
-def _record_to_layer(rec: dict, idx: int) -> tuple[Layer, list[tuple[str, tuple[int, ...]]]]:
-    """Build a zero-weight layer plus the ordered (attr, shape) blob slots."""
+def _bias(rec: dict, idx: int, n: int) -> np.ndarray | None:
+    v = _require(rec, "bias", idx)
+    if type(v) is not bool:
+        raise ManifestError(f"layer {idx}: 'bias' must be true or false, got {v!r}")
+    return np.zeros(n, dtype=np.float32) if v else None
+
+
+def _record_to_layer(rec: dict, idx: int) -> Layer:
+    """Build a zero-weight layer; its array shapes give the blob layout."""
     if not isinstance(rec, dict) or "type" not in rec:
         raise ManifestError(f"layer {idx}: record must be an object with a 'type' field")
     t = rec["type"]
     if t == "conv2d":
-        co = int(_require(rec, "out_channels", idx))
-        ci = int(_require(rec, "in_channels", idx))
+        co, ci = _int(rec, "out_channels", idx), _int(rec, "in_channels", idx)
         kh, kw = _int_pair(rec, "kernel", idx)
         stride = _int_pair(rec, "stride", idx)
         padding = _int_pair(rec, "padding", idx)
-        has_bias = bool(_require(rec, "bias", idx))
         if min(co, ci, kh, kw) < 1:
             raise ManifestError(f"layer {idx}: conv2d dims must be positive")
-        ly = ConvLayer(np.zeros((co, ci, kh, kw), dtype=np.float32),
-                       np.zeros(co, dtype=np.float32) if has_bias else None,
-                       stride, padding)
-        slots = [("weights", (co, ci, kh, kw))] + ([("bias", (co,))] if has_bias else [])
-        return ly, slots
+        return ConvLayer(np.zeros((co, ci, kh, kw), dtype=np.float32), _bias(rec, idx, co),
+                         stride, padding)
     if t == "batchnorm":
-        n = int(_require(rec, "channels", idx))
+        n = _int(rec, "channels", idx)
         if n < 1:
             raise ManifestError(f"layer {idx}: batchnorm channels must be positive")
-        eps = float(rec.get("eps", DEFAULT_BN_EPS))
+        eps = rec.get("eps", DEFAULT_BN_EPS)
+        if type(eps) not in (int, float):
+            raise ManifestError(f"layer {idx}: 'eps' must be a number, got {eps!r}")
         z = lambda: np.zeros(n, dtype=np.float32)
-        ly = BatchNormLayer(z(), z(), z(), z(), eps)
-        return ly, [("gamma", (n,)), ("beta", (n,)), ("running_mean", (n,)), ("running_var", (n,))]
+        return BatchNormLayer(z(), z(), z(), z(), float(eps))
     if t == "relu":
-        return ReluLayer(), []
+        return ReluLayer()
     if t == "maxpool":
-        return MaxPoolLayer(int(_require(rec, "kernel", idx)), int(_require(rec, "stride", idx))), []
+        return MaxPoolLayer(_int(rec, "kernel", idx), _int(rec, "stride", idx))
     if t == "global_avg_pool":
-        return GlobalAvgPoolLayer(), []
+        return GlobalAvgPoolLayer()
     if t == "linear":
-        out = int(_require(rec, "out", idx))
-        inp = int(_require(rec, "in", idx))
-        has_bias = bool(_require(rec, "bias", idx))
+        out, inp = _int(rec, "out", idx), _int(rec, "in", idx)
         if min(out, inp) < 1:
             raise ManifestError(f"layer {idx}: linear dims must be positive")
-        ly = LinearLayer(np.zeros((out, inp), dtype=np.float32),
-                         np.zeros(out, dtype=np.float32) if has_bias else None)
-        slots = [("weights", (out, inp))] + ([("bias", (out,))] if has_bias else [])
-        return ly, slots
+        return LinearLayer(np.zeros((out, inp), dtype=np.float32), _bias(rec, idx, out))
     raise ManifestError(f"layer {idx}: unknown layer type '{t}'")
 
 
-def _parse_manifest(arch_path: str | Path) -> tuple[ModelGraph, list[list[tuple[str, tuple[int, ...]]]]]:
-    """Parse a manifest into a zero-weight graph plus per-layer blob slots."""
+def _parse_manifest(arch_path: str | Path) -> ModelGraph:
+    """Parse a manifest into a zero-weight graph."""
     try:
-        text = Path(arch_path).read_text(encoding="utf-8")
+        text = Path(arch_path).read_bytes()
     except OSError as e:
         raise ManifestError(f"cannot read manifest {arch_path}: {e}") from e
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # bad JSON or bad UTF-8
         raise ManifestError(f"manifest {arch_path} is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ManifestError("manifest top level must be an object")
     if doc.get("format") != MANIFEST_FORMAT:
         raise ManifestError(f"manifest format must be '{MANIFEST_FORMAT}', got {doc.get('format')!r}")
     inp = doc.get("input")
-    if not (isinstance(inp, list) and len(inp) == 3 and all(isinstance(x, int) and x >= 1 for x in inp)):
+    if not (isinstance(inp, list) and len(inp) == 3 and all(type(x) is int and x >= 1 for x in inp)):
         raise ManifestError("manifest 'input' must be [C, H, W] positive integers")
     recs = doc.get("layers")
     if not isinstance(recs, list) or not recs:
         raise ManifestError("manifest 'layers' must be a non-empty list")
-    built = [_record_to_layer(rec, i) for i, rec in enumerate(recs)]
-    name = doc.get("name", "model")
-    model = ModelGraph([ly for ly, _ in built], (inp[0], inp[1], inp[2]), str(name))
-    return model, [slots for _, slots in built]
+    layers = [_record_to_layer(rec, i) for i, rec in enumerate(recs)]
+    return ModelGraph(layers, (inp[0], inp[1], inp[2]), str(doc.get("name", "model")))
 
 
 def load_arch(arch_path: str | Path) -> ModelGraph:
@@ -391,30 +372,29 @@ def load_arch(arch_path: str | Path) -> ModelGraph:
     Enough for structural operations (channel counts, extraction) that
     never touch weight values.
     """
-    model, _ = _parse_manifest(arch_path)
+    model = _parse_manifest(arch_path)
     validate(model)
     return model
 
 
 def load_model(arch_path: str | Path, weights_path: str | Path) -> ModelGraph:
     """Load a manifest + weight blob pair; bit-exact float payload."""
-    model, slots = _parse_manifest(arch_path)
+    model = _parse_manifest(arch_path)
     blob = Path(weights_path).read_bytes()
     if len(blob) < 8 or blob[:4] != MAGIC:
         raise BlobFormatError(f"weight blob {weights_path} has bad magic (expected {MAGIC!r})")
     version = int.from_bytes(blob[4:8], "little")
     if version != VERSION:
         raise BlobFormatError(f"unsupported blob version {version} (expected {VERSION})")
-    expected = 8 + 4 * sum(int(np.prod(shape)) for layer_slots in slots for _, shape in layer_slots)
+    expected = 8 + 4 * sum(arr.size for ly in model.layers for _, arr in layer_arrays(ly))
     if len(blob) != expected:
         raise BlobSizeError(f"weight blob is {len(blob)} bytes, manifest declares {expected}")
     off = 8
-    for ly, layer_slots in zip(model.layers, slots):
-        for attr, shape in layer_slots:
-            count = int(np.prod(shape))
-            arr = np.frombuffer(blob, dtype="<f4", count=count, offset=off).reshape(shape).copy()
-            off += 4 * count
-            setattr(ly, attr, arr)
+    for ly in model.layers:
+        for attr, zeros in list(layer_arrays(ly)):
+            arr = np.frombuffer(blob, dtype="<f4", count=zeros.size, offset=off)
+            setattr(ly, attr, arr.reshape(zeros.shape).copy())
+            off += 4 * zeros.size
     validate(model)
     return model
 
@@ -431,6 +411,6 @@ def save_model(model: ModelGraph, arch_path: str | Path, weights_path: str | Pat
     Path(arch_path).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     parts = [MAGIC, VERSION.to_bytes(4, "little")]
     for ly in model.layers:
-        for arr in _weight_arrays(ly):
+        for _, arr in layer_arrays(ly):
             parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
     Path(weights_path).write_bytes(b"".join(parts))

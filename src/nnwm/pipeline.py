@@ -17,6 +17,7 @@ import numpy as np
 from . import wm_codec
 from .errors import (
     ArchitectureMismatchError,
+    AttackConfigError,
     CapacityError,
     CodecError,
     NnwmError,
@@ -143,23 +144,25 @@ def embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
     return marked, receipt
 
 
-def _decode_layers(pairs: list[tuple[int, int, int]], params_l: int, p_min: float,
-                   p_max: float, n: int) -> ExtractionResult:
-    """Decode (ordinal, c_original, c_suspect) triples into payload bits."""
-    params = EmbedParams(segment_length=params_l, key=b"", p_min=p_min, p_max=p_max)
+def decode_segments(pairs: list[tuple[int, int, int]],
+                    params: EmbedParams) -> list[SegmentDecode]:
+    """Decode (ordinal, c_original, c_suspect) triples, clamping out-of-range rates."""
     segments = []
-    warnings = []
-    values = []
     for ordinal, c, c_susp in pairs:
         p_hat = (c - c_susp) / c
         value, clamped = wm_codec.decode_rate_clamped(p_hat, params)
-        if clamped:
-            warnings.append(
-                f"conv layer {ordinal}: observed rate {p_hat:.6f} outside "
-                f"[{p_min}, {p_max}); decoded by clamping")
         segments.append(SegmentDecode(ordinal, c, c_susp, p_hat, value, clamped))
-        values.append(value)
-    bits = wm_codec.assemble_bits(values, params_l, n)
+    return segments
+
+
+def _decode_layers(pairs: list[tuple[int, int, int]], params: EmbedParams,
+                   n: int) -> ExtractionResult:
+    """Decode the carrier triples into payload bits, warning on each clamp."""
+    segments = decode_segments(pairs, params)
+    warnings = [f"conv layer {s.layer_index}: observed rate {s.rate:.6f} outside "
+                f"[{params.p_min}, {params.p_max}); decoded by clamping"
+                for s in segments if s.clamped]
+    bits = wm_codec.assemble_bits([s.value for s in segments], params.segment_length, n)
     return ExtractionResult(bits=bits, segments=segments, warnings=warnings)
 
 
@@ -185,8 +188,9 @@ def extract(original: ModelGraph | Receipt, suspect: ModelGraph,
                     f"receipt refers to conv layer {entry.index}, suspect has "
                     f"only {len(counts_susp)}")
             pairs.append((entry.index, entry.c, counts_susp[entry.index]))
-        result = _decode_layers(pairs, rec.segment_length, rec.p_min, rec.p_max,
-                                rec.payload_bits)
+        params = EmbedParams(segment_length=rec.segment_length, key=b"",
+                             p_min=rec.p_min, p_max=rec.p_max)
+        result = _decode_layers(pairs, params, rec.payload_bits)
         result.warnings = result_warnings + result.warnings
         return result
     if params is None or n is None:
@@ -202,7 +206,7 @@ def extract(original: ModelGraph | Receipt, suspect: ModelGraph,
     eligible = eligible_layers(original, params, criterion)
     selected = wm_codec.select_layers(eligible, m, eff_key)
     pairs = [(i, counts_orig[i], counts_susp[i]) for i in selected]
-    return _decode_layers(pairs, params.segment_length, params.p_min, params.p_max, n)
+    return _decode_layers(pairs, params, n)
 
 
 def verify(expected: str, extracted: str | ExtractionResult,
@@ -229,8 +233,8 @@ def verify(expected: str, extracted: str | ExtractionResult,
 
 def attack_noise(model: ModelGraph, sigma_rel: float, seed: int = 0) -> ModelGraph:
     """Add zero-mean Gaussian noise, std = sigma_rel * per-tensor weight std."""
-    if sigma_rel < 0:
-        raise ValueError("sigma_rel must be >= 0")
+    if not 0.0 <= sigma_rel < np.inf:
+        raise AttackConfigError(f"noise sigma must be finite and >= 0, got {sigma_rel}")
     out = clone_graph(model)
     rng = np.random.default_rng(seed)
     for _, _, arr in iter_named_params(out):
@@ -243,7 +247,7 @@ def attack_noise(model: ModelGraph, sigma_rel: float, seed: int = 0) -> ModelGra
 def attack_zero_weights(model: ModelGraph, fraction: float) -> ModelGraph:
     """Zero the given fraction of smallest-magnitude conv/linear weights, globally."""
     if not (0.0 <= fraction <= 1.0):
-        raise ValueError("fraction must lie in [0, 1]")
+        raise AttackConfigError(f"zeroed fraction must lie in [0, 1], got {fraction}")
     out = clone_graph(model)
     tensors = [ly.weights for ly in out.layers if isinstance(ly, (ConvLayer, LinearLayer))]
     total = sum(t.size for t in tensors)
@@ -277,7 +281,7 @@ def attack_structural(model: ModelGraph, extra_rate: float, seed: int = 0) -> Mo
     fast the watermark degrades, not to make any robustness claim.
     """
     if not (0.0 <= extra_rate < 1.0):
-        raise ValueError("extra_rate must lie in [0, 1)")
+        raise AttackConfigError(f"extra pruning rate must lie in [0, 1), got {extra_rate}")
     rng = np.random.default_rng(seed)
     positions = conv_layer_indices(model)
     counts = channel_counts(model)

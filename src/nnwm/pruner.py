@@ -17,21 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from . import importance
-from .errors import (
-    ArchitectureMismatchError,
-    InconsistencyError,
-    PlanError,
-)
+from .errors import PlanError
 from .model_store import (
     BatchNormLayer,
     ConvLayer,
-    GlobalAvgPoolLayer,
     LinearLayer,
-    MaxPoolLayer,
     ModelGraph,
-    ReluLayer,
-    channel_counts,
     clone_graph,
+    layer_arrays,
     layer_input_shapes,
     validate,
 )
@@ -88,6 +81,12 @@ def _check_entry(model: ModelGraph, entry: PlanEntry) -> None:
             f"strictly increasing within [0, {c})")
 
 
+def _keep_channels(ly, retained: list[int]) -> None:
+    """Slice every array the layer owns down to the retained channels (axis 0)."""
+    for attr, arr in list(layer_arrays(ly)):
+        setattr(ly, attr, arr[retained])
+
+
 def _rewire_consumers(layers: list, pos: int, retained: list[int], old_c: int,
                       input_shapes: list[tuple]) -> None:
     """Slice everything downstream of a pruned conv that shares its channels."""
@@ -99,12 +98,7 @@ def _rewire_consumers(layers: list, pos: int, retained: list[int], old_c: int,
                 raise PlanError(
                     f"layer {j}: batchnorm length {ly.channels} does not match "
                     f"pruned conv width {old_c}")
-            ly.gamma = ly.gamma[retained]
-            ly.beta = ly.beta[retained]
-            ly.running_mean = ly.running_mean[retained]
-            ly.running_var = ly.running_var[retained]
-        elif isinstance(ly, (ReluLayer, MaxPoolLayer, GlobalAvgPoolLayer)):
-            pass
+            _keep_channels(ly, retained)
         elif isinstance(ly, ConvLayer):
             if ly.c_in != old_c:
                 raise PlanError(
@@ -125,7 +119,7 @@ def _rewire_consumers(layers: list, pos: int, retained: list[int], old_c: int,
                 [np.arange(i * per_channel, (i + 1) * per_channel) for i in retained])
             ly.weights = ly.weights[:, cols]
             return
-        else:
+        elif ly.ARRAYS:  # array-free layers pass channels through unchanged
             raise PlanError(f"layer {j}: cannot rewire past {type(ly).__name__}")
         j += 1
     # pruned conv feeds the network output directly; nothing left to rewire
@@ -144,26 +138,10 @@ def apply_prune(model: ModelGraph, plan: PruningPlan) -> ModelGraph:
         conv = out.layers[entry.conv_index]
         old_c = conv.c_out
         retained = list(entry.retained)
-        conv.weights = conv.weights[retained]
-        if conv.bias is not None:
-            conv.bias = conv.bias[retained]
+        _keep_channels(conv, retained)
         _rewire_consumers(out.layers, entry.conv_index, retained, old_c, input_shapes)
     validate(out)
     return out
-
-
-def observed_rates(original: ModelGraph, suspect: ModelGraph) -> list[float]:
-    """Per-conv-layer pruning rate (c - c') / c of suspect vs original."""
-    c_orig = channel_counts(original)
-    c_susp = channel_counts(suspect)
-    if len(c_orig) != len(c_susp):
-        raise ArchitectureMismatchError(
-            f"original has {len(c_orig)} conv layers, suspect has {len(c_susp)}")
-    for i, (c, cp) in enumerate(zip(c_orig, c_susp)):
-        if cp > c:
-            raise InconsistencyError(
-                f"conv layer {i}: suspect has {cp} channels, original only {c}")
-    return [(c - cp) / c for c, cp in zip(c_orig, c_susp)]
 
 
 # --- receipts ---------------------------------------------------------------
@@ -215,23 +193,51 @@ class Receipt:
         return json.dumps(doc, indent=2) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "Receipt":
-        doc = json.loads(text)
-        if doc.get("format") != RECEIPT_FORMAT:
+    def from_json(cls, text: str | bytes) -> "Receipt":
+        """Parse and check a receipt; any malformed field raises PlanError."""
+        try:
+            doc = json.loads(text)
+        except (ValueError, RecursionError) as e:  # bad JSON or bad UTF-8
+            raise PlanError(f"receipt is not valid JSON: {e}") from None
+        if type(doc) is not dict or doc.get("format") != RECEIPT_FORMAT:
             raise PlanError(f"receipt format must be '{RECEIPT_FORMAT}'")
-        params = doc["params"]
+        params = _field(doc, "params", dict)
+        recs = _field(doc, "layers", list)
         layers = []
-        for rec in doc["layers"]:
-            e = ReceiptLayer(int(rec["index"]), int(rec["c"]), int(rec["c_pruned"]),
-                             float(rec["target_rate"]), float(rec["realized_rate"]))
-            if e.c_pruned > e.c or e.c < 1:
-                raise PlanError(f"receipt layer {e.index}: c_pruned {e.c_pruned} > c {e.c}")
+        for rec in recs:
+            if type(rec) is not dict:
+                raise PlanError("receipt layers must be objects")
+            e = ReceiptLayer(_field(rec, "index", int), _field(rec, "c", int),
+                             _field(rec, "c_pruned", int), _field(rec, "target_rate", float),
+                             _field(rec, "realized_rate", float))
+            if e.index < 0 or (layers and e.index <= layers[-1].index):
+                raise PlanError(f"receipt layer index {e.index}: indices must be "
+                                "non-negative and strictly increasing")
+            if not 0 <= e.c_pruned <= e.c or e.c < 1:
+                raise PlanError(f"receipt layer {e.index}: need 0 <= c_pruned {e.c_pruned} "
+                                f"<= c {e.c} and c >= 1")
             if not math.isclose(e.realized_rate, (e.c - e.c_pruned) / e.c, abs_tol=1e-9):
                 raise PlanError(f"receipt layer {e.index}: realized_rate inconsistent with counts")
             layers.append(e)
-        return cls(int(params["l"]), float(params["p_min"]), float(params["p_max"]),
-                   str(params["criterion"]), tuple(layers),
-                   int(doc["payload_bits"]), str(doc["key_fingerprint"]))
+        return cls(_field(params, "l", int), _field(params, "p_min", float),
+                   _field(params, "p_max", float), _field(params, "criterion", str),
+                   tuple(layers), _field(doc, "payload_bits", int),
+                   _field(doc, "key_fingerprint", str))
+
+
+def _field(doc: dict, key: str, kind: type):
+    """doc[key] as a JSON value of the given kind; ints count as floats, bools as neither."""
+    if key not in doc:
+        raise PlanError(f"receipt is missing '{key}'")
+    v = doc[key]
+    if kind is float and type(v) is int:
+        try:
+            return float(v)
+        except OverflowError:
+            raise PlanError(f"receipt field '{key}' is out of range") from None
+    if type(v) is not kind:
+        raise PlanError(f"receipt field '{key}' must be of type {kind.__name__}, got {v!r}")
+    return v
 
 
 def save_receipt(receipt: Receipt, path: str | Path) -> None:
@@ -239,4 +245,4 @@ def save_receipt(receipt: Receipt, path: str | Path) -> None:
 
 
 def load_receipt(path: str | Path) -> Receipt:
-    return Receipt.from_json(Path(path).read_text(encoding="utf-8"))
+    return Receipt.from_json(Path(path).read_bytes())

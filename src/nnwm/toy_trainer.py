@@ -22,7 +22,7 @@ the graph it is given; finetune therefore always works on a private copy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -38,6 +38,7 @@ from .model_store import (
     ReluLayer,
     channel_counts,
     clone_graph,
+    layer_arrays,
 )
 
 BN_MOMENTUM = 0.1
@@ -97,21 +98,15 @@ class ForwardCache:
 def to_precision(model: ModelGraph, precision: str) -> ModelGraph:
     """Copy of the model with all arrays cast to the requested dtype."""
     dtype = _DTYPES[precision]
-    out = clone_graph(model)
-    for ly in out.layers:
-        for attr in ("weights", "bias", "gamma", "beta", "running_mean", "running_var"):
-            arr = getattr(ly, attr, None)
-            if isinstance(arr, np.ndarray):
-                setattr(ly, attr, arr.astype(dtype))
-    return out
+    layers = [replace(ly, **{attr: arr.astype(dtype) for attr, arr in layer_arrays(ly)})
+              for ly in model.layers]
+    return ModelGraph(layers, tuple(model.input_shape), model.name)
 
 
 def _model_dtype(model: ModelGraph) -> np.dtype:
     for ly in model.layers:
-        if isinstance(ly, (ConvLayer, LinearLayer)):
-            return ly.weights.dtype
-        if isinstance(ly, BatchNormLayer):
-            return ly.gamma.dtype
+        for _, arr in layer_arrays(ly):
+            return arr.dtype
     raise ShapeConsistencyError("model has no parameterized layer")
 
 
@@ -252,7 +247,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 def loss_softmax_ce(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean cross-entropy, stabilized by max subtraction."""
     if not np.isfinite(logits).all():
-        raise ValueError("logits must be finite")
+        raise TrainConfigError("training diverged (non-finite logits); lower lr")
     n, k = logits.shape
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError("label out of range")

@@ -26,6 +26,9 @@ from .errors import CapacityError, CodecError, RateRangeError
 
 DEFAULT_P_MIN = 0.0
 DEFAULT_P_MAX = 0.7
+# A longer segment needs a carrier wider than 2^32 channels; near l = 1024 the
+# float cell width (p_max - p_min) / 2^l no longer exists at all.
+MAX_SEGMENT_LENGTH = 32
 
 _U64 = 1 << 64
 
@@ -67,17 +70,14 @@ class EmbedParams:
     key: bytes
     p_min: float = DEFAULT_P_MIN
     p_max: float = DEFAULT_P_MAX
-    r_cov: float | None = None
 
     def __post_init__(self):
-        if self.segment_length < 1:
-            raise CodecError("segment length must be >= 1")
+        if not 1 <= self.segment_length <= MAX_SEGMENT_LENGTH:
+            raise CodecError(f"segment length must lie in [1, {MAX_SEGMENT_LENGTH}]")
         if not isinstance(self.key, (bytes, bytearray)):
             raise CodecError("key must be bytes")
         if not (0.0 <= self.p_min < self.p_max <= 1.0):
             raise CodecError(f"need 0 <= p_min < p_max <= 1, got [{self.p_min}, {self.p_max})")
-        if self.r_cov is not None and not (0.0 < self.r_cov <= 1.0):
-            raise CodecError("r_cov must lie in (0, 1]")
 
     @property
     def num_levels(self) -> int:
@@ -87,22 +87,6 @@ class EmbedParams:
     def delta(self) -> float:
         """Width of one quantizer cell."""
         return (self.p_max - self.p_min) / self.num_levels
-
-
-@dataclass(frozen=True)
-class QuantizerGrid:
-    """The admissible target rates: cell midpoints, strictly increasing."""
-
-    levels: tuple[float, ...]
-
-    @classmethod
-    def from_params(cls, params: EmbedParams) -> "QuantizerGrid":
-        d = params.delta
-        return cls(tuple(params.p_min + (i + 0.5) * d for i in range(params.num_levels)))
-
-    @property
-    def mean(self) -> float:
-        return sum(self.levels) / len(self.levels)
 
 
 def segment(payload: WatermarkPayload) -> list[int]:
@@ -142,20 +126,21 @@ def encode_rate(value: int, params: EmbedParams) -> float:
 
 def decode_rate(p_hat: float, params: EmbedParams) -> int:
     """Recover the segment value from an observed rate; strict range check."""
-    if not (params.p_min <= p_hat < params.p_max):
+    value, clamped = decode_rate_clamped(p_hat, params)
+    if clamped:
         raise RateRangeError(
             f"observed rate {p_hat} outside [{params.p_min}, {params.p_max})")
-    d = int(math.floor((p_hat - params.p_min) / params.delta))
-    return min(max(d, 0), params.num_levels - 1)
+    return value
 
 
 def decode_rate_clamped(p_hat: float, params: EmbedParams) -> tuple[int, bool]:
     """Decode with clamping; second element reports an out-of-range rate."""
     if p_hat < params.p_min:
         return 0, True
-    if p_hat >= params.p_max:
+    if not p_hat < params.p_max:  # NaN lands here too
         return params.num_levels - 1, True
-    return decode_rate(p_hat, params), False
+    cell = math.floor((p_hat - params.p_min) / params.delta)
+    return min(cell, params.num_levels - 1), False
 
 
 def rate_to_channel_count(rate: float, channels: int) -> int:

@@ -234,17 +234,29 @@ def test_embed_bad_finetune_epochs_exit_two(no_training, tiny_host, capsys, tmp_
     assert not (tmp_path / "r.json").exists()
 
 
-@pytest.mark.parametrize("flags", [["--lr", "nan"], ["--lr", "-0.1"], ["--lr", "inf"],
-                                   ["--epochs", "-1"]])
+@pytest.mark.parametrize("flags", [
+    ["--type", "finetune", "--lr", "nan"], ["--type", "finetune", "--lr", "-0.1"],
+    ["--type", "finetune", "--lr", "inf"], ["--type", "finetune", "--epochs", "-1"],
+    ["--type", "noise", "--sigma", "-1"], ["--type", "zero", "--fraction", "2"],
+    ["--type", "structural", "--extra-rate", "1.5"]])
 def test_attack_finetune_bad_flags_exit_two(no_training, tiny_host, capsys, tmp_path,
                                             flags):
-    rc = main(["attack", "--type", "finetune",
-               "--arch", str(tiny_host / "tiny.json"),
+    rc = main(["attack", "--arch", str(tiny_host / "tiny.json"),
                "--weights", str(tiny_host / "tiny.bin"),
                "--out-prefix", str(tmp_path / "a"), *flags])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "a.json").exists()
+
+
+def test_attack_diverging_finetune_exit_two(tiny_host, capsys, tmp_path):
+    rc = main(["attack", "--type", "finetune", "--lr", "1e6", "--epochs", "1",
+               "--arch", str(tiny_host / "tiny.json"),
+               "--weights", str(tiny_host / "tiny.bin"),
+               "--out-prefix", str(tmp_path / "a")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: training diverged")
+    assert not (tmp_path / "a.json").exists() and not (tmp_path / "a.bin").exists()
 
 
 def test_hex_key_and_payload(host, capsys, tmp_path):

@@ -1,11 +1,11 @@
-"""Pruner tests: planning, graph surgery, receipts, observed rates."""
+"""Pruner tests: planning, graph surgery, receipts."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nnwm.errors import ArchitectureMismatchError, InconsistencyError, PlanError
+from nnwm.errors import PlanError
 from nnwm.fixtures import random_conv_net, vgg_tiny
 from nnwm.importance import CRITERION_L1
 from nnwm.model_store import (
@@ -23,7 +23,6 @@ from nnwm.pruner import (
     ReceiptLayer,
     apply_prune,
     load_receipt,
-    observed_rates,
     plan_layer,
     save_receipt,
 )
@@ -190,32 +189,6 @@ def test_apply_prune_fuzz_random_models_and_plans():
         for ordinal, e in zip(chosen, entries):
             expect[ordinal] -= e.k
         assert channel_counts(out) == expect
-        rates = observed_rates(model, out)
-        planned = {int(o): e.k for o, e in zip(chosen, entries)}
-        for ordinal, (rate, c) in enumerate(zip(rates, counts)):
-            assert rate == planned.get(ordinal, 0) / c  # exact, no tolerance
-
-
-def test_observed_rates_examples(tiny_model):
-    assert observed_rates(tiny_model, tiny_model) == [0.0] * 5
-    positions = conv_layer_indices(tiny_model)
-    retained = tuple(plan_layer(tiny_model, positions[2], 31, "l1"))
-    pruned = apply_prune(tiny_model, PruningPlan(
-        (PlanEntry(positions[2], 31 / 64, 31, retained),), CRITERION_L1))
-    rates = observed_rates(tiny_model, pruned)
-    assert rates[2] == pytest.approx(0.484375, abs=0)
-    assert rates[0] == rates[1] == rates[3] == rates[4] == 0.0
-
-
-def test_observed_rates_errors(tiny_model):
-    bigger = random_conv_net(seed=1, n_convs=6)
-    with pytest.raises(ArchitectureMismatchError):
-        observed_rates(tiny_model, bigger)
-    grown = vgg_tiny(0)
-    conv = grown.layers[0]
-    conv.weights = np.concatenate([conv.weights, conv.weights[:1]], axis=0)
-    with pytest.raises(InconsistencyError):
-        observed_rates(tiny_model, grown)
 
 
 def test_receipt_roundtrip(tmp_path):

@@ -10,7 +10,6 @@ from nnwm.errors import CapacityError, CodecError, RateRangeError
 from nnwm.wm_codec import (
     EmbedParams,
     KeyStream,
-    QuantizerGrid,
     WatermarkPayload,
     assemble_bits,
     capacity,
@@ -82,14 +81,6 @@ def test_encode_rate_rejects_out_of_range():
         encode_rate(-1, params(3))
 
 
-def test_grid_mean_is_range_midpoint():
-    for l in (1, 2, 3, 4, 5):
-        grid = QuantizerGrid.from_params(params(l))
-        assert grid.mean == pytest.approx(0.35, abs=1e-12)
-        assert list(grid.levels) == sorted(grid.levels)
-        assert len(set(grid.levels)) == len(grid.levels)
-
-
 @given(st.integers(min_value=1, max_value=8))
 def test_encode_strictly_increasing(l):
     p = params(l)
@@ -107,6 +98,9 @@ def test_decode_rate_examples():
         decode_rate(0.7, p)  # half-open interval
     with pytest.raises(RateRangeError):
         decode_rate(-0.01, p)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(RateRangeError):
+            decode_rate(bad, p)
 
 
 def test_decode_rate_clamped_flags_out_of_range():
@@ -272,6 +266,6 @@ def test_embed_params_validation():
     with pytest.raises(CodecError):
         EmbedParams(segment_length=1, key=b"k", p_max=1.1)
     with pytest.raises(CodecError):
-        EmbedParams(segment_length=1, key=b"k", r_cov=0.0)
+        EmbedParams(segment_length=33, key=b"k")  # 2^33 levels: no layer is that wide
     p = EmbedParams(segment_length=2, key=b"k")
     assert (p.p_min, p.p_max) == (0.0, 0.7)
