@@ -18,6 +18,14 @@ files:
 Tensor offsets are always derived from the manifest shapes, never stored,
 so the manifest is the single source of truth.  load/save round-trip at
 byte level.
+
+A parsed manifest holds each declared tensor as a read-only, zero-stride
+zero placeholder (``np.broadcast_to``): its shape and size give the blob
+layout, but it allocates nothing, so a manifest that declares a huge
+tensor costs no memory.  ``load_arch`` stops there and runs only the
+structural checks; ``load_model`` compares the blob size against the
+placeholder sizes before it reads any tensor, then swaps in owned arrays
+and runs the full ``validate``, which also checks values.
 """
 
 from __future__ import annotations
@@ -152,7 +160,6 @@ def _check_vector(name: str, v: np.ndarray, length: int | None = None) -> None:
     _check(v.size >= 1, f"{name} must be non-empty")
     if length is not None:
         _check(v.shape[0] == length, f"{name} has length {v.shape[0]}, expected {length}")
-    _check(bool(np.isfinite(v).all()), f"{name} contains non-finite values")
 
 
 def layer_input_shapes(model: ModelGraph) -> list[tuple]:
@@ -205,8 +212,8 @@ def layer_input_shapes(model: ModelGraph) -> list[tuple]:
     return shapes
 
 
-def validate(model: ModelGraph) -> None:
-    """Check every structural invariant; raise ShapeConsistencyError if violated."""
+def _check_structure(model: ModelGraph) -> None:
+    """The rules a manifest alone decides: ranks, dims, lengths, strides, eps and shapes."""
     _check(len(model.layers) >= 1, "model has no layers")
     for pos, ly in enumerate(model.layers):
         where = f"layer {pos} ({type(ly).__name__})"
@@ -214,7 +221,6 @@ def validate(model: ModelGraph) -> None:
             _check(isinstance(ly.weights, np.ndarray) and ly.weights.ndim == 4,
                    f"{where}: conv weights must be 4-D")
             _check(all(d >= 1 for d in ly.weights.shape), f"{where}: non-positive weight dim")
-            _check(bool(np.isfinite(ly.weights).all()), f"{where}: non-finite conv weights")
             if ly.bias is not None:
                 _check_vector(f"{where} bias", ly.bias, ly.c_out)
             _check(ly.stride[0] >= 1 and ly.stride[1] >= 1, f"{where}: stride must be >= 1")
@@ -222,22 +228,32 @@ def validate(model: ModelGraph) -> None:
         elif isinstance(ly, BatchNormLayer):
             n = ly.gamma.shape[0] if isinstance(ly.gamma, np.ndarray) and ly.gamma.ndim == 1 else -1
             _check(n >= 1, f"{where}: gamma must be a non-empty 1-D array")
-            _check_vector(f"{where} gamma", ly.gamma)
-            _check_vector(f"{where} beta", ly.beta, n)
-            _check_vector(f"{where} running_mean", ly.running_mean, n)
-            _check_vector(f"{where} running_var", ly.running_var, n)
-            _check(bool((ly.running_var >= 0).all()), f"{where}: negative running_var")
+            for attr in ("beta", "running_mean", "running_var"):
+                _check_vector(f"{where} {attr}", getattr(ly, attr), n)
             _check(float(ly.eps) > 0 and np.isfinite(ly.eps), f"{where}: eps must be positive")
         elif isinstance(ly, MaxPoolLayer):
             _check(ly.kernel >= 1 and ly.stride >= 1, f"{where}: kernel and stride must be >= 1")
         elif isinstance(ly, LinearLayer):
             _check(isinstance(ly.weights, np.ndarray) and ly.weights.ndim == 2,
                    f"{where}: linear weights must be 2-D")
-            _check(bool(np.isfinite(ly.weights).all()), f"{where}: non-finite linear weights")
             if ly.bias is not None:
                 _check_vector(f"{where} bias", ly.bias, ly.out_features)
     _check(len(conv_layer_indices(model)) >= 1, "model has no conv layer")
     layer_input_shapes(model)
+
+
+def validate(model: ModelGraph) -> None:
+    """Check every structural invariant and that every array holds finite values.
+
+    Raises ShapeConsistencyError if either is violated.
+    """
+    _check_structure(model)
+    for pos, ly in enumerate(model.layers):
+        where = f"layer {pos} ({type(ly).__name__})"
+        for attr, arr in layer_arrays(ly):
+            _check(bool(np.isfinite(arr).all()), f"{where}: non-finite {attr}")
+        if isinstance(ly, BatchNormLayer):
+            _check(bool((ly.running_var >= 0).all()), f"{where}: negative running_var")
 
 
 def clone_graph(model: ModelGraph) -> ModelGraph:
@@ -298,15 +314,26 @@ def _int_pair(rec: dict, key: str, idx: int) -> tuple[int, int]:
     return v[0], v[1]
 
 
+_ZERO = np.zeros((), dtype=np.float32)
+
+
+def _placeholder(shape: tuple[int, ...], idx: int) -> np.ndarray:
+    """Read-only zero view of the declared shape; allocates nothing, whatever the shape."""
+    try:
+        return np.broadcast_to(_ZERO, shape)
+    except (ValueError, OverflowError) as e:
+        raise ManifestError(f"layer {idx}: cannot represent a tensor of shape {shape}: {e}") from e
+
+
 def _bias(rec: dict, idx: int, n: int) -> np.ndarray | None:
     v = _require(rec, "bias", idx)
     if type(v) is not bool:
         raise ManifestError(f"layer {idx}: 'bias' must be true or false, got {v!r}")
-    return np.zeros(n, dtype=np.float32) if v else None
+    return _placeholder((n,), idx) if v else None
 
 
 def _record_to_layer(rec: dict, idx: int) -> Layer:
-    """Build a zero-weight layer; its array shapes give the blob layout."""
+    """Build a layer of placeholder arrays; their shapes give the blob layout."""
     if not isinstance(rec, dict) or "type" not in rec:
         raise ManifestError(f"layer {idx}: record must be an object with a 'type' field")
     t = rec["type"]
@@ -317,7 +344,7 @@ def _record_to_layer(rec: dict, idx: int) -> Layer:
         padding = _int_pair(rec, "padding", idx)
         if min(co, ci, kh, kw) < 1:
             raise ManifestError(f"layer {idx}: conv2d dims must be positive")
-        return ConvLayer(np.zeros((co, ci, kh, kw), dtype=np.float32), _bias(rec, idx, co),
+        return ConvLayer(_placeholder((co, ci, kh, kw), idx), _bias(rec, idx, co),
                          stride, padding)
     if t == "batchnorm":
         n = _int(rec, "channels", idx)
@@ -326,8 +353,12 @@ def _record_to_layer(rec: dict, idx: int) -> Layer:
         eps = rec.get("eps", DEFAULT_BN_EPS)
         if type(eps) not in (int, float):
             raise ManifestError(f"layer {idx}: 'eps' must be a number, got {eps!r}")
-        z = lambda: np.zeros(n, dtype=np.float32)
-        return BatchNormLayer(z(), z(), z(), z(), float(eps))
+        try:
+            eps = float(eps)
+        except OverflowError:
+            raise ManifestError(f"layer {idx}: 'eps' {eps} is out of float range") from None
+        vec = _placeholder((n,), idx)
+        return BatchNormLayer(vec, vec, vec, vec, eps)
     if t == "relu":
         return ReluLayer()
     if t == "maxpool":
@@ -338,12 +369,12 @@ def _record_to_layer(rec: dict, idx: int) -> Layer:
         out, inp = _int(rec, "out", idx), _int(rec, "in", idx)
         if min(out, inp) < 1:
             raise ManifestError(f"layer {idx}: linear dims must be positive")
-        return LinearLayer(np.zeros((out, inp), dtype=np.float32), _bias(rec, idx, out))
+        return LinearLayer(_placeholder((out, inp), idx), _bias(rec, idx, out))
     raise ManifestError(f"layer {idx}: unknown layer type '{t}'")
 
 
 def _parse_manifest(arch_path: str | Path) -> ModelGraph:
-    """Parse a manifest into a zero-weight graph."""
+    """Parse a manifest into a graph of placeholder arrays."""
     try:
         text = Path(arch_path).read_bytes()
     except OSError as e:
@@ -367,13 +398,15 @@ def _parse_manifest(arch_path: str | Path) -> ModelGraph:
 
 
 def load_arch(arch_path: str | Path) -> ModelGraph:
-    """Load the manifest alone; weights are zero-filled.
+    """Load the manifest alone, for operations that read only the structure.
 
-    Enough for structural operations (channel counts, extraction) that
-    never touch weight values.
+    Every array is a read-only zero placeholder that allocates nothing, so
+    the cost does not grow with the declared tensor sizes, and only the
+    structural checks run: the values are zero by construction.  Enough
+    for channel counts, extraction, verification and capacity.
     """
     model = _parse_manifest(arch_path)
-    validate(model)
+    _check_structure(model)
     return model
 
 
@@ -391,10 +424,10 @@ def load_model(arch_path: str | Path, weights_path: str | Path) -> ModelGraph:
         raise BlobSizeError(f"weight blob is {len(blob)} bytes, manifest declares {expected}")
     off = 8
     for ly in model.layers:
-        for attr, zeros in list(layer_arrays(ly)):
-            arr = np.frombuffer(blob, dtype="<f4", count=zeros.size, offset=off)
-            setattr(ly, attr, arr.reshape(zeros.shape).copy())
-            off += 4 * zeros.size
+        for attr, shaped in list(layer_arrays(ly)):
+            arr = np.frombuffer(blob, dtype="<f4", count=shaped.size, offset=off)
+            setattr(ly, attr, arr.reshape(shaped.shape).copy())
+            off += 4 * shaped.size
     validate(model)
     return model
 

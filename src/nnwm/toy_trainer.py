@@ -332,24 +332,29 @@ def finetune(model: ModelGraph, dataset: tuple[Batch, Batch],
     """Shuffled mini-batch SGD; returns (model, history).
 
     History rows are (epoch, train_loss, test_accuracy).  The architecture
-    is never altered; epochs=0 returns an unchanged copy.
+    is never altered; epochs=0 returns an unchanged copy.  An overflow or
+    invalid float operation means training diverged: TrainConfigError.
     """
     train, test = dataset
     work = to_precision(model, config.precision)
     rng = np.random.default_rng(config.seed)
     history: list[tuple[int, float, float]] = []
     counts_before = channel_counts(work)
-    for epoch in range(config.epochs):
-        perm = rng.permutation(train.size)
-        losses = []
-        for start in range(0, train.size, config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            xb, yb = train.inputs[idx], train.labels[idx]
-            logits, cache = forward(work, xb, mode="train")
-            losses.append(loss_softmax_ce(logits, yb))
-            grads = backward(work, cache, yb)
-            work = sgd_step(work, grads, config)
-        history.append((epoch, float(np.mean(losses)), evaluate(work, test)))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for epoch in range(config.epochs):
+                perm = rng.permutation(train.size)
+                losses = []
+                for start in range(0, train.size, config.batch_size):
+                    idx = perm[start:start + config.batch_size]
+                    xb, yb = train.inputs[idx], train.labels[idx]
+                    logits, cache = forward(work, xb, mode="train")
+                    losses.append(loss_softmax_ce(logits, yb))
+                    grads = backward(work, cache, yb)
+                    work = sgd_step(work, grads, config)
+                history.append((epoch, float(np.mean(losses)), evaluate(work, test)))
+    except FloatingPointError as e:
+        raise TrainConfigError(f"training diverged ({e}); lower lr") from None
     if channel_counts(work) != counts_before:
         raise ShapeConsistencyError("fine-tuning must not alter the architecture")
     return work, history

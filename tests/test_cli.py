@@ -249,13 +249,16 @@ def test_attack_finetune_bad_flags_exit_two(no_training, tiny_host, capsys, tmp_
     assert not (tmp_path / "a.json").exists()
 
 
-def test_attack_diverging_finetune_exit_two(tiny_host, capsys, tmp_path):
+def test_attack_diverging_finetune_exit_two(tiny_host, capsys, recwarn, tmp_path):
     rc = main(["attack", "--type", "finetune", "--lr", "1e6", "--epochs", "1",
                "--arch", str(tiny_host / "tiny.json"),
                "--weights", str(tiny_host / "tiny.bin"),
                "--out-prefix", str(tmp_path / "a")])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: training diverged")
+    err = capsys.readouterr().err
+    assert err.startswith("error: training diverged")
+    assert "RuntimeWarning" not in err
+    assert not recwarn.list, [str(w.message) for w in recwarn]
     assert not (tmp_path / "a.json").exists() and not (tmp_path / "a.bin").exists()
 
 

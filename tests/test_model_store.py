@@ -1,6 +1,7 @@
 """Container tests: byte-exact round trips, format errors, shape invariants."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from nnwm.errors import (
     BlobFormatError,
     BlobSizeError,
     ManifestError,
+    NnwmError,
     ShapeConsistencyError,
 )
-from nnwm.fixtures import vgg16_style, vgg_tiny
+from nnwm.fixtures import _bn, _conv, _linear, vgg16_style, vgg_tiny
 from nnwm.model_store import (
     BatchNormLayer,
     ConvLayer,
@@ -23,6 +25,7 @@ from nnwm.model_store import (
     channel_counts,
     clone_graph,
     conv_layer_indices,
+    layer_arrays,
     load_arch,
     load_model,
     save_model,
@@ -114,12 +117,82 @@ def test_eps_default_when_manifest_omits_it(tmp_path, tiny_model):
     assert bn.eps == pytest.approx(1e-5)
 
 
+# VGG16 conv widths: 13 convs, 14.7M parameters at 3x32x32 with a 10-way head.
+VGG16_WIDTHS = [64, 64, "M", 128, 128, "M", 256, 256, 256, "M",
+                512, 512, 512, "M", 512, 512, 512]
+
+
+def vgg16_width(seed: int = 0) -> ModelGraph:
+    rng = np.random.default_rng(seed)
+    layers, c_in = [], 3
+    for w in VGG16_WIDTHS:
+        if w == "M":
+            layers.append(MaxPoolLayer(2, 2))
+            continue
+        layers += [_conv(rng, w, c_in), _bn(w), ReluLayer()]
+        c_in = w
+    layers += [GlobalAvgPoolLayer(), _linear(rng, 10, c_in)]
+    return ModelGraph(layers, (3, 32, 32), "vgg16-width")
+
+
+def peak_mb(fn):
+    """(what fn() returned or the NnwmError it raised, tracemalloc peak in MB during the call)."""
+    tracemalloc.start()
+    try:
+        try:
+            result = fn()
+        except NnwmError as e:
+            result = e
+        return result, tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def test_load_arch_is_structure_only(tmp_path, tiny_model):
     arch, _ = saved(tmp_path, tiny_model)
     skeleton = load_arch(arch)
     assert channel_counts(skeleton) == channel_counts(tiny_model)
-    conv = skeleton.layers[0]
-    assert not conv.weights.any()
+    for ly in skeleton.layers:
+        for attr, arr in layer_arrays(ly):
+            assert not arr.flags.writeable, attr
+            assert not arr.any(), attr
+
+    big = vgg16_width()
+    arch, weights = saved(tmp_path, big, "vgg16w")
+    skeleton, peak = peak_mb(lambda: load_arch(arch))
+    assert channel_counts(skeleton) == channel_counts(big)
+    assert peak < 1.0, f"load_arch peaked at {peak:.1f} MB"
+
+    loaded = load_model(arch, weights)
+    for a, b in zip(big.layers, loaded.layers):
+        for (attr, want), (_, got) in zip(layer_arrays(a), layer_arrays(b)):
+            assert got.flags.writeable and got.flags.owndata, attr
+            assert got.tobytes() == want.tobytes(), attr
+
+
+def one_conv_manifest(tmp_path, c_out: int, c_in: int, kernel: int):
+    arch = tmp_path / "one.json"
+    arch.write_text(json.dumps({
+        "format": "nnwm-v1", "input": [c_in, 8, 8],
+        "layers": [{"type": "conv2d", "out_channels": c_out, "in_channels": c_in,
+                    "kernel": [kernel, kernel], "stride": [1, 1], "padding": [1, 1],
+                    "bias": False}]}))
+    return arch
+
+
+def test_huge_declared_tensor_fails_before_allocating(tmp_path):
+    arch = one_conv_manifest(tmp_path, 1024, 1024, 3)
+    weights = tmp_path / "one.bin"
+    weights.write_bytes(b"NNWM" + (1).to_bytes(4, "little"))
+    err, peak = peak_mb(lambda: load_model(arch, weights))
+    assert isinstance(err, BlobSizeError)
+    assert peak < 1.0, f"load_model peaked at {peak:.1f} MB before rejecting the blob"
+
+
+def test_unrepresentable_shape_is_manifest_error(tmp_path):
+    err, peak = peak_mb(lambda: load_arch(one_conv_manifest(tmp_path, 10**30, 1, 1)))
+    assert isinstance(err, ManifestError) and "cannot represent" in str(err)
+    assert peak < 1.0
 
 
 def test_conv_layer_indices_by_construction():

@@ -154,7 +154,8 @@ def test_manifest_int_fields_must_be_json_ints(marked, tmp_path, kind, key, valu
 
 @pytest.mark.parametrize("kind,key,value", [
     ("conv2d", "bias", 1), ("linear", "bias", "yes"), ("conv2d", "bias", None),
-    ("batchnorm", "eps", "abc"), ("batchnorm", "eps", True)])
+    ("batchnorm", "eps", "abc"), ("batchnorm", "eps", True),
+    pytest.param("batchnorm", "eps", 10**400, id="batchnorm-eps-1e400")])
 def test_manifest_bias_and_eps_types(marked, tmp_path, kind, key, value):
     doc = json.loads((marked / "marked.json").read_text())
     doc["layers"][first_record(doc, kind)][key] = value
@@ -180,6 +181,25 @@ def test_manifest_accepts_int_eps(marked, tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
     assert load_model(path, marked / "marked.bin").layers[pos].eps == 1.0
+
+
+@pytest.mark.parametrize("dim", [2**31, 10**30], ids=["2^31", "10^30"])
+@pytest.mark.parametrize("command", ["verify", "extract", "embed"])
+def test_huge_manifest_dimension_exits_two(marked, tmp_path, capsys, command, dim):
+    doc = json.loads((marked / "marked.json").read_text())
+    doc["layers"][first_record(doc, "conv2d")]["out_channels"] = dim
+    bad = tmp_path / "m.json"
+    bad.write_text(json.dumps(doc))
+    receipt = marked / "r.json"
+    argv = {
+        "verify": ["verify", "--receipt", receipt, "--suspect", bad, "--expect", BITS],
+        "extract": ["extract", "--receipt", receipt, "--suspect", bad],
+        "embed": ["embed", "--arch", bad, "--weights", marked / "marked.bin",
+                  "--payload", "101", "--key", "k", "--out-prefix", tmp_path / "e",
+                  "--receipt", tmp_path / "er.json"],
+    }[command]
+    assert main([str(a) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 # --- one-field fuzzing ------------------------------------------------------
@@ -215,9 +235,7 @@ def test_fuzz_one_receipt_field(marked, capsys, data):
 def test_fuzz_one_manifest_field(marked, capsys, data):
     doc = json.loads((marked / "marked.json").read_text())
     path = data.draw(st.sampled_from(paths(doc)))
-    # Small ints only: the loader allocates every declared tensor before the
-    # blob size is checked, so a huge dimension tests the host's memory.
-    value = data.draw(st.one_of(st.just(DELETE), json_values(st.integers(-2, 40))))
+    value = data.draw(st.one_of(st.just(DELETE), json_values(st.integers())))
     fuzzed = marked / "fuzz-m.json"
     fuzzed.write_text(json.dumps(mutated(doc, path, value)))
     for load in (lambda: load_arch(fuzzed), lambda: load_model(fuzzed, marked / "marked.bin")):
@@ -226,3 +244,28 @@ def test_fuzz_one_manifest_field(marked, capsys, data):
         except NnwmError:
             pass
     assert verify_rc(marked / "r.json", fuzzed) in (0, 1, 2)
+
+
+# --- blob fuzzing -----------------------------------------------------------
+
+@FUZZ
+@given(data=st.data())
+def test_fuzz_blob_bytes(marked, capsys, data):
+    blob = bytearray((marked / "marked.bin").read_bytes())
+    edit = data.draw(st.sampled_from(["flip", "truncate", "extend"]))
+    if edit == "flip":
+        for pos in data.draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=4)):
+            blob[pos] ^= data.draw(st.integers(1, 255))
+    elif edit == "truncate":
+        del blob[data.draw(st.integers(0, len(blob) - 1)):]
+    else:
+        blob += data.draw(st.binary(min_size=1, max_size=16))
+    fuzzed = marked / "fuzz.bin"
+    fuzzed.write_bytes(bytes(blob))
+    try:
+        load_model(marked / "marked.json", fuzzed)
+    except NnwmError:
+        pass
+    rc = main(["inspect", "--scores", "--arch", str(marked / "marked.json"),
+               "--weights", str(fuzzed)])
+    assert rc in (0, 2)
