@@ -11,7 +11,6 @@ from .errors import (
     ManifestError,
     NnwmError,
     PlanError,
-    RateRangeError,
     ShapeConsistencyError,
     StaleCacheError,
     TrainConfigError,
@@ -73,7 +72,6 @@ from .wm_codec import (
     WatermarkPayload,
     assemble_bits,
     capacity,
-    decode_rate,
     encode_rate,
     key_fingerprint,
     min_channels,

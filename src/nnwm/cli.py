@@ -45,12 +45,18 @@ def _parse_key(text: str) -> bytes:
             return bytes.fromhex(text[4:])
         except ValueError:
             raise NnwmError(f"--key: invalid hex string {text[4:]!r}") from None
-    return text.encode("utf-8")
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise NnwmError(f"--key is not valid UTF-8 text: {e}") from None
 
 
 def _parse_payload(text: str) -> str:
     if text.startswith("@"):
-        text = Path(text[1:]).read_text(encoding="utf-8").strip()
+        try:
+            text = Path(text[1:]).read_text(encoding="utf-8").strip()
+        except UnicodeDecodeError as e:
+            raise NnwmError(f"--payload file {text[1:]} is not UTF-8 text: {e}") from None
     if text.startswith("hex:"):
         try:
             raw = bytes.fromhex(text[4:])
@@ -249,6 +255,8 @@ def cmd_attack(args) -> int:
 def cmd_train_demo(args) -> int:
     base_cfg = TrainConfig(epochs=args.epochs, lr=0.01, seed=args.seed)
     tune_cfg = TrainConfig(epochs=args.finetune_epochs, lr=0.001, seed=args.seed + 1)
+    params = EmbedParams(segment_length=args.l, key=_parse_key(args.key),
+                         p_min=args.pmin, p_max=args.pmax)
     ds = synth_dataset(args.seed, 512, 256)
     model = vgg_tiny(args.seed)
     base, base_hist = finetune(model, ds, base_cfg)
@@ -257,8 +265,6 @@ def cmd_train_demo(args) -> int:
     t = len(channel_counts(base))
     bits = "".join(rng.choice(["0", "1"], size=args.l * t))
     payload = WatermarkPayload(bits, args.l)
-    params = EmbedParams(segment_length=args.l, key=_parse_key(args.key),
-                         p_min=args.pmin, p_max=args.pmax)
     marked, receipt = pipeline.embed(base, payload, params, criterion=args.criterion)
     tuned, tuned_hist = finetune(marked, ds, tune_cfg)
     acc_marked = evaluate(tuned, ds[1])

@@ -29,10 +29,6 @@ class CodecError(NnwmError):
     """Watermark codec argument out of its valid range."""
 
 
-class RateRangeError(CodecError):
-    """Observed pruning rate falls outside [p_min, p_max)."""
-
-
 class CapacityError(NnwmError):
     """Payload needs more carrier layers than the model offers."""
 

@@ -1,23 +1,22 @@
 """Sequential CNN container with a bit-exact on-disk format.
 
-A model is an ordered list of layers (conv2d, batchnorm, relu, maxpool,
-global_avg_pool, linear) plus an input shape.  On disk it is a pair of
-files:
+A model is an ordered list of layers plus an input shape.  Each layer type
+is one class that describes that type once (see ``_LayerBase``): its
+manifest ``TYPE`` and record, its structural checks and output shape, how
+it follows a pruning of its input channels, and the arrays it owns, in
+blob order, in ``ARRAYS`` (conv: weights (c_out, c_in, kh, kw) then the
+optional bias; batchnorm: gamma, beta, running_mean, running_var; linear:
+weights then bias) and the ones SGD updates in ``TRAINABLE``.
+``LAYER_TYPES`` maps each manifest type back to its class.  Copies, blob
+I/O, casts and channel slicing all walk ``layer_arrays``.
 
-* architecture manifest -- JSON with top level
-  ``{"format": "nnwm-v1", "input": [C, H, W], "layers": [...]}``;
-* weight blob -- an 8-byte header (magic ``NNWM``, version u32
-  little-endian) followed by the raw float32 tensors, little-endian,
-  row-major, concatenated in graph order.  Each layer class lists the
-  arrays it owns once, in blob order, in ``ARRAYS`` (conv: weights
-  (c_out, c_in, kh, kw) then the optional bias; batchnorm: gamma, beta,
-  running_mean, running_var; linear: weights then bias) and the ones SGD
-  updates in ``TRAINABLE``.  Copies, blob I/O, casts and channel slicing
-  all walk ``layer_arrays``.
-
-Tensor offsets are always derived from the manifest shapes, never stored,
-so the manifest is the single source of truth.  load/save round-trip at
-byte level.
+On disk a model is a pair of files: an architecture manifest, JSON with
+top level ``{"format": "nnwm-v1", "input": [C, H, W], "layers": [...]}``,
+and a weight blob, an 8-byte header (magic ``NNWM``, version u32
+little-endian) followed by the raw float32 tensors, little-endian,
+row-major, concatenated in graph order.  Tensor offsets are always derived
+from the manifest shapes, never stored, so the manifest is the single
+source of truth.  load/save round-trip at byte level.
 
 A parsed manifest holds each declared tensor as a read-only, zero-stride
 zero placeholder (``np.broadcast_to``): its shape and size give the blob
@@ -31,7 +30,7 @@ and runs the full ``validate``, which also checks values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator
 
@@ -50,106 +49,6 @@ MANIFEST_FORMAT = "nnwm-v1"
 DEFAULT_BN_EPS = 1e-5
 
 
-@dataclass
-class ConvLayer:
-    """2-D convolution; weights shaped (c_out, c_in, kh, kw)."""
-
-    ARRAYS = TRAINABLE = ("weights", "bias")
-    weights: np.ndarray
-    bias: np.ndarray | None = None
-    stride: tuple[int, int] = (1, 1)
-    padding: tuple[int, int] = (0, 0)
-
-    @property
-    def c_out(self) -> int:
-        return int(self.weights.shape[0])
-
-    @property
-    def c_in(self) -> int:
-        return int(self.weights.shape[1])
-
-
-@dataclass
-class BatchNormLayer:
-    """Per-channel affine normalization over a (N, C, H, W) map."""
-
-    ARRAYS = ("gamma", "beta", "running_mean", "running_var")
-    TRAINABLE = ("gamma", "beta")
-    gamma: np.ndarray
-    beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    eps: float = DEFAULT_BN_EPS
-
-    @property
-    def channels(self) -> int:
-        return int(self.gamma.shape[0])
-
-
-@dataclass
-class ReluLayer:
-    ARRAYS = TRAINABLE = ()
-
-
-@dataclass
-class MaxPoolLayer:
-    ARRAYS = TRAINABLE = ()
-    kernel: int
-    stride: int
-
-
-@dataclass
-class GlobalAvgPoolLayer:
-    ARRAYS = TRAINABLE = ()
-
-
-@dataclass
-class LinearLayer:
-    """Fully connected layer; weights shaped (out_features, in_features)."""
-
-    ARRAYS = TRAINABLE = ("weights", "bias")
-    weights: np.ndarray
-    bias: np.ndarray | None = None
-
-    @property
-    def out_features(self) -> int:
-        return int(self.weights.shape[0])
-
-    @property
-    def in_features(self) -> int:
-        return int(self.weights.shape[1])
-
-
-Layer = ConvLayer | BatchNormLayer | ReluLayer | MaxPoolLayer | GlobalAvgPoolLayer | LinearLayer
-
-
-def layer_arrays(ly: Layer) -> Iterator[tuple[str, np.ndarray]]:
-    """(attribute, array) pairs of one layer in pinned blob order; an absent bias is skipped."""
-    for attr in ly.ARRAYS:
-        arr = getattr(ly, attr)
-        if arr is not None:
-            yield attr, arr
-
-
-@dataclass
-class ModelGraph:
-    """Straight-line layer list; the host signal for watermarking."""
-
-    layers: list[Layer]
-    input_shape: tuple[int, int, int]
-    name: str = "model"
-
-
-def conv_layer_indices(model: ModelGraph) -> list[int]:
-    """Graph positions of all conv layers, in order."""
-    return [i for i, ly in enumerate(model.layers) if isinstance(ly, ConvLayer)]
-
-
-def channel_counts(model: ModelGraph) -> list[int]:
-    """Output-channel count of each conv layer, in graph order."""
-    return [ly.c_out for ly in model.layers if isinstance(ly, ConvLayer)]
-
-
 def _check(cond: bool, msg: str) -> None:
     if not cond:
         raise ShapeConsistencyError(msg)
@@ -162,136 +61,12 @@ def _check_vector(name: str, v: np.ndarray, length: int | None = None) -> None:
         _check(v.shape[0] == length, f"{name} has length {v.shape[0]}, expected {length}")
 
 
-def layer_input_shapes(model: ModelGraph) -> list[tuple]:
-    """Activation shape entering each layer.
-
-    Entries are ("map", C, H, W) for spatial activations and ("vec", F)
-    after global pooling or a linear layer.  Raises ShapeConsistencyError
-    on any adjacent-shape mismatch.
-    """
-    c, h, w = (int(x) for x in model.input_shape)
-    _check(c >= 1 and h >= 1 and w >= 1, f"input shape {model.input_shape} not positive")
-    shape: tuple = ("map", c, h, w)
-    shapes = []
-    for pos, ly in enumerate(model.layers):
-        shapes.append(shape)
-        where = f"layer {pos} ({type(ly).__name__})"
-        if isinstance(ly, ConvLayer):
-            _check(shape[0] == "map", f"{where}: conv applied to non-spatial input")
-            _, c, h, w = shape
-            _check(ly.c_in == c, f"{where}: c_in {ly.c_in} != incoming channels {c}")
-            kh, kw = int(ly.weights.shape[2]), int(ly.weights.shape[3])
-            (sy, sx), (py, px) = ly.stride, ly.padding
-            ho = (h + 2 * py - kh) // sy + 1
-            wo = (w + 2 * px - kw) // sx + 1
-            _check(h + 2 * py >= kh and w + 2 * px >= kw and ho >= 1 and wo >= 1,
-                   f"{where}: kernel {kh}x{kw} too large for {h}x{w} input")
-            shape = ("map", ly.c_out, ho, wo)
-        elif isinstance(ly, BatchNormLayer):
-            _check(shape[0] == "map", f"{where}: batchnorm applied to non-spatial input")
-            _check(ly.channels == shape[1],
-                   f"{where}: batchnorm length {ly.channels} != incoming channels {shape[1]}")
-        elif isinstance(ly, ReluLayer):
-            pass
-        elif isinstance(ly, MaxPoolLayer):
-            _check(shape[0] == "map", f"{where}: maxpool applied to non-spatial input")
-            _, c, h, w = shape
-            _check(h >= ly.kernel and w >= ly.kernel,
-                   f"{where}: pool kernel {ly.kernel} too large for {h}x{w} input")
-            shape = ("map", c, (h - ly.kernel) // ly.stride + 1, (w - ly.kernel) // ly.stride + 1)
-        elif isinstance(ly, GlobalAvgPoolLayer):
-            _check(shape[0] == "map", f"{where}: global pool applied to non-spatial input")
-            shape = ("vec", shape[1])
-        elif isinstance(ly, LinearLayer):
-            feats = shape[1] * shape[2] * shape[3] if shape[0] == "map" else shape[1]
-            _check(ly.in_features == feats,
-                   f"{where}: in_features {ly.in_features} != incoming features {feats}")
-            shape = ("vec", ly.out_features)
-        else:
-            raise ShapeConsistencyError(f"{where}: unknown layer type")
-    return shapes
-
-
-def _check_structure(model: ModelGraph) -> None:
-    """The rules a manifest alone decides: ranks, dims, lengths, strides, eps and shapes."""
-    _check(len(model.layers) >= 1, "model has no layers")
-    for pos, ly in enumerate(model.layers):
-        where = f"layer {pos} ({type(ly).__name__})"
-        if isinstance(ly, ConvLayer):
-            _check(isinstance(ly.weights, np.ndarray) and ly.weights.ndim == 4,
-                   f"{where}: conv weights must be 4-D")
-            _check(all(d >= 1 for d in ly.weights.shape), f"{where}: non-positive weight dim")
-            if ly.bias is not None:
-                _check_vector(f"{where} bias", ly.bias, ly.c_out)
-            _check(ly.stride[0] >= 1 and ly.stride[1] >= 1, f"{where}: stride must be >= 1")
-            _check(ly.padding[0] >= 0 and ly.padding[1] >= 0, f"{where}: negative padding")
-        elif isinstance(ly, BatchNormLayer):
-            n = ly.gamma.shape[0] if isinstance(ly.gamma, np.ndarray) and ly.gamma.ndim == 1 else -1
-            _check(n >= 1, f"{where}: gamma must be a non-empty 1-D array")
-            for attr in ("beta", "running_mean", "running_var"):
-                _check_vector(f"{where} {attr}", getattr(ly, attr), n)
-            _check(float(ly.eps) > 0 and np.isfinite(ly.eps), f"{where}: eps must be positive")
-        elif isinstance(ly, MaxPoolLayer):
-            _check(ly.kernel >= 1 and ly.stride >= 1, f"{where}: kernel and stride must be >= 1")
-        elif isinstance(ly, LinearLayer):
-            _check(isinstance(ly.weights, np.ndarray) and ly.weights.ndim == 2,
-                   f"{where}: linear weights must be 2-D")
-            if ly.bias is not None:
-                _check_vector(f"{where} bias", ly.bias, ly.out_features)
-    _check(len(conv_layer_indices(model)) >= 1, "model has no conv layer")
-    layer_input_shapes(model)
-
-
-def validate(model: ModelGraph) -> None:
-    """Check every structural invariant and that every array holds finite values.
-
-    Raises ShapeConsistencyError if either is violated.
-    """
-    _check_structure(model)
-    for pos, ly in enumerate(model.layers):
-        where = f"layer {pos} ({type(ly).__name__})"
-        for attr, arr in layer_arrays(ly):
-            _check(bool(np.isfinite(arr).all()), f"{where}: non-finite {attr}")
-        if isinstance(ly, BatchNormLayer):
-            _check(bool((ly.running_var >= 0).all()), f"{where}: negative running_var")
-
-
-def clone_graph(model: ModelGraph) -> ModelGraph:
-    """Deep copy; all weight arrays are owned by the copy."""
-    layers = [replace(ly, **{attr: arr.copy() for attr, arr in layer_arrays(ly)})
-              for ly in model.layers]
-    return ModelGraph(layers, tuple(model.input_shape), model.name)
-
-
-def iter_named_params(model: ModelGraph) -> Iterator[tuple[int, str, np.ndarray]]:
-    """Yield (layer position, attribute name, array) for every trainable tensor."""
-    for pos, ly in enumerate(model.layers):
-        for attr, arr in layer_arrays(ly):
-            if attr in ly.TRAINABLE:
-                yield pos, attr, arr
-
-
-# --- serialization ---------------------------------------------------------
-
-def _layer_to_record(ly: Layer) -> dict:
-    if isinstance(ly, ConvLayer):
-        kh, kw = int(ly.weights.shape[2]), int(ly.weights.shape[3])
-        return {"type": "conv2d", "out_channels": ly.c_out, "in_channels": ly.c_in,
-                "kernel": [kh, kw], "stride": [int(ly.stride[0]), int(ly.stride[1])],
-                "padding": [int(ly.padding[0]), int(ly.padding[1])],
-                "bias": ly.bias is not None}
-    if isinstance(ly, BatchNormLayer):
-        return {"type": "batchnorm", "channels": ly.channels, "eps": float(ly.eps)}
-    if isinstance(ly, ReluLayer):
-        return {"type": "relu"}
-    if isinstance(ly, MaxPoolLayer):
-        return {"type": "maxpool", "kernel": int(ly.kernel), "stride": int(ly.stride)}
-    if isinstance(ly, GlobalAvgPoolLayer):
-        return {"type": "global_avg_pool"}
-    if isinstance(ly, LinearLayer):
-        return {"type": "linear", "out": ly.out_features, "in": ly.in_features,
-                "bias": ly.bias is not None}
-    raise ShapeConsistencyError(f"unknown layer type {type(ly).__name__}")
+def _check_weights(ly: Layer, ndim: int, where: str) -> None:
+    _check(isinstance(ly.weights, np.ndarray) and ly.weights.ndim == ndim,
+           f"{where}: weights must be {ndim}-D")
+    _check(all(d >= 1 for d in ly.weights.shape), f"{where}: non-positive weight dim")
+    if ly.bias is not None:
+        _check_vector(f"{where} bias", ly.bias, int(ly.weights.shape[0]))
 
 
 def _require(rec: dict, key: str, idx: int):
@@ -332,21 +107,112 @@ def _bias(rec: dict, idx: int, n: int) -> np.ndarray | None:
     return _placeholder((n,), idx) if v else None
 
 
-def _record_to_layer(rec: dict, idx: int) -> Layer:
-    """Build a layer of placeholder arrays; their shapes give the blob layout."""
-    if not isinstance(rec, dict) or "type" not in rec:
-        raise ManifestError(f"layer {idx}: record must be an object with a 'type' field")
-    t = rec["type"]
-    if t == "conv2d":
+class _LayerBase:
+    """Defaults for a layer that owns no arrays, keeps its input shape and
+    stores each of its fields as a manifest integer of the same name."""
+
+    ARRAYS = TRAINABLE = ()
+
+    @classmethod
+    def from_record(cls, rec: dict, idx: int):
+        """The layer a manifest record describes, with placeholder arrays."""
+        return cls(*(_int(rec, f.name, idx) for f in fields(cls)))
+
+    def record(self) -> dict:
+        """The manifest fields that follow "type", in pinned order."""
+        return {f.name: int(getattr(self, f.name)) for f in fields(self)}
+
+    def out_shape(self, shape: tuple, where: str) -> tuple:
+        """Check the layer against its input activation shape, ("map", C, H, W)
+        or ("vec", F); return the shape it emits."""
+        return shape
+
+    def keep_inputs(self, retained: list[int], in_shape: tuple) -> bool:
+        """Keep only the retained input channels.
+
+        Returns True when the layer absorbs the channel axis, so nothing
+        after it needs rewiring; False when it passes the channels on.  The
+        default slices every owned (per-channel) array and passes them on.
+        """
+        keep_channels(self, retained)
+        return False
+
+
+@dataclass
+class ConvLayer(_LayerBase):
+    """2-D convolution; weights shaped (c_out, c_in, kh, kw)."""
+
+    TYPE = "conv2d"
+    ARRAYS = TRAINABLE = ("weights", "bias")
+    weights: np.ndarray
+    bias: np.ndarray | None = None
+    stride: tuple[int, int] = (1, 1)
+    padding: tuple[int, int] = (0, 0)
+
+    @property
+    def c_out(self) -> int:
+        return int(self.weights.shape[0])
+
+    @property
+    def c_in(self) -> int:
+        return int(self.weights.shape[1])
+
+    @classmethod
+    def from_record(cls, rec: dict, idx: int) -> ConvLayer:
         co, ci = _int(rec, "out_channels", idx), _int(rec, "in_channels", idx)
         kh, kw = _int_pair(rec, "kernel", idx)
         stride = _int_pair(rec, "stride", idx)
         padding = _int_pair(rec, "padding", idx)
         if min(co, ci, kh, kw) < 1:
             raise ManifestError(f"layer {idx}: conv2d dims must be positive")
-        return ConvLayer(_placeholder((co, ci, kh, kw), idx), _bias(rec, idx, co),
-                         stride, padding)
-    if t == "batchnorm":
+        return cls(_placeholder((co, ci, kh, kw), idx), _bias(rec, idx, co), stride, padding)
+
+    def record(self) -> dict:
+        return {"out_channels": self.c_out, "in_channels": self.c_in,
+                "kernel": [int(d) for d in self.weights.shape[2:]],
+                "stride": [int(self.stride[0]), int(self.stride[1])],
+                "padding": [int(self.padding[0]), int(self.padding[1])],
+                "bias": self.bias is not None}
+
+    def out_shape(self, shape: tuple, where: str) -> tuple:
+        _check_weights(self, 4, where)
+        (sy, sx), (py, px) = self.stride, self.padding
+        _check(sy >= 1 and sx >= 1, f"{where}: stride must be >= 1")
+        _check(py >= 0 and px >= 0, f"{where}: negative padding")
+        _check(shape[0] == "map", f"{where}: conv applied to non-spatial input")
+        _, c, h, w = shape
+        _check(self.c_in == c, f"{where}: c_in {self.c_in} != incoming channels {c}")
+        kh, kw = int(self.weights.shape[2]), int(self.weights.shape[3])
+        ho = (h + 2 * py - kh) // sy + 1
+        wo = (w + 2 * px - kw) // sx + 1
+        _check(h + 2 * py >= kh and w + 2 * px >= kw and ho >= 1 and wo >= 1,
+               f"{where}: kernel {kh}x{kw} too large for {h}x{w} input")
+        return ("map", self.c_out, ho, wo)
+
+    def keep_inputs(self, retained: list[int], in_shape: tuple) -> bool:
+        self.weights = self.weights[:, retained]
+        return True
+
+
+@dataclass
+class BatchNormLayer(_LayerBase):
+    """Per-channel affine normalization over a (N, C, H, W) map."""
+
+    TYPE = "batchnorm"
+    ARRAYS = ("gamma", "beta", "running_mean", "running_var")
+    TRAINABLE = ("gamma", "beta")
+    gamma: np.ndarray
+    beta: np.ndarray
+    running_mean: np.ndarray
+    running_var: np.ndarray
+    eps: float = DEFAULT_BN_EPS
+
+    @property
+    def channels(self) -> int:
+        return int(self.gamma.shape[0])
+
+    @classmethod
+    def from_record(cls, rec: dict, idx: int) -> BatchNormLayer:
         n = _int(rec, "channels", idx)
         if n < 1:
             raise ManifestError(f"layer {idx}: batchnorm channels must be positive")
@@ -358,19 +224,190 @@ def _record_to_layer(rec: dict, idx: int) -> Layer:
         except OverflowError:
             raise ManifestError(f"layer {idx}: 'eps' {eps} is out of float range") from None
         vec = _placeholder((n,), idx)
-        return BatchNormLayer(vec, vec, vec, vec, eps)
-    if t == "relu":
-        return ReluLayer()
-    if t == "maxpool":
-        return MaxPoolLayer(_int(rec, "kernel", idx), _int(rec, "stride", idx))
-    if t == "global_avg_pool":
-        return GlobalAvgPoolLayer()
-    if t == "linear":
+        return cls(vec, vec, vec, vec, eps)
+
+    def record(self) -> dict:
+        return {"channels": self.channels, "eps": float(self.eps)}
+
+    def out_shape(self, shape: tuple, where: str) -> tuple:
+        _check_vector(f"{where} gamma", self.gamma)
+        for attr in self.ARRAYS[1:]:
+            _check_vector(f"{where} {attr}", getattr(self, attr), self.channels)
+        _check(float(self.eps) > 0 and np.isfinite(self.eps), f"{where}: eps must be positive")
+        _check(shape[0] == "map", f"{where}: batchnorm applied to non-spatial input")
+        _check(self.channels == shape[1],
+               f"{where}: batchnorm length {self.channels} != incoming channels {shape[1]}")
+        return shape
+
+
+@dataclass
+class ReluLayer(_LayerBase):
+    TYPE = "relu"
+
+
+@dataclass
+class MaxPoolLayer(_LayerBase):
+    TYPE = "maxpool"
+    kernel: int
+    stride: int
+
+    def out_shape(self, shape: tuple, where: str) -> tuple:
+        k, s = self.kernel, self.stride
+        _check(k >= 1 and s >= 1, f"{where}: kernel and stride must be >= 1")
+        _check(shape[0] == "map", f"{where}: maxpool applied to non-spatial input")
+        _, c, h, w = shape
+        _check(h >= k and w >= k, f"{where}: pool kernel {k} too large for {h}x{w} input")
+        return ("map", c, (h - k) // s + 1, (w - k) // s + 1)
+
+
+@dataclass
+class GlobalAvgPoolLayer(_LayerBase):
+    TYPE = "global_avg_pool"
+
+    def out_shape(self, shape: tuple, where: str) -> tuple:
+        _check(shape[0] == "map", f"{where}: global pool applied to non-spatial input")
+        return ("vec", shape[1])
+
+
+@dataclass
+class LinearLayer(_LayerBase):
+    """Fully connected layer; weights shaped (out_features, in_features)."""
+
+    TYPE = "linear"
+    ARRAYS = TRAINABLE = ("weights", "bias")
+    weights: np.ndarray
+    bias: np.ndarray | None = None
+
+    @property
+    def out_features(self) -> int:
+        return int(self.weights.shape[0])
+
+    @property
+    def in_features(self) -> int:
+        return int(self.weights.shape[1])
+
+    @classmethod
+    def from_record(cls, rec: dict, idx: int) -> LinearLayer:
         out, inp = _int(rec, "out", idx), _int(rec, "in", idx)
         if min(out, inp) < 1:
             raise ManifestError(f"layer {idx}: linear dims must be positive")
-        return LinearLayer(_placeholder((out, inp), idx), _bias(rec, idx, out))
-    raise ManifestError(f"layer {idx}: unknown layer type '{t}'")
+        return cls(_placeholder((out, inp), idx), _bias(rec, idx, out))
+
+    def record(self) -> dict:
+        return {"out": self.out_features, "in": self.in_features,
+                "bias": self.bias is not None}
+
+    def out_shape(self, shape: tuple, where: str) -> tuple:
+        _check_weights(self, 2, where)
+        feats = shape[1] * shape[2] * shape[3] if shape[0] == "map" else shape[1]
+        _check(self.in_features == feats,
+               f"{where}: in_features {self.in_features} != incoming features {feats}")
+        return ("vec", self.out_features)
+
+    def keep_inputs(self, retained: list[int], in_shape: tuple) -> bool:
+        # a flattened map feeds h*w consecutive columns per channel
+        per_channel = in_shape[2] * in_shape[3] if in_shape[0] == "map" else 1
+        cols = (np.asarray(retained)[:, None] * per_channel + np.arange(per_channel)).ravel()
+        self.weights = self.weights[:, cols]
+        return True
+
+
+Layer = ConvLayer | BatchNormLayer | ReluLayer | MaxPoolLayer | GlobalAvgPoolLayer | LinearLayer
+
+LAYER_TYPES: dict[str, type] = {cls.TYPE: cls for cls in Layer.__args__}
+
+
+def layer_arrays(ly: Layer) -> Iterator[tuple[str, np.ndarray]]:
+    """(attribute, array) pairs of one layer in pinned blob order; an absent bias is skipped."""
+    for attr in ly.ARRAYS:
+        arr = getattr(ly, attr)
+        if arr is not None:
+            yield attr, arr
+
+
+def keep_channels(ly: Layer, retained: list[int]) -> None:
+    """Slice every array the layer owns down to the retained channels (axis 0)."""
+    for attr, arr in list(layer_arrays(ly)):
+        setattr(ly, attr, arr[retained])
+
+
+@dataclass
+class ModelGraph:
+    """Straight-line layer list; the host signal for watermarking."""
+
+    layers: list[Layer]
+    input_shape: tuple[int, int, int]
+    name: str = "model"
+
+
+def conv_layer_indices(model: ModelGraph) -> list[int]:
+    """Graph positions of all conv layers, in order."""
+    return [i for i, ly in enumerate(model.layers) if isinstance(ly, ConvLayer)]
+
+
+def channel_counts(model: ModelGraph) -> list[int]:
+    """Output-channel count of each conv layer, in graph order."""
+    return [model.layers[i].c_out for i in conv_layer_indices(model)]
+
+
+def layer_input_shapes(model: ModelGraph) -> list[tuple]:
+    """Activation shape entering each layer (see ``_LayerBase.out_shape``).
+
+    Checks every rule a manifest alone decides on the way: ranks, dims,
+    lengths, strides, eps, at least one conv and each adjacent shape.
+    Raises ShapeConsistencyError on the first violation.
+    """
+    _check(len(conv_layer_indices(model)) >= 1, "model has no conv layer")
+    c, h, w = (int(x) for x in model.input_shape)
+    _check(c >= 1 and h >= 1 and w >= 1, f"input shape {model.input_shape} not positive")
+    shape: tuple = ("map", c, h, w)
+    shapes = []
+    for pos, ly in enumerate(model.layers):
+        shapes.append(shape)
+        shape = ly.out_shape(shape, f"layer {pos} ({type(ly).__name__})")
+    return shapes
+
+
+def validate(model: ModelGraph) -> None:
+    """Check every structural invariant and that every array holds finite values.
+
+    Raises ShapeConsistencyError if either is violated.
+    """
+    layer_input_shapes(model)
+    for pos, ly in enumerate(model.layers):
+        where = f"layer {pos} ({type(ly).__name__})"
+        for attr, arr in layer_arrays(ly):
+            _check(bool(np.isfinite(arr).all()), f"{where}: non-finite {attr}")
+        if isinstance(ly, BatchNormLayer):
+            _check(bool((ly.running_var >= 0).all()), f"{where}: negative running_var")
+
+
+def clone_graph(model: ModelGraph) -> ModelGraph:
+    """Deep copy; all weight arrays are owned by the copy."""
+    layers = [replace(ly, **{attr: arr.copy() for attr, arr in layer_arrays(ly)})
+              for ly in model.layers]
+    return ModelGraph(layers, tuple(model.input_shape), model.name)
+
+
+def iter_named_params(model: ModelGraph) -> Iterator[tuple[int, str, np.ndarray]]:
+    """Yield (layer position, attribute name, array) for every trainable tensor."""
+    for pos, ly in enumerate(model.layers):
+        for attr, arr in layer_arrays(ly):
+            if attr in ly.TRAINABLE:
+                yield pos, attr, arr
+
+
+# --- serialization ---------------------------------------------------------
+
+def _record_to_layer(rec: dict, idx: int) -> Layer:
+    """Build a layer of placeholder arrays; their shapes give the blob layout."""
+    if not isinstance(rec, dict) or "type" not in rec:
+        raise ManifestError(f"layer {idx}: record must be an object with a 'type' field")
+    t = rec["type"]
+    cls = LAYER_TYPES.get(t) if type(t) is str else None
+    if cls is None:
+        raise ManifestError(f"layer {idx}: unknown layer type '{t}'")
+    return cls.from_record(rec, idx)
 
 
 def _parse_manifest(arch_path: str | Path) -> ModelGraph:
@@ -406,7 +443,7 @@ def load_arch(arch_path: str | Path) -> ModelGraph:
     for channel counts, extraction, verification and capacity.
     """
     model = _parse_manifest(arch_path)
-    _check_structure(model)
+    layer_input_shapes(model)
     return model
 
 
@@ -439,7 +476,7 @@ def save_model(model: ModelGraph, arch_path: str | Path, weights_path: str | Pat
         "format": MANIFEST_FORMAT,
         "name": model.name,
         "input": [int(x) for x in model.input_shape],
-        "layers": [_layer_to_record(ly) for ly in model.layers],
+        "layers": [{"type": ly.TYPE, **ly.record()} for ly in model.layers],
     }
     Path(arch_path).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     parts = [MAGIC, VERSION.to_bytes(4, "little")]

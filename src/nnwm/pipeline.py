@@ -235,6 +235,8 @@ def attack_noise(model: ModelGraph, sigma_rel: float, seed: int = 0) -> ModelGra
     """Add zero-mean Gaussian noise, std = sigma_rel * per-tensor weight std."""
     if not 0.0 <= sigma_rel < np.inf:
         raise AttackConfigError(f"noise sigma must be finite and >= 0, got {sigma_rel}")
+    if seed < 0:
+        raise AttackConfigError(f"seed must be >= 0, got {seed}")
     out = clone_graph(model)
     rng = np.random.default_rng(seed)
     for _, _, arr in iter_named_params(out):
@@ -282,6 +284,8 @@ def attack_structural(model: ModelGraph, extra_rate: float, seed: int = 0) -> Mo
     """
     if not (0.0 <= extra_rate < 1.0):
         raise AttackConfigError(f"extra pruning rate must lie in [0, 1), got {extra_rate}")
+    if seed < 0:
+        raise AttackConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     positions = conv_layer_indices(model)
     counts = channel_counts(model)

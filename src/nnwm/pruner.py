@@ -1,10 +1,12 @@
 """Structural channel pruning: remove output channels and rewire consumers.
 
-Pruning a conv layer slices its weight rows, the trailing batchnorm
-vectors, the next conv layer's input channels, and (through pooling) the
-matching columns of a linear head.  Channel identity passes unchanged
-through relu, maxpool and global average pooling.  The result is a new
-graph; inputs are never mutated.
+Pruning a conv layer slices its weight rows (and bias), then walks the
+layers after it and asks each to ``keep_inputs`` the retained channels:
+a batchnorm slices its vectors and relu and the pools pass the channels
+on unchanged, until the next conv (input channels) or a linear head (the
+matching columns, per channel of a flattened map) absorbs them.  The
+per-type rules live on the layer classes in ``model_store``.  The result
+is a new graph; inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -14,17 +16,13 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import importance
 from .errors import PlanError
 from .model_store import (
-    BatchNormLayer,
     ConvLayer,
-    LinearLayer,
     ModelGraph,
     clone_graph,
-    layer_arrays,
+    keep_channels,
     layer_input_shapes,
     validate,
 )
@@ -81,48 +79,12 @@ def _check_entry(model: ModelGraph, entry: PlanEntry) -> None:
             f"strictly increasing within [0, {c})")
 
 
-def _keep_channels(ly, retained: list[int]) -> None:
-    """Slice every array the layer owns down to the retained channels (axis 0)."""
-    for attr, arr in list(layer_arrays(ly)):
-        setattr(ly, attr, arr[retained])
-
-
-def _rewire_consumers(layers: list, pos: int, retained: list[int], old_c: int,
+def _rewire_consumers(layers: list, pos: int, retained: list[int],
                       input_shapes: list[tuple]) -> None:
-    """Slice everything downstream of a pruned conv that shares its channels."""
-    j = pos + 1
-    while j < len(layers):
-        ly = layers[j]
-        if isinstance(ly, BatchNormLayer):
-            if ly.channels != old_c:
-                raise PlanError(
-                    f"layer {j}: batchnorm length {ly.channels} does not match "
-                    f"pruned conv width {old_c}")
-            _keep_channels(ly, retained)
-        elif isinstance(ly, ConvLayer):
-            if ly.c_in != old_c:
-                raise PlanError(
-                    f"layer {j}: conv c_in {ly.c_in} does not match pruned width {old_c}")
-            ly.weights = ly.weights[:, retained]
+    """Slice every layer downstream of a pruned conv that shares its channels."""
+    for j in range(pos + 1, len(layers)):
+        if layers[j].keep_inputs(retained, input_shapes[j]):
             return
-        elif isinstance(ly, LinearLayer):
-            shape = input_shapes[j]
-            if shape[0] == "map":
-                _, ch, h, w = shape
-                per_channel = h * w
-            else:
-                ch, per_channel = shape[1], 1
-            if ch != old_c:
-                raise PlanError(
-                    f"layer {j}: linear consumes {ch} channels, pruned conv had {old_c}")
-            cols = np.concatenate(
-                [np.arange(i * per_channel, (i + 1) * per_channel) for i in retained])
-            ly.weights = ly.weights[:, cols]
-            return
-        elif ly.ARRAYS:  # array-free layers pass channels through unchanged
-            raise PlanError(f"layer {j}: cannot rewire past {type(ly).__name__}")
-        j += 1
-    # pruned conv feeds the network output directly; nothing left to rewire
 
 
 def apply_prune(model: ModelGraph, plan: PruningPlan) -> ModelGraph:
@@ -132,14 +94,12 @@ def apply_prune(model: ModelGraph, plan: PruningPlan) -> ModelGraph:
         raise PlanError("plan contains duplicate conv positions")
     for entry in plan.entries:
         _check_entry(model, entry)
-    input_shapes = layer_input_shapes(model)
+    input_shapes = layer_input_shapes(model)  # also proves every consumer's width
     out = clone_graph(model)
     for entry in plan.entries:
-        conv = out.layers[entry.conv_index]
-        old_c = conv.c_out
         retained = list(entry.retained)
-        _keep_channels(conv, retained)
-        _rewire_consumers(out.layers, entry.conv_index, retained, old_c, input_shapes)
+        keep_channels(out.layers[entry.conv_index], retained)
+        _rewire_consumers(out.layers, entry.conv_index, retained, input_shapes)
     validate(out)
     return out
 

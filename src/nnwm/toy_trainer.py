@@ -5,6 +5,9 @@ fine-tuning attack: conv2d as one matrix product, batchnorm with batch
 statistics in train mode, relu, maxpool, global average pooling and a
 linear head, plus softmax cross-entropy and plain SGD with weight decay.
 
+``KERNELS`` maps each layer class to its forward and backward kernel, so
+``forward`` and ``backward`` are one loop each over the graph.
+
 A conv unfolds its padded input into a channel-major (Ci*kh*kw, N*Ho*Wo)
 patch matrix and multiplies it once by the (Co, Ci*kh*kw) weight matrix.
 The (Co, N*Ho*Wo) product is returned as an (N, Co, Ho, Wo) view, not
@@ -80,6 +83,8 @@ class TrainConfig:
             raise TrainConfigError(f"batch size must be >= 1, got {self.batch_size}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise TrainConfigError(f"learning rate must be finite and positive, got {self.lr}")
+        if self.seed < 0:
+            raise TrainConfigError(f"seed must be >= 0, got {self.seed}")
         if self.precision not in _DTYPES:
             raise TrainConfigError("precision must be 'f32' or 'f64'")
 
@@ -110,7 +115,7 @@ def _model_dtype(model: ModelGraph) -> np.dtype:
     raise ShapeConsistencyError("model has no parameterized layer")
 
 
-def _conv_forward(ly: ConvLayer, x: np.ndarray):
+def _conv_forward(ly: ConvLayer, x: np.ndarray, mode: str):
     """Output as an (N, Co, Ho, Wo) view of (Co, N, Ho, Wo) memory, plus the
     patch matrix and shapes that the backward pass needs."""
     (sy, sx), (py, px) = ly.stride, ly.padding
@@ -173,7 +178,7 @@ def _bn_backward(ly: BatchNormLayer, ctx, dout: np.ndarray):
     return dx, dgamma, dbeta
 
 
-def _maxpool_forward(ly: MaxPoolLayer, x: np.ndarray):
+def _maxpool_forward(ly: MaxPoolLayer, x: np.ndarray, mode: str):
     k, s = ly.kernel, ly.stride
     win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
     n, c, ho, wo = win.shape[:4]
@@ -192,7 +197,45 @@ def _maxpool_backward(ly: MaxPoolLayer, ctx, dout: np.ndarray):
     hi = ii * s + arg // k
     wi = ji * s + arg % k
     np.add.at(dx, (ni, ci, hi, wi), dout)
-    return dx
+    return (dx,)
+
+
+def _linear_forward(ly: LinearLayer, x: np.ndarray, mode: str):
+    """A spatial input is flattened per sample; its shape is kept to unflatten dx."""
+    flat_from = None
+    if x.ndim == 4:
+        flat_from = x.shape
+        x = x.reshape(x.shape[0], -1)
+    out = x @ ly.weights.T
+    if ly.bias is not None:
+        out = out + ly.bias
+    return out, (x, flat_from)
+
+
+def _linear_backward(ly: LinearLayer, ctx, dout: np.ndarray):
+    xin, flat_from = ctx
+    dw = dout.T @ xin
+    db = dout.sum(axis=0) if ly.bias is not None else None
+    dx = dout @ ly.weights
+    if flat_from is not None:
+        dx = dx.reshape(flat_from)
+    return dx, dw, db
+
+
+# Per layer class: forward(ly, x, mode) -> (out, ctx) and
+# backward(ly, ctx, dout) -> (dx, *grads), grads aligned with ly.TRAINABLE
+# (None for an absent bias).
+KERNELS = {
+    ConvLayer: (_conv_forward, _conv_backward),
+    BatchNormLayer: (_bn_forward, _bn_backward),
+    ReluLayer: (lambda ly, x, mode: (np.maximum(x, 0), x > 0),
+                lambda ly, positive, dout: (dout * positive,)),
+    MaxPoolLayer: (_maxpool_forward, _maxpool_backward),
+    GlobalAvgPoolLayer: (lambda ly, x, mode: (x.mean(axis=(2, 3)), x.shape),
+                         lambda ly, shape, dout: (np.broadcast_to(
+                             (dout / (shape[2] * shape[3]))[:, :, None, None], shape).copy(),)),
+    LinearLayer: (_linear_forward, _linear_backward),
+}
 
 
 def forward(model: ModelGraph, inputs: np.ndarray, mode: str = "eval"):
@@ -210,29 +253,7 @@ def forward(model: ModelGraph, inputs: np.ndarray, mode: str = "eval"):
             f"input shape {x.shape} does not match model input {model.input_shape}")
     cache = ForwardCache(model=model, mode=mode, input_shape=x.shape)
     for ly in model.layers:
-        if isinstance(ly, ConvLayer):
-            x, ctx = _conv_forward(ly, x)
-        elif isinstance(ly, BatchNormLayer):
-            x, ctx = _bn_forward(ly, x, mode)
-        elif isinstance(ly, ReluLayer):
-            ctx = x > 0
-            x = np.maximum(x, 0)
-        elif isinstance(ly, MaxPoolLayer):
-            x, ctx = _maxpool_forward(ly, x)
-        elif isinstance(ly, GlobalAvgPoolLayer):
-            ctx = x.shape
-            x = x.mean(axis=(2, 3))
-        elif isinstance(ly, LinearLayer):
-            flat_from = None
-            if x.ndim == 4:
-                flat_from = x.shape
-                x = x.reshape(x.shape[0], -1)
-            ctx = (x, flat_from)
-            x = x @ ly.weights.T
-            if ly.bias is not None:
-                x = x + ly.bias
-        else:
-            raise ShapeConsistencyError(f"cannot run layer {type(ly).__name__}")
+        x, ctx = KERNELS[type(ly)][0](ly, x, mode)
         cache.entries.append(ctx)
     cache.logits = x
     return x, cache
@@ -277,31 +298,10 @@ def backward(model: ModelGraph, cache: ForwardCache, labels: np.ndarray) -> dict
     grads: dict[tuple[int, str], np.ndarray] = {}
     for pos in range(len(model.layers) - 1, -1, -1):
         ly = model.layers[pos]
-        ctx = cache.entries[pos]
-        if isinstance(ly, ConvLayer):
-            dx, dw, db = _conv_backward(ly, ctx, dx)
-            grads[(pos, "weights")] = dw
-            if db is not None:
-                grads[(pos, "bias")] = db
-        elif isinstance(ly, BatchNormLayer):
-            dx, dgamma, dbeta = _bn_backward(ly, ctx, dx)
-            grads[(pos, "gamma")] = dgamma
-            grads[(pos, "beta")] = dbeta
-        elif isinstance(ly, ReluLayer):
-            dx = dx * ctx
-        elif isinstance(ly, MaxPoolLayer):
-            dx = _maxpool_backward(ly, ctx, dx)
-        elif isinstance(ly, GlobalAvgPoolLayer):
-            nb, c, h, w = ctx
-            dx = np.broadcast_to((dx / (h * w))[:, :, None, None], (nb, c, h, w)).copy()
-        elif isinstance(ly, LinearLayer):
-            xin, flat_from = ctx
-            grads[(pos, "weights")] = dx.T @ xin
-            if ly.bias is not None:
-                grads[(pos, "bias")] = dx.sum(axis=0)
-            dx = dx @ ly.weights
-            if flat_from is not None:
-                dx = dx.reshape(flat_from)
+        dx, *layer_grads = KERNELS[type(ly)][1](ly, cache.entries[pos], dx)
+        for attr, g in zip(ly.TRAINABLE, layer_grads):
+            if g is not None:
+                grads[(pos, attr)] = g
     return grads
 
 
@@ -369,6 +369,8 @@ def synth_dataset(seed: int, n_train: int, n_test: int) -> tuple[Batch, Batch]:
     """
     if n_train < 1 or n_test < 1:
         raise ValueError("dataset sizes must be >= 1")
+    if seed < 0:
+        raise TrainConfigError(f"seed must be >= 0, got {seed}")
     rows = np.where(np.arange(16) % 2 == 0, 1.0, -1.0)
     horizontal = np.tile(rows[:, None], (1, 16))
     vertical = np.tile(rows[None, :], (16, 1))

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import CapacityError, CodecError, RateRangeError
+from .errors import CapacityError, CodecError
 
 DEFAULT_P_MIN = 0.0
 DEFAULT_P_MAX = 0.7
@@ -122,15 +122,6 @@ def encode_rate(value: int, params: EmbedParams) -> float:
     if not (0 <= value < params.num_levels):
         raise CodecError(f"segment value {value} out of [0, {params.num_levels})")
     return params.p_min + (value + 0.5) * params.delta
-
-
-def decode_rate(p_hat: float, params: EmbedParams) -> int:
-    """Recover the segment value from an observed rate; strict range check."""
-    value, clamped = decode_rate_clamped(p_hat, params)
-    if clamped:
-        raise RateRangeError(
-            f"observed rate {p_hat} outside [{params.p_min}, {params.p_max})")
-    return value
 
 
 def decode_rate_clamped(p_hat: float, params: EmbedParams) -> tuple[int, bool]:

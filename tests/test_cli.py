@@ -216,11 +216,36 @@ def tiny_host(tmp_path_factory):
     return d
 
 
-@pytest.mark.parametrize("flags", [["--epochs", "-1"], ["--finetune-epochs", "-2"]])
+@pytest.mark.parametrize("flags", [["--epochs", "-1"], ["--finetune-epochs", "-2"],
+                                   ["--seed", "-1"]])
 def test_train_demo_bad_epochs_exit_two(no_training, capsys, flags):
     rc = main(["train-demo", "--seed", "0", *flags])
     assert rc == 2
-    assert "epochs must be >= 0" in capsys.readouterr().err
+    # "--finetune-epochs" -> "epochs must be >= 0", "--seed" -> "seed must be >= 0"
+    assert f"{flags[0].rsplit('-', 1)[1]} must be >= 0" in capsys.readouterr().err
+
+
+def test_train_demo_bad_segment_length_exit_two(no_training, capsys):
+    rc = main(["train-demo", "--l", "-1"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: segment length")
+
+
+@pytest.mark.parametrize("command", ["train-demo", "embed", "noise", "structural",
+                                     "finetune"])
+def test_negative_nnwm_seed_exit_two(no_training, tiny_host, monkeypatch, capsys,
+                                     tmp_path, command):
+    monkeypatch.setenv("NNWM_SEED", "-1")
+    host = ["--arch", str(tiny_host / "tiny.json"), "--weights", str(tiny_host / "tiny.bin"),
+            "--out-prefix", str(tmp_path / "m")]
+    argv = {"train-demo": ["train-demo"],
+            "embed": ["embed", *host, "--payload", "101", "--key", "k",
+                      "--finetune-epochs", "1", "--receipt", str(tmp_path / "r.json")]
+            }.get(command, ["attack", "--type", command, *host])
+    rc = main(argv)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: seed must be >= 0")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_embed_bad_finetune_epochs_exit_two(no_training, tiny_host, capsys, tmp_path):
@@ -238,7 +263,8 @@ def test_embed_bad_finetune_epochs_exit_two(no_training, tiny_host, capsys, tmp_
     ["--type", "finetune", "--lr", "nan"], ["--type", "finetune", "--lr", "-0.1"],
     ["--type", "finetune", "--lr", "inf"], ["--type", "finetune", "--epochs", "-1"],
     ["--type", "noise", "--sigma", "-1"], ["--type", "zero", "--fraction", "2"],
-    ["--type", "structural", "--extra-rate", "1.5"]])
+    ["--type", "structural", "--extra-rate", "1.5"], ["--type", "noise", "--seed", "-1"],
+    ["--type", "structural", "--seed", "-1"], ["--type", "finetune", "--seed", "-1"]])
 def test_attack_finetune_bad_flags_exit_two(no_training, tiny_host, capsys, tmp_path,
                                             flags):
     rc = main(["attack", "--arch", str(tiny_host / "tiny.json"),
@@ -295,6 +321,36 @@ def test_payload_from_file(host, capsys, tmp_path):
                "--suspect", str(tmp_path / "pf.json")])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "101101"
+
+
+def test_payload_file_not_utf8_exit_two(tiny_host, capsys, tmp_path):
+    payload_file = tmp_path / "payload.bin"
+    payload_file.write_bytes(b"\xff\xfe101")
+    rc = main(["embed", "--arch", str(tiny_host / "tiny.json"),
+               "--weights", str(tiny_host / "tiny.bin"),
+               "--payload", f"@{payload_file}", "--key", "k", "--l", "3",
+               "--out-prefix", str(tmp_path / "m"), "--receipt", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --payload file")
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", ["embed", "extract", "verify", "attack"])
+def test_key_not_utf8_exit_two(tiny_host, capsys, tmp_path, command):
+    # "\udcff" is how Python hands over the argv byte 0xff that is not UTF-8
+    arch, weights = str(tiny_host / "tiny.json"), str(tiny_host / "tiny.bin")
+    extract = ["--original", arch, "--suspect", arch, "--key", "\udcff", "--n", "3"]
+    argv = {"embed": ["embed", "--arch", arch, "--weights", weights, "--payload", "101",
+                      "--key", "\udcff", "--out-prefix", str(tmp_path / "m"),
+                      "--receipt", str(tmp_path / "r.json")],
+            "extract": ["extract", *extract],
+            "verify": ["verify", *extract, "--expect", "101"],
+            "attack": ["attack", "--type", "zero", "--arch", arch, "--weights", weights,
+                       "--out-prefix", str(tmp_path / "a"), "--expect", "101",
+                       "--original", arch, "--key", "\udcff", "--n", "3"]}[command]
+    rc = main(argv)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --key")
 
 
 def test_train_demo_small(capsys, tmp_path):

@@ -15,9 +15,11 @@ from nnwm.errors import (
 )
 from nnwm.fixtures import _bn, _conv, _linear, vgg16_style, vgg_tiny
 from nnwm.model_store import (
+    LAYER_TYPES,
     BatchNormLayer,
     ConvLayer,
     GlobalAvgPoolLayer,
+    Layer,
     LinearLayer,
     MaxPoolLayer,
     ModelGraph,
@@ -31,6 +33,7 @@ from nnwm.model_store import (
     save_model,
     validate,
 )
+from nnwm.toy_trainer import KERNELS
 
 
 def saved(tmp_path, model, stem="m"):
@@ -277,3 +280,18 @@ def test_save_is_deterministic(tmp_path, tiny_model):
     a2, w2 = saved(tmp_path, tiny_model, "b")
     assert a1.read_bytes() == a2.read_bytes()
     assert w1.read_bytes() == w2.read_bytes()
+
+
+def test_every_layer_type_is_registered_and_round_trips_its_record():
+    # a new layer type must join the union, the manifest registry and the
+    # trainer's kernel table, and read back the record it writes
+    assert set(Layer.__args__) == set(LAYER_TYPES.values()) == set(KERNELS)
+    rng = np.random.default_rng(0)
+    samples = [_conv(rng, 4, 3), ConvLayer(np.ones((4, 3, 3, 2)), np.zeros(4), (2, 1), (1, 0)),
+               _bn(4), ReluLayer(), MaxPoolLayer(3, 2), GlobalAvgPoolLayer(),
+               _linear(rng, 2, 4), LinearLayer(np.ones((2, 4)))]
+    assert {type(ly) for ly in samples} == set(LAYER_TYPES.values())
+    for ly in samples:
+        cls = type(ly)
+        assert LAYER_TYPES[cls.TYPE] is cls
+        assert cls.from_record({"type": cls.TYPE, **ly.record()}, 0).record() == ly.record()

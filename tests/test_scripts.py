@@ -1,0 +1,35 @@
+"""Smoke tests: each experiment script in scripts/ runs end to end at minimal size."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_capacity_table(capsys):
+    assert load("capacity_table").main() == 0
+    assert "DenseNet-40" in capsys.readouterr().out
+
+
+def test_robustness_experiment(capsys):
+    assert load("robustness_experiment").main(["--trials", "1", "--rates", "0.05"]) == 0
+    out = capsys.readouterr().out
+    parameter_space = out.split("structural re-pruning sweep")[0].strip().splitlines()[1:]
+    assert len(parameter_space) == 6
+    assert all(line.endswith("(intact)") for line in parameter_space)
+
+
+def test_fidelity_experiment(capsys, tmp_path):
+    csv = tmp_path / "fidelity.csv"
+    rc = load("fidelity_experiment").main(
+        ["--seeds", "1", "--coverages", "1.0", "--epochs", "0", "--finetune-epochs", "0",
+         "--n-train", "16", "--n-test", "16", "--out", str(csv)])
+    assert rc == 0
+    assert len(csv.read_text().strip().splitlines()) == 1 + 3  # header, baseline, l1, bn

@@ -69,7 +69,7 @@ def test_conv_kernels_vs_naive_reference(kernel, stride, padding):
     # inside the net a conv's input is an NCHW view of channel-major memory
     channel_major = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
     for xin in (x, channel_major):
-        out, ctx = _conv_forward(ly, xin)
+        out, ctx = _conv_forward(ly, xin, "eval")
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
         # adjoint identities of the linear maps x -> conv(x) and W -> conv(x)
         dout = rng.normal(size=out.shape)

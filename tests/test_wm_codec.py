@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nnwm.errors import CapacityError, CodecError, RateRangeError
+from nnwm.errors import CapacityError, CodecError
 from nnwm.wm_codec import (
     EmbedParams,
     KeyStream,
     WatermarkPayload,
     assemble_bits,
     capacity,
-    decode_rate,
     decode_rate_clamped,
     encode_rate,
     min_channels,
@@ -90,17 +89,14 @@ def test_encode_strictly_increasing(l):
 
 
 def test_decode_rate_examples():
-    assert decode_rate(0.484375, params(3)) == 5
+    assert decode_rate_clamped(0.484375, params(3)) == (5, False)
     p = params(3)
     for d in range(8):
-        assert decode_rate(encode_rate(d, p), p) == d  # cell centers
-    with pytest.raises(RateRangeError):
-        decode_rate(0.7, p)  # half-open interval
-    with pytest.raises(RateRangeError):
-        decode_rate(-0.01, p)
+        assert decode_rate_clamped(encode_rate(d, p), p) == (d, False)  # cell centers
+    assert decode_rate_clamped(0.7, p) == (7, True)  # half-open interval
+    assert decode_rate_clamped(-0.01, p) == (0, True)
     for bad in (float("nan"), float("inf")):
-        with pytest.raises(RateRangeError):
-            decode_rate(bad, p)
+        assert decode_rate_clamped(bad, p) == (7, True)
 
 
 def test_decode_rate_clamped_flags_out_of_range():
@@ -112,9 +108,9 @@ def test_decode_rate_clamped_flags_out_of_range():
 
 def test_rate_to_channel_count_closes_roundtrip():
     assert rate_to_channel_count(0.48125, 64) == 31
-    assert decode_rate(31 / 64, params(3)) == 5
+    assert decode_rate_clamped(31 / 64, params(3)) == (5, False)
     assert rate_to_channel_count(0.04375, 12) == 1
-    assert decode_rate(1 / 12, params(3)) == 0
+    assert decode_rate_clamped(1 / 12, params(3)) == (0, False)
     assert rate_to_channel_count(0.0, 7) == 0
     assert rate_to_channel_count(0.99, 4) == 3  # capped at c - 1
 
@@ -134,7 +130,7 @@ def test_exhaustive_roundtrip_small():
             for d in range(1 << l):
                 k = rate_to_channel_count(encode_rate(d, p), c)
                 assert 0 <= k <= c - 1
-                assert decode_rate(k / c, p) == d
+                assert decode_rate_clamped(k / c, p) == (d, False)
 
 
 @given(st.integers(min_value=1, max_value=5),
@@ -147,7 +143,7 @@ def test_roundtrip_random_ranges(l, p_min, p_max, c_extra):
     c = min_channels(p) + c_extra
     for d in range(1 << l):
         k = rate_to_channel_count(encode_rate(d, p), c)
-        assert decode_rate(k / c, p) == d
+        assert decode_rate_clamped(k / c, p) == (d, False)
 
 
 # --- capacity ---------------------------------------------------------------
