@@ -24,10 +24,10 @@ from nnwm.wm_codec import EmbedParams, WatermarkPayload, round_half_up
 def run(args) -> list[dict]:
     rows = []
     for seed in range(args.seeds):
-        ds = synth_dataset(args.data_seed + seed, args.n_train, args.n_test)
-        base, _ = finetune(vgg_tiny(seed), ds,
-                           TrainConfig(epochs=args.epochs, lr=0.01, seed=seed))
-        acc_base = evaluate(base, ds[1])
+        train, test = synth_dataset(args.data_seed + seed, args.n_train, args.n_test)
+        base = finetune(vgg_tiny(seed), train,
+                        TrainConfig(epochs=args.epochs, lr=0.01, seed=seed))
+        acc_base = evaluate(base, test)
         t = len(channel_counts(base))
         rng = np.random.default_rng(seed)
         rows.append({"seed": seed, "criterion": "none", "r_cov": 0.0,
@@ -40,9 +40,9 @@ def run(args) -> list[dict]:
                                      key=f"fidelity-{seed}-{criterion}".encode())
                 marked, receipt = embed(base, WatermarkPayload(bits, args.l),
                                         params, criterion)
-                tuned, _ = finetune(marked, ds, TrainConfig(
+                tuned = finetune(marked, train, TrainConfig(
                     epochs=args.finetune_epochs, lr=0.001, seed=seed + 1))
-                acc = evaluate(tuned, ds[1])
+                acc = evaluate(tuned, test)
                 ber = verify(bits, extract(receipt, tuned)).ber
                 rows.append({"seed": seed, "criterion": criterion, "r_cov": r_cov,
                              "bits": len(bits), "accuracy": acc, "ber": ber})

@@ -40,7 +40,7 @@ def main(argv=None) -> int:
     bits = "".join(rng.choice(["0", "1"], size=args.l * 5))
     params = EmbedParams(segment_length=args.l, key=b"robustness-key")
     marked, receipt = embed(model, WatermarkPayload(bits, args.l), params)
-    ds = synth_dataset(args.seed, 256, 64)
+    train, _ = synth_dataset(args.seed, 256, 64)
 
     print("parameter-space attacks (bit-identical extraction expected):")
     attacks = {
@@ -49,7 +49,7 @@ def main(argv=None) -> int:
         "noise sigma=10": attack_noise(marked, 10.0, seed=3),
         "zero 30% weights": attack_zero_weights(marked, 0.3),
         "zero 90% weights": attack_zero_weights(marked, 0.9),
-        "finetune 5 epochs": attack_finetune(marked, ds, epochs=5, seed=4),
+        "finetune 5 epochs": attack_finetune(marked, train, epochs=5, seed=4),
     }
     for name, suspect in attacks.items():
         ber = verify(bits, extract(receipt, suspect)).ber

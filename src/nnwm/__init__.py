@@ -46,7 +46,6 @@ from .pipeline import (
 )
 from .pruner import (
     PlanEntry,
-    PruningPlan,
     Receipt,
     ReceiptLayer,
     apply_prune,

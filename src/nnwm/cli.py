@@ -88,12 +88,8 @@ def cmd_embed(args) -> int:
     marked, receipt = pipeline.embed(model, payload, params,
                                      criterion=args.criterion, decoy=args.decoy)
     if tune_cfg.epochs > 0:
-        if tuple(model.input_shape) != (1, 16, 16):
-            raise NnwmError(
-                "--finetune-epochs uses the built-in 1x16x16 synthetic dataset; "
-                f"model input is {model.input_shape}")
-        ds = synth_dataset(args.seed, 512, 256)
-        marked, _ = finetune(marked, ds, tune_cfg)
+        train, _ = synth_dataset(args.seed, 512, 256)
+        marked = finetune(marked, train, tune_cfg)
     out_arch = f"{args.out_prefix}.json"
     out_weights = f"{args.out_prefix}.bin"
     save_model(marked, out_arch, out_weights)
@@ -233,10 +229,8 @@ def cmd_attack(args) -> int:
     elif args.type == "zero":
         attacked = pipeline.attack_zero_weights(model, args.fraction)
     elif args.type == "finetune":
-        if tuple(model.input_shape) != (1, 16, 16):
-            raise NnwmError("finetune attack uses the built-in 1x16x16 synthetic dataset")
-        ds = synth_dataset(args.seed, 512, 256)
-        attacked = pipeline.attack_finetune(model, ds, epochs=args.epochs,
+        train, _ = synth_dataset(args.seed, 512, 256)
+        attacked = pipeline.attack_finetune(model, train, epochs=args.epochs,
                                             lr=args.lr, seed=args.seed)
     elif args.type == "structural":
         attacked = pipeline.attack_structural(model, args.extra_rate, seed=args.seed)
@@ -257,23 +251,27 @@ def cmd_train_demo(args) -> int:
     tune_cfg = TrainConfig(epochs=args.finetune_epochs, lr=0.001, seed=args.seed + 1)
     params = EmbedParams(segment_length=args.l, key=_parse_key(args.key),
                          p_min=args.pmin, p_max=args.pmax)
-    ds = synth_dataset(args.seed, 512, 256)
-    model = vgg_tiny(args.seed)
-    base, base_hist = finetune(model, ds, base_cfg)
-    acc_base = evaluate(base, ds[1])
+    train, test = synth_dataset(args.seed, 512, 256)
+    rows = []
+
+    def log_epoch(epoch, model, loss):
+        rows.append(f"{epoch},{loss:.6f},{evaluate(model, test):.6f}\n")
+
+    after_epoch = log_epoch if args.metrics_csv else None
+    base = finetune(vgg_tiny(args.seed), train, base_cfg, after_epoch)
+    acc_base = evaluate(base, test)
     rng = np.random.default_rng(args.seed)
     t = len(channel_counts(base))
     bits = "".join(rng.choice(["0", "1"], size=args.l * t))
     payload = WatermarkPayload(bits, args.l)
     marked, receipt = pipeline.embed(base, payload, params, criterion=args.criterion)
-    tuned, tuned_hist = finetune(marked, ds, tune_cfg)
-    acc_marked = evaluate(tuned, ds[1])
+    tuned = finetune(marked, train, tune_cfg, after_epoch)
+    acc_marked = evaluate(tuned, test)
     report = pipeline.verify(bits, pipeline.extract(receipt, tuned))
     if args.metrics_csv:
         with open(args.metrics_csv, "w", encoding="utf-8") as fh:
             fh.write("epoch,train_loss,test_accuracy\n")
-            for e, loss, acc in base_hist + tuned_hist:
-                fh.write(f"{e},{loss:.6f},{acc:.6f}\n")
+            fh.writelines(rows)
     doc = {
         "command": "train-demo", "seed": args.seed, "criterion": args.criterion,
         "payload_bits": len(bits), "baseline_accuracy": acc_base,

@@ -32,7 +32,7 @@ from .model_store import (
     conv_layer_indices,
     iter_named_params,
 )
-from .pruner import PlanEntry, PruningPlan, Receipt, ReceiptLayer, apply_prune, plan_layer
+from .pruner import PlanEntry, Receipt, ReceiptLayer, apply_prune, plan_layer
 from .toy_trainer import Batch, TrainConfig, finetune
 from .wm_codec import EmbedParams, KeyStream, WatermarkPayload
 
@@ -65,7 +65,6 @@ class VerifyReport:
     ber: float
     theta: float
     matched: bool
-    segments: list[SegmentDecode] | None = None
 
 
 def eligible_layers(model: ModelGraph, params: EmbedParams, criterion: str) -> list[int]:
@@ -111,7 +110,7 @@ def embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
         rate = wm_codec.encode_rate(value, params)
         k = wm_codec.rate_to_channel_count(rate, counts[ordinal])
         retained = plan_layer(model, positions[ordinal], k, crit)
-        entries.append(PlanEntry(positions[ordinal], rate, k, tuple(retained)))
+        entries.append(PlanEntry(positions[ordinal], k, tuple(retained)))
         carriers.append((ordinal, rate, k))
     if decoy:
         chosen = set(selected)
@@ -123,8 +122,8 @@ def embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
             if k == 0 or not criterion_applicable(model, positions[ordinal], crit):
                 continue
             retained = plan_layer(model, positions[ordinal], k, crit)
-            entries.append(PlanEntry(positions[ordinal], rate, k, tuple(retained)))
-    marked = apply_prune(model, PruningPlan(tuple(entries), crit))
+            entries.append(PlanEntry(positions[ordinal], k, tuple(retained)))
+    marked = apply_prune(model, tuple(entries))
     receipt = Receipt(
         segment_length=params.segment_length,
         p_min=params.p_min,
@@ -214,9 +213,7 @@ def verify(expected: str, extracted: str | ExtractionResult,
     """Bit error rate between expected and extracted; match iff BER <= theta."""
     if not 0.0 <= theta <= 1.0:
         raise CodecError(f"theta must lie in [0, 1], got {theta}")
-    segments = None
     if isinstance(extracted, ExtractionResult):
-        segments = extracted.segments
         extracted = extracted.bits
     if len(expected) != len(extracted):
         raise CodecError(
@@ -226,7 +223,7 @@ def verify(expected: str, extracted: str | ExtractionResult,
     errors = sum(a != b for a, b in zip(expected, extracted))
     ber = errors / len(expected)
     return VerifyReport(expected=expected, extracted=extracted, ber=ber,
-                        theta=theta, matched=ber <= theta, segments=segments)
+                        theta=theta, matched=ber <= theta)
 
 
 # --- attacks ----------------------------------------------------------------
@@ -268,12 +265,10 @@ def attack_zero_weights(model: ModelGraph, fraction: float) -> ModelGraph:
     return out
 
 
-def attack_finetune(model: ModelGraph, dataset: tuple[Batch, Batch],
+def attack_finetune(model: ModelGraph, train: Batch,
                     epochs: int, lr: float = 0.001, seed: int = 0) -> ModelGraph:
     """Fine-tune the suspect model; parameters move, architecture cannot."""
-    config = TrainConfig(epochs=epochs, lr=lr, seed=seed)
-    tuned, _ = finetune(model, dataset, config)
-    return tuned
+    return finetune(model, train, TrainConfig(epochs=epochs, lr=lr, seed=seed))
 
 
 def attack_structural(model: ModelGraph, extra_rate: float, seed: int = 0) -> ModelGraph:
@@ -296,7 +291,7 @@ def attack_structural(model: ModelGraph, extra_rate: float, seed: int = 0) -> Mo
             continue
         dropped = rng.choice(c, size=k, replace=False)
         retained = tuple(i for i in range(c) if i not in set(int(d) for d in dropped))
-        entries.append(PlanEntry(pos, extra_rate, k, retained))
+        entries.append(PlanEntry(pos, k, retained))
     if not entries:
         return clone_graph(model)
-    return apply_prune(model, PruningPlan(tuple(entries), "random"))
+    return apply_prune(model, tuple(entries))

@@ -32,18 +32,11 @@ RECEIPT_FORMAT = "nnwm-receipt-v1"
 
 @dataclass(frozen=True)
 class PlanEntry:
-    """One conv layer to prune: graph position, target rate, survivors."""
+    """One conv layer to prune: graph position, pruned count, survivors."""
 
     conv_index: int
-    target_rate: float
     k: int
     retained: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PruningPlan:
-    entries: tuple[PlanEntry, ...]
-    criterion: str
 
 
 def plan_layer(model: ModelGraph, conv_index: int, k: int, criterion: str) -> list[int]:
@@ -87,16 +80,16 @@ def _rewire_consumers(layers: list, pos: int, retained: list[int],
             return
 
 
-def apply_prune(model: ModelGraph, plan: PruningPlan) -> ModelGraph:
-    """Apply the plan, returning a new graph that satisfies all invariants."""
-    positions = [e.conv_index for e in plan.entries]
+def apply_prune(model: ModelGraph, entries: tuple[PlanEntry, ...]) -> ModelGraph:
+    """Apply the plan entries, returning a new graph that satisfies all invariants."""
+    positions = [e.conv_index for e in entries]
     if len(set(positions)) != len(positions):
         raise PlanError("plan contains duplicate conv positions")
-    for entry in plan.entries:
+    for entry in entries:
         _check_entry(model, entry)
     input_shapes = layer_input_shapes(model)  # also proves every consumer's width
     out = clone_graph(model)
-    for entry in plan.entries:
+    for entry in entries:
         retained = list(entry.retained)
         keep_channels(out.layers[entry.conv_index], retained)
         _rewire_consumers(out.layers, entry.conv_index, retained, input_shapes)

@@ -4,6 +4,7 @@ Just enough to fine-tune the toy models after pruning and to run the
 fine-tuning attack: conv2d as one matrix product, batchnorm with batch
 statistics in train mode, relu, maxpool, global average pooling and a
 linear head, plus softmax cross-entropy and plain SGD with weight decay.
+``finetune`` only trains; callers score the result with ``evaluate``.
 
 ``KERNELS`` maps each layer class to its forward and backward kernel, so
 ``forward`` and ``backward`` are one loop each over the graph.
@@ -42,9 +43,11 @@ from .model_store import (
     channel_counts,
     clone_graph,
     layer_arrays,
+    layer_input_shapes,
 )
 
 BN_MOMENTUM = 0.1
+EVAL_CHUNK = 256  # samples per eval-mode forward in evaluate
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
 
@@ -95,7 +98,6 @@ class ForwardCache:
 
     model: ModelGraph
     mode: str
-    input_shape: tuple
     entries: list = field(default_factory=list)
     logits: np.ndarray | None = None
 
@@ -251,7 +253,7 @@ def forward(model: ModelGraph, inputs: np.ndarray, mode: str = "eval"):
     if x.ndim != 4 or x.shape[1:] != tuple(model.input_shape):
         raise ShapeConsistencyError(
             f"input shape {x.shape} does not match model input {model.input_shape}")
-    cache = ForwardCache(model=model, mode=mode, input_shape=x.shape)
+    cache = ForwardCache(model=model, mode=mode)
     for ly in model.layers:
         x, ctx = KERNELS[type(ly)][0](ly, x, mode)
         cache.entries.append(ctx)
@@ -318,27 +320,33 @@ def sgd_step(model: ModelGraph, grads: dict, config: TrainConfig) -> ModelGraph:
     return out
 
 
-def evaluate(model: ModelGraph, batch: Batch, chunk: int = 256) -> float:
+def evaluate(model: ModelGraph, batch: Batch) -> float:
     """Top-1 accuracy in eval mode."""
     hits = 0
-    for i in range(0, batch.size, chunk):
-        logits, _ = forward(model, batch.inputs[i:i + chunk], mode="eval")
-        hits += int((logits.argmax(axis=1) == batch.labels[i:i + chunk]).sum())
+    for i in range(0, batch.size, EVAL_CHUNK):
+        logits, _ = forward(model, batch.inputs[i:i + EVAL_CHUNK], mode="eval")
+        hits += int((logits.argmax(axis=1) == batch.labels[i:i + EVAL_CHUNK]).sum())
     return hits / batch.size
 
 
-def finetune(model: ModelGraph, dataset: tuple[Batch, Batch],
-             config: TrainConfig) -> tuple[ModelGraph, list[tuple[int, float, float]]]:
-    """Shuffled mini-batch SGD; returns (model, history).
+def finetune(model: ModelGraph, train: Batch, config: TrainConfig,
+             after_epoch=None) -> ModelGraph:
+    """Shuffled mini-batch SGD on ``train``; returns the trained copy.
 
-    History rows are (epoch, train_loss, test_accuracy).  The architecture
-    is never altered; epochs=0 returns an unchanged copy.  An overflow or
-    invalid float operation means training diverged: TrainConfigError.
+    ``after_epoch(epoch, model, mean_train_loss)``, if given, runs after
+    each epoch.  The architecture is never altered; epochs=0 returns an
+    unchanged copy.  TrainConfigError: the model cannot take the images or
+    score the labels, or training diverged (float overflow or invalid op).
     """
-    train, test = dataset
+    if tuple(model.input_shape) != train.inputs.shape[1:]:
+        raise TrainConfigError(f"model input {tuple(model.input_shape)} does not match "
+                               f"the training images {train.inputs.shape[1:]}")
+    out = model.layers[-1].out_shape(layer_input_shapes(model)[-1], "model output")
+    if out[0] != "vec" or out[1] <= train.labels.max():
+        raise TrainConfigError(f"model output {out} is not a vector of one logit "
+                               "per class of the training labels")
     work = to_precision(model, config.precision)
     rng = np.random.default_rng(config.seed)
-    history: list[tuple[int, float, float]] = []
     counts_before = channel_counts(work)
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -352,12 +360,13 @@ def finetune(model: ModelGraph, dataset: tuple[Batch, Batch],
                     losses.append(loss_softmax_ce(logits, yb))
                     grads = backward(work, cache, yb)
                     work = sgd_step(work, grads, config)
-                history.append((epoch, float(np.mean(losses)), evaluate(work, test)))
+                if after_epoch is not None:
+                    after_epoch(epoch, work, float(np.mean(losses)))
     except FloatingPointError as e:
         raise TrainConfigError(f"training diverged ({e}); lower lr") from None
     if channel_counts(work) != counts_before:
         raise ShapeConsistencyError("fine-tuning must not alter the architecture")
-    return work, history
+    return work
 
 
 def synth_dataset(seed: int, n_train: int, n_test: int) -> tuple[Batch, Batch]:

@@ -21,7 +21,7 @@ from nnwm.pipeline import (
     extract,
     verify,
 )
-from nnwm.pruner import PlanEntry, PruningPlan, apply_prune
+from nnwm.pruner import PlanEntry, apply_prune
 from nnwm.toy_trainer import (
     TrainConfig,
     backward,
@@ -124,7 +124,7 @@ def test_criterion_4_structural_robustness(marked_tiny):
         "zero 30%": attack_zero_weights(marked, 0.3),
         "zero 90%": attack_zero_weights(marked, 0.9),
         "finetune 5 epochs": attack_finetune(
-            marked, synth_dataset(4, 256, 64), epochs=5, lr=0.001, seed=3),
+            marked, synth_dataset(4, 256, 64)[0], epochs=5, lr=0.001, seed=3),
     }
     bad = []
     for name, suspect in suspects.items():
@@ -148,8 +148,8 @@ def test_criterion_5_pruning_functional_equivalence():
         bn.beta[dead] = 0.0
         retained = tuple(i for i in range(model.layers[pos].c_out)
                          if i not in set(dead))
-        entries.append(PlanEntry(pos, 0.0, len(dead), retained))
-    pruned = apply_prune(model, PruningPlan(tuple(entries), "bn_gamma"))
+        entries.append(PlanEntry(pos, len(dead), retained))
+    pruned = apply_prune(model, tuple(entries))
     x = np.random.default_rng(55).normal(size=(100, 1, 16, 16)).astype(np.float32)
     full, _ = forward(model, x, mode="eval")
     cut, _ = forward(pruned, x, mode="eval")
@@ -200,23 +200,23 @@ def fidelity_runs():
     t0 = time.perf_counter()
     results = {"baseline": [], "l1": [], "bn": [], "quarter": []}
     for seed in range(5):
-        ds = synth_dataset(1000 + seed, 512, 256)
-        base, _ = finetune(vgg_tiny(seed), ds,
-                           TrainConfig(epochs=5, lr=0.01, seed=seed))
-        results["baseline"].append(evaluate(base, ds[1]))
+        train, test = synth_dataset(1000 + seed, 512, 256)
+        base = finetune(vgg_tiny(seed), train,
+                        TrainConfig(epochs=5, lr=0.01, seed=seed))
+        results["baseline"].append(evaluate(base, test))
         rng = np.random.default_rng(seed)
         params = EmbedParams(segment_length=3, key=f"owner-{seed}".encode())
         full_bits = random_bits(rng, 15)      # r_cov = 1.0: all 5 conv layers
         quarter_bits = random_bits(rng, 3)    # r_cov = 0.25: 1 of 5 layers
         for crit in ("l1", "bn"):
             marked, _ = embed(base, WatermarkPayload(full_bits, 3), params, crit)
-            tuned, _ = finetune(marked, ds,
-                                TrainConfig(epochs=5, lr=0.001, seed=seed + 100))
-            results[crit].append(evaluate(tuned, ds[1]))
+            tuned = finetune(marked, train,
+                             TrainConfig(epochs=5, lr=0.001, seed=seed + 100))
+            results[crit].append(evaluate(tuned, test))
         marked, _ = embed(base, WatermarkPayload(quarter_bits, 3), params, "l1")
-        tuned, _ = finetune(marked, ds,
-                            TrainConfig(epochs=5, lr=0.001, seed=seed + 200))
-        results["quarter"].append(evaluate(tuned, ds[1]))
+        tuned = finetune(marked, train,
+                         TrainConfig(epochs=5, lr=0.001, seed=seed + 200))
+        results["quarter"].append(evaluate(tuned, test))
     return results, time.perf_counter() - t0
 
 

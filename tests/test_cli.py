@@ -275,6 +275,36 @@ def test_attack_finetune_bad_flags_exit_two(no_training, tiny_host, capsys, tmp_
     assert not (tmp_path / "a.json").exists()
 
 
+@pytest.fixture(scope="module")
+def unfit_hosts(tmp_path_factory):
+    """Valid models the 2-class 1x16x16 synthetic task cannot train."""
+    d = tmp_path_factory.mktemp("unfit")
+    one_way = vgg_tiny(0)
+    head = one_way.layers[-1]
+    head.weights, head.bias = head.weights[:1], head.bias[:1]
+    conv_ended = vgg_tiny(0)
+    conv_ended.layers = conv_ended.layers[:-2]
+    for name, model in [("one_way_head", one_way), ("conv_ended", conv_ended),
+                        ("vgg16_style", vgg16_style(0))]:
+        save_model(model, d / f"{name}.json", d / f"{name}.bin")
+    return d
+
+
+@pytest.mark.parametrize("command", ["attack", "embed"])
+@pytest.mark.parametrize("model", ["one_way_head", "conv_ended", "vgg16_style"])
+def test_finetune_unfit_model_exit_two(unfit_hosts, capsys, tmp_path, model, command):
+    host = ["--arch", str(unfit_hosts / f"{model}.json"),
+            "--weights", str(unfit_hosts / f"{model}.bin"),
+            "--out-prefix", str(tmp_path / "m")]
+    argv = {"attack": ["attack", "--type", "finetune", "--epochs", "1", *host],
+            "embed": ["embed", *host, "--payload", "101", "--key", "k",
+                      "--finetune-epochs", "1", "--receipt", str(tmp_path / "r.json")]}
+    rc = main(argv[command])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: model ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_attack_diverging_finetune_exit_two(tiny_host, capsys, recwarn, tmp_path):
     rc = main(["attack", "--type", "finetune", "--lr", "1e6", "--epochs", "1",
                "--arch", str(tiny_host / "tiny.json"),
@@ -365,6 +395,9 @@ def test_train_demo_small(capsys, tmp_path):
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "epoch,train_loss,test_accuracy"
     assert len(lines) == 1 + 4
+    # the last epoch of each phase scores the model that --json reports on
+    assert lines[2].split(",")[2] == f"{doc['baseline_accuracy']:.6f}"
+    assert lines[4].split(",")[2] == f"{doc['marked_accuracy']:.6f}"
 
 
 def test_nnwm_seed_env_default(monkeypatch):

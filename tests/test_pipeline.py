@@ -224,8 +224,8 @@ def test_attack_finetune_preserves_watermark():
     bits = random_bits(rng, 15)
     params = EmbedParams(segment_length=3, key=b"ft")
     marked, receipt = embed(model, WatermarkPayload(bits, 3), params)
-    ds = synth_dataset(5, 96, 32)
-    tuned = attack_finetune(marked, ds, epochs=2, lr=0.001, seed=0)
+    train, _ = synth_dataset(5, 96, 32)
+    tuned = attack_finetune(marked, train, epochs=2, lr=0.001, seed=0)
     assert channel_counts(tuned) == channel_counts(marked)
     assert extract(receipt, tuned).bits == bits
     # parameters did move
@@ -238,9 +238,10 @@ def test_attack_finetune_loss_trend():
     deltas = []
     for seed in range(3):
         model = vgg_tiny(seed)
-        ds = synth_dataset(40 + seed, 128, 32)
-        _, history = finetune(model, ds, TrainConfig(epochs=5, lr=0.01, seed=seed))
-        losses = [row[1] for row in history]
+        train, _ = synth_dataset(40 + seed, 128, 32)
+        losses = []
+        finetune(model, train, TrainConfig(epochs=5, lr=0.01, seed=seed),
+                 lambda epoch, tuned, loss: losses.append(loss))
         deltas.append(losses[0] - losses[-1])
     assert sorted(deltas)[len(deltas) // 2] >= 0  # median seed improved
 

@@ -281,29 +281,55 @@ def test_forward_mode_and_shape_validation(tiny_model):
 
 
 def test_finetune_identity_at_zero_epochs(tiny_model):
-    ds = synth_dataset(0, 8, 8)
-    out, history = finetune(tiny_model, ds, TrainConfig(epochs=0))
-    assert history == []
+    train, _ = synth_dataset(0, 8, 8)
+    calls = []
+    out = finetune(tiny_model, train, TrainConfig(epochs=0),
+                   lambda *row: calls.append(row))
+    assert calls == []
     for (p1, n1, a1), (p2, n2, a2) in zip(iter_named_params(tiny_model),
                                           iter_named_params(out)):
         np.testing.assert_array_equal(a1, a2)
 
 
 def test_finetune_never_changes_shapes(tiny_model):
-    ds = synth_dataset(3, 64, 16)
-    out, history = finetune(tiny_model, ds, TrainConfig(epochs=1, lr=0.01))
+    train, test = synth_dataset(3, 64, 16)
+    calls = []
+    out = finetune(tiny_model, train, TrainConfig(epochs=1, lr=0.01),
+                   lambda *row: calls.append(row))
     assert channel_counts(out) == channel_counts(tiny_model)
-    assert len(history) == 1
-    epoch, loss, acc = history[0]
-    assert epoch == 0 and loss > 0 and 0.0 <= acc <= 1.0
+    assert len(calls) == 1
+    epoch, model, loss = calls[0]
+    assert epoch == 0 and model is out and loss > 0
+    assert 0.0 <= evaluate(out, test) <= 1.0
+
+
+def test_finetune_never_evaluates(tiny_model, monkeypatch):
+    import nnwm.toy_trainer as tt
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("finetune scored a model it was only asked to train")
+
+    train_forward = tt.forward
+
+    def forward_train_only(model, inputs, mode="eval"):
+        if mode == "eval":
+            refuse()
+        return train_forward(model, inputs, mode)
+
+    monkeypatch.setattr(tt, "evaluate", refuse)
+    monkeypatch.setattr(tt, "forward", forward_train_only)
+    train, _ = synth_dataset(3, 64, 16)
+    out = finetune(tiny_model, train, TrainConfig(epochs=1, lr=0.01))
+    assert channel_counts(out) == channel_counts(tiny_model)
 
 
 def test_finetune_determinism_f64(tiny_model):
-    ds = synth_dataset(9, 48, 16)
+    train, _ = synth_dataset(9, 48, 16)
     cfg = TrainConfig(epochs=2, lr=0.01, seed=5, precision="f64")
-    out1, h1 = finetune(tiny_model, ds, cfg)
-    out2, h2 = finetune(tiny_model, ds, cfg)
-    assert h1 == h2
+    h1, h2 = [], []
+    out1 = finetune(tiny_model, train, cfg, lambda e, m, loss: h1.append((e, loss)))
+    out2 = finetune(tiny_model, train, cfg, lambda e, m, loss: h2.append((e, loss)))
+    assert len(h1) == 2 and h1 == h2
     for (p1, n1, a1), (p2, n2, a2) in zip(iter_named_params(out1),
                                           iter_named_params(out2)):
         assert a1.tobytes() == a2.tobytes()
