@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,6 +32,9 @@ DEFAULT_P_MAX = 0.7
 MAX_SEGMENT_LENGTH = 32
 
 _U64 = 1 << 64
+# Rates lie in [0, 1] and each costs a few ulps of 1.0 to compute; a realized
+# rate must sit this far inside its cell to decode the same on every path.
+_RATE_SLACK = 64 * sys.float_info.epsilon
 
 
 def round_half_up(x: float) -> int:
@@ -150,10 +154,15 @@ def min_channels(params: EmbedParams) -> int:
     """Smallest layer width that decodes losslessly.
 
     With k = round_half_up(p * c) the realized rate misses the target by at
-    most 0.5/c, so c * delta > 1 keeps the error inside half a cell.
+    most 0.5/c, so 0.5/c < delta/2 keeps the error inside half a cell.  The
+    gap must also outlast float rounding: where c * delta is 1 up to an ulp,
+    the realized rate lands on the cell edge and decodes one level up.
     """
-    c = int(math.floor(1.0 / params.delta)) + 1
-    while c * params.delta <= 1.0:
+    half_cell = params.delta / 2 - _RATE_SLACK
+    if half_cell <= 0:
+        raise CodecError(f"cell width {params.delta} is below float resolution")
+    c = int(math.floor(0.5 / half_cell)) + 1
+    while 0.5 / c >= half_cell:
         c += 1
     return c
 

@@ -3,7 +3,7 @@
 import hashlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nnwm.errors import CapacityError, CodecError
@@ -119,6 +119,11 @@ def test_min_channels_values():
     assert min_channels(params(3)) == 12
     assert min_channels(params(1)) == 3
     assert min_channels(params(2, p_min=0.0, p_max=1.0)) == 5
+    # delta = 0.025 computes a hair wide, so 40 * delta > 1 in floats, yet 40
+    # channels put level 0 on the edge of level 1
+    assert min_channels(params(1, p_min=0.5, p_max=0.55)) == 41
+    with pytest.raises(CodecError):
+        min_channels(params(32, p_min=0.5, p_max=0.5 + 1e-6))
 
 
 def test_exhaustive_roundtrip_small():
@@ -138,6 +143,7 @@ def test_exhaustive_roundtrip_small():
        st.floats(min_value=0.55, max_value=1.0),
        st.integers(min_value=0, max_value=400))
 @settings(max_examples=200)
+@example(l=1, p_min=0.5, p_max=0.55, c_extra=0)  # float c * delta just above 1
 def test_roundtrip_random_ranges(l, p_min, p_max, c_extra):
     p = EmbedParams(segment_length=l, key=b"x", p_min=p_min, p_max=p_max)
     c = min_channels(p) + c_extra
