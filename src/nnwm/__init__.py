@@ -15,7 +15,7 @@ from .errors import (
     StaleCacheError,
     TrainConfigError,
 )
-from .importance import ImportanceVector, score, score_bn_gamma, score_l1
+from .importance import score
 from .model_store import (
     BatchNormLayer,
     ConvLayer,

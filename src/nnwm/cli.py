@@ -28,7 +28,7 @@ from .model_store import (
     load_model,
     save_model,
 )
-from .toy_trainer import TrainConfig, evaluate, finetune, synth_dataset
+from .toy_trainer import TrainConfig, check_fit, evaluate, finetune, synth_dataset
 from .wm_codec import EmbedParams, WatermarkPayload
 
 
@@ -85,10 +85,12 @@ def cmd_embed(args) -> int:
     model = load_model(args.arch, args.weights)
     params = _params_from(args)
     payload = WatermarkPayload(_parse_payload(args.payload), args.l)
+    if tune_cfg.epochs > 0:
+        train, _ = synth_dataset(args.seed, 512, 256)
+        check_fit(model, train)  # before the embed work; finetune checks the marked model
     marked, receipt = pipeline.embed(model, payload, params,
                                      criterion=args.criterion, decoy=args.decoy)
     if tune_cfg.epochs > 0:
-        train, _ = synth_dataset(args.seed, 512, 256)
         marked = finetune(marked, train, tune_cfg)
     out_arch = f"{args.out_prefix}.json"
     out_weights = f"{args.out_prefix}.bin"
@@ -121,7 +123,7 @@ def cmd_embed(args) -> int:
 
 def _run_extract(args, suspect_arch: str) -> pipeline.ExtractionResult:
     suspect = load_arch(suspect_arch)
-    key = _parse_key(args.key) if args.key else None
+    key = _parse_key(args.key) if args.key is not None else None
     if args.receipt:
         receipt = pruner.load_receipt(args.receipt)
         return pipeline.extract(receipt, suspect, key=key)
@@ -192,9 +194,8 @@ def cmd_inspect(args) -> int:
         crit = normalize_criterion(args.criterion)
         rows = []
         for ordinal, pos in enumerate(positions):
-            iv = score(model, pos, crit)
             rows.append({"index": ordinal, "position": pos,
-                         "scores": [float(s) for s in iv.scores]})
+                         "scores": [float(s) for s in score(model, pos, crit)]})
         human = "\n".join(
             f"conv {r['index']} (layer {r['position']}): " +
             " ".join(f"{s:.4g}" for s in r["scores"]) for r in rows)

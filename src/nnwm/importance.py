@@ -1,14 +1,14 @@
 """Channel importance scores for conv layers.
 
 Two criteria: the magnitude of the trailing batchnorm scale per channel
-(network-slimming style), and the L1 norm of each output filter.  Both
-return non-negative scores aligned with output-channel order; smaller
-means safer to prune.
+(network-slimming style), and the L1 norm of each output filter (bias
+excluded).  ``score`` returns either as a plain array of non-negative
+scores in output-channel order; smaller means safer to prune.
+``criterion_applicable`` is the one rule for which positions a criterion
+can score.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,62 +31,29 @@ def normalize_criterion(name: str) -> str:
         raise CriterionError(f"unknown criterion '{name}' (expected l1 or bn)") from None
 
 
-@dataclass(frozen=True)
-class ImportanceVector:
-    """Per-output-channel scores for one conv layer."""
-
-    scores: np.ndarray
-    criterion: str
-
-
-def _conv_at(model: ModelGraph, conv_index: int) -> ConvLayer:
-    if not (0 <= conv_index < len(model.layers)):
-        raise ValueError(f"no layer at position {conv_index}")
-    ly = model.layers[conv_index]
-    if not isinstance(ly, ConvLayer):
-        raise ValueError(f"layer {conv_index} is {type(ly).__name__}, not a conv layer")
-    return ly
-
-
-def _following_bn(model: ModelGraph, conv_index: int) -> BatchNormLayer | None:
-    nxt = conv_index + 1
-    if nxt < len(model.layers) and isinstance(model.layers[nxt], BatchNormLayer):
-        bn = model.layers[nxt]
-        if bn.channels == model.layers[conv_index].c_out:
-            return bn
-    return None
-
-
-def score_bn_gamma(model: ModelGraph, conv_index: int) -> ImportanceVector:
-    """|gamma| of the batchnorm immediately after the conv layer."""
-    conv = _conv_at(model, conv_index)
-    bn = _following_bn(model, conv_index)
-    if bn is None:
-        raise CriterionError(
-            f"conv layer at position {conv_index} has no immediately following "
-            f"batchnorm of length {conv.c_out}; bn_gamma criterion not applicable")
-    return ImportanceVector(np.abs(bn.gamma), CRITERION_BN)
-
-
-def score_l1(model: ModelGraph, conv_index: int) -> ImportanceVector:
-    """Sum of absolute filter weights per output channel (bias excluded)."""
-    conv = _conv_at(model, conv_index)
-    scores = np.abs(conv.weights).sum(axis=(1, 2, 3))
-    return ImportanceVector(scores, CRITERION_L1)
-
-
-def score(model: ModelGraph, conv_index: int, criterion: str) -> ImportanceVector:
-    crit = normalize_criterion(criterion)
-    if crit == CRITERION_BN:
-        return score_bn_gamma(model, conv_index)
-    return score_l1(model, conv_index)
-
-
 def criterion_applicable(model: ModelGraph, conv_index: int, criterion: str) -> bool:
-    """True when the criterion can score the conv layer at this position."""
+    """True when the criterion can score a conv layer at this position.
+
+    bn_gamma also needs the next layer to be a batchnorm of the same width.
+    """
     crit = normalize_criterion(criterion)
-    if not isinstance(model.layers[conv_index], ConvLayer):
+    layers = model.layers
+    if not (0 <= conv_index < len(layers) and isinstance(layers[conv_index], ConvLayer)):
         return False
+    if crit == CRITERION_L1:
+        return True
+    nxt = layers[conv_index + 1] if conv_index + 1 < len(layers) else None
+    return isinstance(nxt, BatchNormLayer) and nxt.channels == layers[conv_index].c_out
+
+
+def score(model: ModelGraph, conv_index: int, criterion: str) -> np.ndarray:
+    """One score per output channel of the conv layer at this position.
+
+    CriterionError exactly when ``criterion_applicable`` is False.
+    """
+    crit = normalize_criterion(criterion)
+    if not criterion_applicable(model, conv_index, crit):
+        raise CriterionError(f"{crit} criterion not applicable at layer position {conv_index}")
     if crit == CRITERION_BN:
-        return _following_bn(model, conv_index) is not None
-    return True
+        return np.abs(model.layers[conv_index + 1].gamma)
+    return np.abs(model.layers[conv_index].weights).sum(axis=(1, 2, 3))

@@ -60,7 +60,6 @@ class ExtractionResult:
 class VerifyReport:
     """Outcome of comparing expected vs extracted bits."""
 
-    expected: str
     extracted: str
     ber: float
     theta: float
@@ -110,7 +109,7 @@ def embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
         rate = wm_codec.encode_rate(value, params)
         k = wm_codec.rate_to_channel_count(rate, counts[ordinal])
         retained = plan_layer(model, positions[ordinal], k, crit)
-        entries.append(PlanEntry(positions[ordinal], k, tuple(retained)))
+        entries.append(PlanEntry(positions[ordinal], tuple(retained)))
         carriers.append((ordinal, rate, k))
     if decoy:
         chosen = set(selected)
@@ -122,7 +121,7 @@ def embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
             if k == 0 or not criterion_applicable(model, positions[ordinal], crit):
                 continue
             retained = plan_layer(model, positions[ordinal], k, crit)
-            entries.append(PlanEntry(positions[ordinal], k, tuple(retained)))
+            entries.append(PlanEntry(positions[ordinal], tuple(retained)))
     marked = apply_prune(model, tuple(entries))
     receipt = Receipt(
         segment_length=params.segment_length,
@@ -222,8 +221,7 @@ def verify(expected: str, extracted: str | ExtractionResult,
         raise CodecError("verify needs non-empty '0'/'1' strings")
     errors = sum(a != b for a, b in zip(expected, extracted))
     ber = errors / len(expected)
-    return VerifyReport(expected=expected, extracted=extracted, ber=ber,
-                        theta=theta, matched=ber <= theta)
+    return VerifyReport(extracted=extracted, ber=ber, theta=theta, matched=ber <= theta)
 
 
 # --- attacks ----------------------------------------------------------------
@@ -286,12 +284,12 @@ def attack_structural(model: ModelGraph, extra_rate: float, seed: int = 0) -> Mo
     counts = channel_counts(model)
     entries = []
     for pos, c in zip(positions, counts):
-        k = min(wm_codec.round_half_up(extra_rate * c), c - 1)
+        k = wm_codec.rate_to_channel_count(extra_rate, c)
         if k == 0:
             continue
         dropped = rng.choice(c, size=k, replace=False)
         retained = tuple(i for i in range(c) if i not in set(int(d) for d in dropped))
-        entries.append(PlanEntry(pos, k, retained))
+        entries.append(PlanEntry(pos, retained))
     if not entries:
         return clone_graph(model)
     return apply_prune(model, tuple(entries))

@@ -32,10 +32,9 @@ RECEIPT_FORMAT = "nnwm-receipt-v1"
 
 @dataclass(frozen=True)
 class PlanEntry:
-    """One conv layer to prune: graph position, pruned count, survivors."""
+    """One conv layer to prune: graph position and the surviving channels."""
 
     conv_index: int
-    k: int
     retained: tuple[int, ...]
 
 
@@ -45,11 +44,11 @@ def plan_layer(model: ModelGraph, conv_index: int, k: int, criterion: str) -> li
     Ties are broken by dropping the higher channel index, so the retained
     list is deterministic; original channel order is preserved.
     """
-    iv = importance.score(model, conv_index, criterion)
-    c = iv.scores.shape[0]
+    scores = importance.score(model, conv_index, criterion)
+    c = scores.shape[0]
     if not (0 <= k <= c - 1):
         raise PlanError(f"k={k} out of range for a {c}-channel layer (need 0 <= k <= {c - 1})")
-    drop_order = sorted(range(c), key=lambda i: (iv.scores[i], -i))
+    drop_order = sorted(range(c), key=lambda i: (scores[i], -i))
     dropped = set(drop_order[:k])
     return [i for i in range(c) if i not in dropped]
 
@@ -62,14 +61,10 @@ def _check_entry(model: ModelGraph, entry: PlanEntry) -> None:
         raise PlanError(f"plan entry at position {entry.conv_index}: not a conv layer")
     c = ly.c_out
     r = entry.retained
-    if len(r) != c - entry.k or len(r) < 1:
-        raise PlanError(
-            f"plan entry at position {entry.conv_index}: retained size {len(r)} "
-            f"inconsistent with c={c}, k={entry.k}")
-    if list(r) != sorted(set(r)) or r[0] < 0 or r[-1] >= c:
+    if not r or list(r) != sorted(set(r)) or r[0] < 0 or r[-1] >= c:
         raise PlanError(
             f"plan entry at position {entry.conv_index}: retained list must be "
-            f"strictly increasing within [0, {c})")
+            f"non-empty and strictly increasing within [0, {c})")
 
 
 def _rewire_consumers(layers: list, pos: int, retained: list[int],

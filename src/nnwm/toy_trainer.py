@@ -20,7 +20,9 @@ unfold copy nor the gradient scatter runs against the grain of memory.
 Batchnorm normalizes with the biased (1/N) batch variance in train mode
 and updates running statistics with momentum 0.1 (running variance uses
 the unbiased estimate).  Train-mode forward updates the running buffers of
-the graph it is given; finetune therefore always works on a private copy.
+the graph it is given, and ``sgd_step`` updates its parameters: finetune
+clones the model once and trains that private copy in place, in the
+model's own dtype.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ from .model_store import (
 
 BN_MOMENTUM = 0.1
 EVAL_CHUNK = 256  # samples per eval-mode forward in evaluate
+BATCH_SIZE = 32  # samples per SGD step
+WEIGHT_DECAY = 1e-4
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
 
@@ -73,23 +77,16 @@ class Batch:
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int
-    batch_size: int = 32
     lr: float = 0.001
-    weight_decay: float = 1e-4
     seed: int = 0
-    precision: str = "f32"
 
     def __post_init__(self):
         if self.epochs < 0:
             raise TrainConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise TrainConfigError(f"batch size must be >= 1, got {self.batch_size}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise TrainConfigError(f"learning rate must be finite and positive, got {self.lr}")
         if self.seed < 0:
             raise TrainConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.precision not in _DTYPES:
-            raise TrainConfigError("precision must be 'f32' or 'f64'")
 
 
 @dataclass
@@ -307,17 +304,15 @@ def backward(model: ModelGraph, cache: ForwardCache, labels: np.ndarray) -> dict
     return grads
 
 
-def sgd_step(model: ModelGraph, grads: dict, config: TrainConfig) -> ModelGraph:
-    """One update w <- w - lr * (g + wd * w); returns a new graph."""
-    out = clone_graph(model)
+def sgd_step(model: ModelGraph, grads: dict, config: TrainConfig) -> None:
+    """One in-place update w <- w - lr * (g + WEIGHT_DECAY * w)."""
     for (pos, name), g in grads.items():
-        arr = getattr(out.layers[pos], name)
+        arr = getattr(model.layers[pos], name)
         if arr is None or arr.shape != g.shape:
             raise ShapeConsistencyError(
                 f"gradient shape {getattr(g, 'shape', None)} does not match "
                 f"parameter {name} at layer {pos}")
-        arr -= config.lr * (g + config.weight_decay * arr)
-    return out
+        arr -= config.lr * (g + WEIGHT_DECAY * arr)
 
 
 def evaluate(model: ModelGraph, batch: Batch) -> float:
@@ -329,15 +324,8 @@ def evaluate(model: ModelGraph, batch: Batch) -> float:
     return hits / batch.size
 
 
-def finetune(model: ModelGraph, train: Batch, config: TrainConfig,
-             after_epoch=None) -> ModelGraph:
-    """Shuffled mini-batch SGD on ``train``; returns the trained copy.
-
-    ``after_epoch(epoch, model, mean_train_loss)``, if given, runs after
-    each epoch.  The architecture is never altered; epochs=0 returns an
-    unchanged copy.  TrainConfigError: the model cannot take the images or
-    score the labels, or training diverged (float overflow or invalid op).
-    """
+def check_fit(model: ModelGraph, train: Batch) -> None:
+    """TrainConfigError unless the model takes the images and scores every label."""
     if tuple(model.input_shape) != train.inputs.shape[1:]:
         raise TrainConfigError(f"model input {tuple(model.input_shape)} does not match "
                                f"the training images {train.inputs.shape[1:]}")
@@ -345,7 +333,19 @@ def finetune(model: ModelGraph, train: Batch, config: TrainConfig,
     if out[0] != "vec" or out[1] <= train.labels.max():
         raise TrainConfigError(f"model output {out} is not a vector of one logit "
                                "per class of the training labels")
-    work = to_precision(model, config.precision)
+
+
+def finetune(model: ModelGraph, train: Batch, config: TrainConfig,
+             after_epoch=None) -> ModelGraph:
+    """Shuffled mini-batch SGD on ``train``; returns the trained copy.
+
+    ``after_epoch(epoch, model, mean_train_loss)``, if given, runs after
+    each epoch.  The architecture is never altered; epochs=0 returns an
+    unchanged copy.  TrainConfigError: ``check_fit`` fails, or training
+    diverged (float overflow or invalid op).
+    """
+    check_fit(model, train)
+    work = clone_graph(model)
     rng = np.random.default_rng(config.seed)
     counts_before = channel_counts(work)
     try:
@@ -353,13 +353,13 @@ def finetune(model: ModelGraph, train: Batch, config: TrainConfig,
             for epoch in range(config.epochs):
                 perm = rng.permutation(train.size)
                 losses = []
-                for start in range(0, train.size, config.batch_size):
-                    idx = perm[start:start + config.batch_size]
+                for start in range(0, train.size, BATCH_SIZE):
+                    idx = perm[start:start + BATCH_SIZE]
                     xb, yb = train.inputs[idx], train.labels[idx]
                     logits, cache = forward(work, xb, mode="train")
                     losses.append(loss_softmax_ce(logits, yb))
                     grads = backward(work, cache, yb)
-                    work = sgd_step(work, grads, config)
+                    sgd_step(work, grads, config)
                 if after_epoch is not None:
                     after_epoch(epoch, work, float(np.mean(losses)))
     except FloatingPointError as e:

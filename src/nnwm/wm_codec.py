@@ -171,8 +171,8 @@ def capacity(t: int, segment_length: int, r_cov: float) -> int:
     """Embeddable bits for t conv layers at coverage r_cov."""
     if t < 1:
         raise CodecError("conv-layer count must be >= 1")
-    if segment_length < 1:
-        raise CodecError("segment length must be >= 1")
+    if not 1 <= segment_length <= MAX_SEGMENT_LENGTH:
+        raise CodecError(f"segment length must lie in [1, {MAX_SEGMENT_LENGTH}]")
     if not (0.0 < r_cov <= 1.0):
         raise CodecError("r_cov must lie in (0, 1]")
     return segment_length * round_half_up(t * r_cov)

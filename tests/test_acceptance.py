@@ -148,7 +148,7 @@ def test_criterion_5_pruning_functional_equivalence():
         bn.beta[dead] = 0.0
         retained = tuple(i for i in range(model.layers[pos].c_out)
                          if i not in set(dead))
-        entries.append(PlanEntry(pos, len(dead), retained))
+        entries.append(PlanEntry(pos, retained))
     pruned = apply_prune(model, tuple(entries))
     x = np.random.default_rng(55).normal(size=(100, 1, 16, 16)).astype(np.float32)
     full, _ = forward(model, x, mode="eval")

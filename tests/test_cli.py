@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from nnwm import pipeline
 from nnwm.cli import main
 from nnwm.fixtures import vgg16_style, vgg_tiny
 from nnwm.model_store import load_model, save_model
@@ -122,6 +123,16 @@ def test_payload_beyond_capacity_exit_two(host, capsys):
 def test_capacity_prints_table_value(capsys):
     assert main(["capacity", "--t", "162", "--l", "2", "--rcov", "0.4"]) == 0
     assert capsys.readouterr().out.strip() == "130"
+
+
+@pytest.mark.parametrize("l, rc", [(32, 0), (33, 2)])
+def test_capacity_segment_length_bound_matches_embed(capsys, l, rc):
+    assert main(["capacity", "--t", "16", "--l", str(l), "--rcov", "1"]) == rc
+    out = capsys.readouterr()
+    if rc == 0:
+        assert out.out.strip() == str(16 * l)
+    else:
+        assert "segment length must lie in [1, 32]" in out.err
 
 
 def test_capacity_json(capsys):
@@ -292,7 +303,12 @@ def unfit_hosts(tmp_path_factory):
 
 @pytest.mark.parametrize("command", ["attack", "embed"])
 @pytest.mark.parametrize("model", ["one_way_head", "conv_ended", "vgg16_style"])
-def test_finetune_unfit_model_exit_two(unfit_hosts, capsys, tmp_path, model, command):
+def test_finetune_unfit_model_exit_two(unfit_hosts, capsys, tmp_path, monkeypatch,
+                                      model, command):
+    def embed_runs(*args, **kwargs):
+        raise AssertionError("embed ran before the fit check")
+
+    monkeypatch.setattr(pipeline, "embed", embed_runs)
     host = ["--arch", str(unfit_hosts / f"{model}.json"),
             "--weights", str(unfit_hosts / f"{model}.bin"),
             "--out-prefix", str(tmp_path / "m")]
@@ -335,6 +351,20 @@ def test_hex_key_and_payload(host, capsys, tmp_path):
                "--key", "hex:00ff", "--n", "8", "--l", "2"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "10100101"
+
+
+def test_empty_key_marks_and_verifies_from_the_original(host, capsys, tmp_path):
+    rc = main(["embed", "--arch", str(host / "host.json"),
+               "--weights", str(host / "host.bin"),
+               "--payload", "101101", "--key", "", "--l", "3",
+               "--out-prefix", str(tmp_path / "ek"), "--receipt", str(tmp_path / "ekr.json")])
+    assert rc == 0
+    capsys.readouterr()
+    rc = main(["verify", "--original", str(host / "host.json"),
+               "--suspect", str(tmp_path / "ek.json"),
+               "--key", "", "--n", "6", "--l", "3", "--expect", "101101"])
+    assert rc == 0, capsys.readouterr().err
+    assert "BER 0.000000" in capsys.readouterr().out
 
 
 def test_payload_from_file(host, capsys, tmp_path):

@@ -68,7 +68,7 @@ def test_plan_layer_nesting(scores, data):
 
 def test_apply_prune_k0_is_identity(tiny_model):
     positions = conv_layer_indices(tiny_model)
-    entries = tuple(PlanEntry(pos, 0, tuple(range(tiny_model.layers[pos].c_out)))
+    entries = tuple(PlanEntry(pos, tuple(range(tiny_model.layers[pos].c_out)))
                     for pos in positions)
     out = apply_prune(tiny_model, entries)
     for a, b in zip(tiny_model.layers, out.layers):
@@ -80,7 +80,7 @@ def test_apply_prune_rewires_counts_and_next_conv(tiny_model):
     positions = conv_layer_indices(tiny_model)
     pos = positions[2]  # third conv, 64 channels
     retained = tuple(plan_layer(tiny_model, pos, 3, "l1"))
-    out = apply_prune(tiny_model, (PlanEntry(pos, 3, retained),))
+    out = apply_prune(tiny_model, (PlanEntry(pos, retained),))
     assert channel_counts(out) == [32, 32, 61, 64, 64]
     next_conv = out.layers[positions[3]]
     assert next_conv.c_in == 61
@@ -93,7 +93,7 @@ def test_apply_prune_slices_linear_after_gap(tiny_model):
     positions = conv_layer_indices(tiny_model)
     pos = positions[-1]  # last conv feeds GAP then linear
     retained = tuple(plan_layer(tiny_model, pos, 10, "l1"))
-    out = apply_prune(tiny_model, (PlanEntry(pos, 10, retained),))
+    out = apply_prune(tiny_model, (PlanEntry(pos, retained),))
     linear = out.layers[-1]
     assert linear.in_features == 54
     np.testing.assert_array_equal(
@@ -110,7 +110,7 @@ def test_apply_prune_slices_flattened_linear_columns():
     model = ModelGraph([conv, LinearLayer(linear_w.copy())], (1, 2, 2))
     validate(model)
     retained = (0, 2, 3)
-    out = apply_prune(model, (PlanEntry(0, 1, retained),))
+    out = apply_prune(model, (PlanEntry(0, retained),))
     cols = [c for ch in retained for c in range(ch * 4, ch * 4 + 4)]
     np.testing.assert_array_equal(out.layers[1].weights, linear_w[:, cols])
     validate(out)
@@ -119,13 +119,11 @@ def test_apply_prune_slices_flattened_linear_columns():
 def test_apply_prune_rejects_bad_plans(tiny_model):
     c0 = tiny_model.layers[0].c_out
     with pytest.raises(PlanError):
-        apply_prune(tiny_model, (PlanEntry(1, 1, tuple(range(c0 - 1))),))  # not a conv
-    with pytest.raises(PlanError):
-        apply_prune(tiny_model, (PlanEntry(0, 2, tuple(range(c0 - 1))),))  # k mismatch
-    with pytest.raises(PlanError):
-        apply_prune(tiny_model,
-                    (PlanEntry(0, 1, tuple(range(1, c0))[::-1]),))  # not increasing
-    entry = PlanEntry(0, 1, tuple(range(c0 - 1)))
+        apply_prune(tiny_model, (PlanEntry(1, tuple(range(c0 - 1))),))  # not a conv
+    for retained in [(), tuple(range(1, c0))[::-1], (0, 1, 1, 2), (0, c0), (-1, 0)]:
+        with pytest.raises(PlanError):  # empty, not increasing, repeated, out of range
+            apply_prune(tiny_model, (PlanEntry(0, retained),))
+    entry = PlanEntry(0, tuple(range(c0 - 1)))
     with pytest.raises(PlanError):
         apply_prune(tiny_model, (entry, entry))  # duplicate
 
@@ -143,7 +141,7 @@ def test_functional_equivalence_when_pruned_channels_are_silenced(tiny_model):
         bn.gamma[dead] = 0.0
         bn.beta[dead] = 0.0
         retained = tuple(i for i in range(model.layers[pos].c_out) if i not in set(dead))
-        entries.append(PlanEntry(pos, len(dead), retained))
+        entries.append(PlanEntry(pos, retained))
     pruned = apply_prune(model, tuple(entries))
     rng = np.random.default_rng(11)
     x = rng.normal(size=(100, 1, 16, 16)).astype(np.float32)
@@ -169,17 +167,16 @@ def test_apply_prune_fuzz_random_models_and_plans():
         chosen = rng.choice(len(positions), size=rng.integers(1, len(positions) + 1),
                             replace=False)
         entries = []
+        expect = list(counts)
         for ordinal in chosen:
             c = counts[ordinal]
             k = int(rng.integers(0, c))
             retained = tuple(plan_layer(model, positions[ordinal], k,
                                         "bn" if rng.random() < 0.5 else "l1"))
-            entries.append(PlanEntry(positions[ordinal], k, retained))
+            entries.append(PlanEntry(positions[ordinal], retained))
+            expect[ordinal] = c - k
         out = apply_prune(model, tuple(entries))
         validate(out)
-        expect = list(counts)
-        for ordinal, e in zip(chosen, entries):
-            expect[ordinal] -= e.k
         assert channel_counts(out) == expect
 
 

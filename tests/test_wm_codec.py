@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from nnwm.errors import CapacityError, CodecError
 from nnwm.wm_codec import (
+    MAX_SEGMENT_LENGTH,
     EmbedParams,
     KeyStream,
     WatermarkPayload,
@@ -173,6 +174,10 @@ def test_capacity_rejects_bad_args():
         capacity(10, 1, 0.0)
     with pytest.raises(CodecError):
         capacity(10, 1, 1.5)
+    assert capacity(10, MAX_SEGMENT_LENGTH, 1.0) == 10 * MAX_SEGMENT_LENGTH
+    for l in (0, MAX_SEGMENT_LENGTH + 1):  # the range EmbedParams accepts
+        with pytest.raises(CodecError):
+            capacity(10, l, 0.5)
 
 
 # --- keyed selection --------------------------------------------------------
