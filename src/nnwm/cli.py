@@ -113,9 +113,7 @@ def cmd_embed(args) -> int:
         "command": "embed", "n": payload.n, "m": payload.num_segments,
         "selected": [e.index for e in receipt.layers],
         "eligible": len(eligible), "capacity_bits": n_max,
-        "layers": [{"index": e.index, "c": e.c, "c_pruned": e.c_pruned,
-                    "target_rate": e.target_rate, "realized_rate": e.realized_rate}
-                   for e in receipt.layers],
+        "layers": [vars(e) for e in receipt.layers],
         "out_arch": out_arch, "out_weights": out_weights, "receipt": args.receipt,
     }, "\n".join(lines))
     return 0
@@ -123,19 +121,20 @@ def cmd_embed(args) -> int:
 
 def _run_extract(args, suspect_arch: str) -> pipeline.ExtractionResult:
     suspect = load_arch(suspect_arch)
-    key = _parse_key(args.key) if args.key is not None else None
     if args.receipt:
         receipt = pruner.load_receipt(args.receipt)
+        if args.n is not None and args.n != receipt.payload_bits:
+            raise NnwmError(f"--n {args.n} does not match the receipt's "
+                            f"{receipt.payload_bits}-bit payload")
+        key = _parse_key(args.key) if args.key is not None else None
         return pipeline.extract(receipt, suspect, key=key)
     if not args.original:
         raise NnwmError("need --original (manifest) or --receipt")
-    if key is None:
+    if args.key is None:
         raise NnwmError("extraction from an original model needs --key")
     if args.n is None:
         raise NnwmError("extraction from an original model needs --n")
-    original = load_arch(args.original)
-    params = _params_from(args)
-    return pipeline.extract(original, suspect, key=key, params=params,
+    return pipeline.extract(load_arch(args.original), suspect, params=_params_from(args),
                             n=args.n, criterion=args.criterion)
 
 
@@ -211,7 +210,7 @@ def cmd_inspect(args) -> int:
         raise ArchitectureMismatchError(
             f"original has {len(c_orig)} conv layers, suspect has {len(c_susp)}")
     params = EmbedParams(segment_length=args.l, key=b"", p_min=args.pmin, p_max=args.pmax)
-    segments = pipeline.decode_segments(list(zip(range(len(c_orig)), c_orig, c_susp)), params)
+    segments = pipeline.decode_segments(list(enumerate(c_orig)), c_susp, params)
     rows = [{"index": s.layer_index, "c": s.c, "c_suspect": s.c_suspect, "rate": s.rate,
              "value": s.value, "in_range": not s.clamped} for s in segments]
     lines = [f"{'index':>5} {'c':>5} {'c_susp':>6} {'rate':>9} {'d':>4} {'note':>6}"]
@@ -233,10 +232,8 @@ def cmd_attack(args) -> int:
         train, _ = synth_dataset(args.seed, 512, 256)
         attacked = pipeline.attack_finetune(model, train, epochs=args.epochs,
                                             lr=args.lr, seed=args.seed)
-    elif args.type == "structural":
-        attacked = pipeline.attack_structural(model, args.extra_rate, seed=args.seed)
     else:
-        raise NnwmError(f"unknown attack type '{args.type}'")
+        attacked = pipeline.attack_structural(model, args.extra_rate, seed=args.seed)
     out_arch = f"{args.out_prefix}.json"
     out_weights = f"{args.out_prefix}.bin"
     save_model(attacked, out_arch, out_weights)
@@ -250,8 +247,10 @@ def cmd_attack(args) -> int:
 def cmd_train_demo(args) -> int:
     base_cfg = TrainConfig(epochs=args.epochs, lr=0.01, seed=args.seed)
     tune_cfg = TrainConfig(epochs=args.finetune_epochs, lr=0.001, seed=args.seed + 1)
-    params = EmbedParams(segment_length=args.l, key=_parse_key(args.key),
-                         p_min=args.pmin, p_max=args.pmax)
+    params = _params_from(args)
+    host = vgg_tiny(args.seed)
+    t = len(channel_counts(host))
+    pipeline.eligible_layers(host, params, args.criterion, required=t)  # widths never train
     train, test = synth_dataset(args.seed, 512, 256)
     rows = []
 
@@ -259,10 +258,9 @@ def cmd_train_demo(args) -> int:
         rows.append(f"{epoch},{loss:.6f},{evaluate(model, test):.6f}\n")
 
     after_epoch = log_epoch if args.metrics_csv else None
-    base = finetune(vgg_tiny(args.seed), train, base_cfg, after_epoch)
+    base = finetune(host, train, base_cfg, after_epoch)
     acc_base = evaluate(base, test)
     rng = np.random.default_rng(args.seed)
-    t = len(channel_counts(base))
     bits = "".join(rng.choice(["0", "1"], size=args.l * t))
     payload = WatermarkPayload(bits, args.l)
     marked, receipt = pipeline.embed(base, payload, params, criterion=args.criterion)
@@ -301,7 +299,6 @@ def _add_scheme_flags(p: argparse.ArgumentParser) -> None:
 def _add_extract_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--original", help="manifest of the unmarked model")
     p.add_argument("--receipt", help="embedding receipt (alternative to --original)")
-    p.add_argument("--suspect", required=True, help="manifest of the suspect model")
     p.add_argument("--key")
     p.add_argument("--n", type=int, help="payload length in bits")
     _add_scheme_flags(p)
@@ -330,10 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("extract", help="read the payload back from a suspect model")
+    p.add_argument("--suspect", required=True, help="manifest of the suspect model")
     _add_extract_flags(p)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("verify", help="extract and compare against expected bits")
+    p.add_argument("--suspect", required=True, help="manifest of the suspect model")
     _add_extract_flags(p)
     p.add_argument("--expect", required=True)
     p.add_argument("--theta", type=float, default=0.0)
@@ -368,11 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extra-rate", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--expect", help="chain a verify run against these bits")
-    p.add_argument("--original")
-    p.add_argument("--receipt")
-    p.add_argument("--key")
-    p.add_argument("--n", type=int)
-    _add_scheme_flags(p)
+    _add_extract_flags(p)
     p.add_argument("--theta", type=float, default=0.0)
     p.set_defaults(func=cmd_attack)
 

@@ -40,44 +40,37 @@ def _linear(rng: np.random.Generator, out: int, inp: int) -> LinearLayer:
     return LinearLayer(w, np.zeros(out, dtype=np.float32))
 
 
-def vgg_tiny(seed: int = 0) -> ModelGraph:
-    """Five-conv net for the 1x16x16 two-class stripe task.
-
-    Channel counts are [32, 32, 64, 64, 64].
-    """
+def _vgg(seed: int, plan: list, input_shape: tuple[int, int, int], classes: int,
+         name: str) -> ModelGraph:
+    """conv/bn/relu blocks of the planned widths ("M" = 2x2 max-pool), then a linear head."""
     rng = np.random.default_rng(seed)
     layers = []
-    widths = [32, 32, "M", 64, "M", 64, 64]
-    c_in = 1
-    for w in widths:
-        if w == "M":
-            layers.append(MaxPoolLayer(2, 2))
-            continue
-        layers += [_conv(rng, w, c_in), _bn(w), ReluLayer()]
-        c_in = w
-    layers += [GlobalAvgPoolLayer(), _linear(rng, 2, c_in)]
-    model = ModelGraph(layers, (1, 16, 16), "vgg-tiny")
-    validate(model)
-    return model
-
-
-def vgg16_style(seed: int = 0) -> ModelGraph:
-    """Sixteen-conv VGG-style net (3x32x32 input), every width >= 32."""
-    rng = np.random.default_rng(seed)
-    plan = [32, 32, "M", 64, 64, "M", 128, 128, 128, 128, "M",
-            128, 128, 128, 128, "M", 128, 128, 128, 128]
-    layers = []
-    c_in = 3
+    c_in = input_shape[0]
     for w in plan:
         if w == "M":
             layers.append(MaxPoolLayer(2, 2))
             continue
         layers += [_conv(rng, w, c_in), _bn(w), ReluLayer()]
         c_in = w
-    layers += [GlobalAvgPoolLayer(), _linear(rng, 10, c_in)]
-    model = ModelGraph(layers, (3, 32, 32), "vgg16-style")
+    layers += [GlobalAvgPoolLayer(), _linear(rng, classes, c_in)]
+    model = ModelGraph(layers, input_shape, name)
     validate(model)
     return model
+
+
+def vgg_tiny(seed: int = 0) -> ModelGraph:
+    """Five-conv net for the 1x16x16 two-class stripe task.
+
+    Channel counts are [32, 32, 64, 64, 64].
+    """
+    return _vgg(seed, [32, 32, "M", 64, "M", 64, 64], (1, 16, 16), 2, "vgg-tiny")
+
+
+def vgg16_style(seed: int = 0) -> ModelGraph:
+    """Sixteen-conv VGG-style net (3x32x32 input), every width >= 32."""
+    plan = [32, 32, "M", 64, 64, "M", 128, 128, 128, 128, "M",
+            128, 128, 128, 128, "M", 128, 128, 128, 128]
+    return _vgg(seed, plan, (3, 32, 32), 10, "vgg16-style")
 
 
 def random_conv_net(seed: int, n_convs: int | None = None,

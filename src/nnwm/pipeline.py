@@ -1,11 +1,11 @@
 """End-to-end embed / extract / verify plus the attack harness.
 
 Embedding prunes one key-selected conv layer per payload segment, at the
-rate encoding that segment.  Extraction compares channel counts between
-the original (model or receipt) and a suspect model, decodes the rate at
-each selected layer and reassembles the bits.  Attacks either perturb
-parameters (which provably cannot change the extracted bits) or re-prune
-the structure (which degrades them measurably).
+rate encoding that segment.  Extraction names the carriers as (conv
+ordinal, original width) pairs, from a receipt or by key from the original
+model; ``decode_segments`` decodes each rate from the suspect's width.
+Attacks either perturb parameters (which provably cannot change the
+extracted bits) or re-prune the structure (which degrades them measurably).
 """
 
 from __future__ import annotations
@@ -66,14 +66,26 @@ class VerifyReport:
     matched: bool
 
 
-def eligible_layers(model: ModelGraph, params: EmbedParams, criterion: str) -> list[int]:
-    """Conv ordinals wide enough to decode losslessly and scorable by the criterion."""
+def eligible_layers(model: ModelGraph, params: EmbedParams, criterion: str,
+                    required: int = 0) -> list[int]:
+    """Conv ordinals wide enough to decode losslessly and scorable by the criterion.
+
+    Fewer than `required` of them raise CapacityError, with the reasons.
+    """
     crit = normalize_criterion(criterion)
     positions = conv_layer_indices(model)
     counts = channel_counts(model)
     c_min = wm_codec.min_channels(params)
-    return [i for i, (pos, c) in enumerate(zip(positions, counts))
-            if c >= c_min and criterion_applicable(model, pos, crit)]
+    eligible = [i for i, (pos, c) in enumerate(zip(positions, counts))
+                if c >= c_min and criterion_applicable(model, pos, crit)]
+    if len(eligible) < required:
+        too_narrow = sum(1 for c in counts if c < c_min)
+        raise CapacityError(
+            required=required, available=len(eligible),
+            detail=f"{len(counts)} conv layers total, {too_narrow} narrower than "
+                   f"{c_min} channels, criterion '{crit}' inapplicable to "
+                   f"{len(counts) - too_narrow - len(eligible)} of the rest")
+    return eligible
 
 
 def embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
@@ -92,15 +104,7 @@ def embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
     m = len(values)
     positions = conv_layer_indices(model)
     counts = channel_counts(model)
-    c_min = wm_codec.min_channels(params)
-    too_narrow = sum(1 for c in counts if c < c_min)
-    eligible = eligible_layers(model, params, crit)
-    if len(eligible) < m:
-        raise CapacityError(
-            required=m, available=len(eligible),
-            detail=f"{len(counts)} conv layers total, {too_narrow} narrower than "
-                   f"{c_min} channels, criterion '{crit}' inapplicable to "
-                   f"{len(counts) - too_narrow - len(eligible)} of the rest")
+    eligible = eligible_layers(model, params, crit, required=m)
     stream = KeyStream(params.key)
     selected = sorted(wm_codec.keyed_shuffle(eligible, stream)[:m])
     entries = []
@@ -136,32 +140,28 @@ def embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
         payload_bits=payload.n,
         key_fingerprint=wm_codec.key_fingerprint(params.key),
     )
-    check = extract(model, marked, key=params.key, params=params, n=payload.n, criterion=crit)
+    check = extract(model, marked, params=params, n=payload.n, criterion=crit)
     if check.bits != payload.bits:
         raise NnwmError("internal error: freshly embedded payload failed to extract")
     return marked, receipt
 
 
-def decode_segments(pairs: list[tuple[int, int, int]],
+def decode_segments(carriers: list[tuple[int, int]], suspect_counts: list[int],
                     params: EmbedParams) -> list[SegmentDecode]:
-    """Decode (ordinal, c_original, c_suspect) triples, clamping out-of-range rates."""
+    """Decode each (conv ordinal, original width) carrier against the suspect's widths.
+
+    An out-of-range rate decodes by clamping and is flagged in the result.
+    """
     segments = []
-    for ordinal, c, c_susp in pairs:
+    for ordinal, c in carriers:
+        if ordinal >= len(suspect_counts):
+            raise ArchitectureMismatchError(f"receipt refers to conv layer {ordinal}, "
+                                            f"suspect has only {len(suspect_counts)}")
+        c_susp = suspect_counts[ordinal]
         p_hat = (c - c_susp) / c
         value, clamped = wm_codec.decode_rate_clamped(p_hat, params)
         segments.append(SegmentDecode(ordinal, c, c_susp, p_hat, value, clamped))
     return segments
-
-
-def _decode_layers(pairs: list[tuple[int, int, int]], params: EmbedParams,
-                   n: int) -> ExtractionResult:
-    """Decode the carrier triples into payload bits, warning on each clamp."""
-    segments = decode_segments(pairs, params)
-    warnings = [f"conv layer {s.layer_index}: observed rate {s.rate:.6f} outside "
-                f"[{params.p_min}, {params.p_max}); decoded by clamping"
-                for s in segments if s.clamped]
-    bits = wm_codec.assemble_bits([s.value for s in segments], params.segment_length, n)
-    return ExtractionResult(bits=bits, segments=segments, warnings=warnings)
 
 
 def extract(original: ModelGraph | Receipt, suspect: ModelGraph,
@@ -170,41 +170,38 @@ def extract(original: ModelGraph | Receipt, suspect: ModelGraph,
     """Recover payload bits by comparing channel counts.
 
     `original` may be the unmarked model (selection is then recomputed from
-    the key) or a receipt (selection is pinned by the receipt itself).
+    the key, `params.key` unless `key` is given) or a receipt (selection is
+    pinned by the receipt itself; `key` is only checked against it).
     Out-of-range rates decode by clamping and are reported as warnings.
     """
     counts_susp = channel_counts(suspect)
+    warnings = []
     if isinstance(original, Receipt):
-        rec = original
-        result_warnings = []
-        if key is not None and wm_codec.key_fingerprint(key) != rec.key_fingerprint:
-            result_warnings.append("key does not match the receipt fingerprint")
-        pairs = []
-        for entry in rec.layers:
-            if entry.index >= len(counts_susp):
-                raise ArchitectureMismatchError(
-                    f"receipt refers to conv layer {entry.index}, suspect has "
-                    f"only {len(counts_susp)}")
-            pairs.append((entry.index, entry.c, counts_susp[entry.index]))
-        params = EmbedParams(segment_length=rec.segment_length, key=b"",
-                             p_min=rec.p_min, p_max=rec.p_max)
-        result = _decode_layers(pairs, params, rec.payload_bits)
-        result.warnings = result_warnings + result.warnings
-        return result
-    if params is None or n is None:
-        raise CodecError("extraction from a model needs params and the payload length")
-    if n < 1:
-        raise CodecError("payload length must be >= 1")
-    counts_orig = channel_counts(original)
-    if len(counts_orig) != len(counts_susp):
-        raise ArchitectureMismatchError(
-            f"original has {len(counts_orig)} conv layers, suspect has {len(counts_susp)}")
-    eff_key = params.key if key is None else key
-    m = -(-n // params.segment_length)
-    eligible = eligible_layers(original, params, criterion)
-    selected = wm_codec.select_layers(eligible, m, eff_key)
-    pairs = [(i, counts_orig[i], counts_susp[i]) for i in selected]
-    return _decode_layers(pairs, params, n)
+        if key is not None and wm_codec.key_fingerprint(key) != original.key_fingerprint:
+            warnings.append("key does not match the receipt fingerprint")
+        carriers = [(e.index, e.c) for e in original.layers]
+        params = EmbedParams(segment_length=original.segment_length, key=b"",
+                             p_min=original.p_min, p_max=original.p_max)
+        n = original.payload_bits
+    else:
+        if params is None or n is None:
+            raise CodecError("extraction from a model needs params and the payload length")
+        if n < 1:
+            raise CodecError("payload length must be >= 1")
+        counts_orig = channel_counts(original)
+        if len(counts_orig) != len(counts_susp):
+            raise ArchitectureMismatchError(
+                f"original has {len(counts_orig)} conv layers, suspect has {len(counts_susp)}")
+        m = -(-n // params.segment_length)
+        eligible = eligible_layers(original, params, criterion)
+        selected = wm_codec.select_layers(eligible, m, params.key if key is None else key)
+        carriers = [(i, counts_orig[i]) for i in selected]
+    segments = decode_segments(carriers, counts_susp, params)
+    warnings += [f"conv layer {s.layer_index}: observed rate {s.rate:.6f} outside "
+                 f"[{params.p_min}, {params.p_max}); decoded by clamping"
+                 for s in segments if s.clamped]
+    bits = wm_codec.assemble_bits([s.value for s in segments], params.segment_length, n)
+    return ExtractionResult(bits=bits, segments=segments, warnings=warnings)
 
 
 def verify(expected: str, extracted: str | ExtractionResult,
@@ -234,10 +231,15 @@ def attack_noise(model: ModelGraph, sigma_rel: float, seed: int = 0) -> ModelGra
         raise AttackConfigError(f"seed must be >= 0, got {seed}")
     out = clone_graph(model)
     rng = np.random.default_rng(seed)
-    for _, _, arr in iter_named_params(out):
-        scale = sigma_rel * float(arr.std())
-        if scale > 0:
-            arr += rng.normal(0.0, scale, size=arr.shape).astype(arr.dtype)
+    try:
+        with np.errstate(over="raise"):
+            for _, _, arr in iter_named_params(out):
+                # a numpy product, unlike a float one, reports overflow to errstate
+                scale = np.float64(sigma_rel) * float(arr.std())
+                if scale > 0:
+                    arr += rng.normal(0.0, scale, size=arr.shape).astype(arr.dtype)
+    except FloatingPointError:
+        raise AttackConfigError(f"noise sigma {sigma_rel} overflows the weights") from None
     return out
 
 
@@ -287,9 +289,8 @@ def attack_structural(model: ModelGraph, extra_rate: float, seed: int = 0) -> Mo
         k = wm_codec.rate_to_channel_count(extra_rate, c)
         if k == 0:
             continue
-        dropped = rng.choice(c, size=k, replace=False)
-        retained = tuple(i for i in range(c) if i not in set(int(d) for d in dropped))
-        entries.append(PlanEntry(pos, retained))
+        dropped = set(rng.choice(c, size=k, replace=False).tolist())
+        entries.append(PlanEntry(pos, tuple(i for i in range(c) if i not in dropped)))
     if not entries:
         return clone_graph(model)
     return apply_prune(model, tuple(entries))

@@ -9,11 +9,9 @@ per-type rules live on the layer classes in ``model_store``.  The result
 is a new graph; inputs are never mutated.
 """
 
-from __future__ import annotations
-
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import importance
@@ -130,11 +128,7 @@ class Receipt:
                 "p_max": self.p_max,
                 "criterion": self.criterion,
             },
-            "layers": [
-                {"index": e.index, "c": e.c, "c_pruned": e.c_pruned,
-                 "target_rate": e.target_rate, "realized_rate": e.realized_rate}
-                for e in self.layers
-            ],
+            "layers": [vars(e) for e in self.layers],
             "payload_bits": self.payload_bits,
             "key_fingerprint": self.key_fingerprint,
         }
@@ -155,9 +149,8 @@ class Receipt:
         for rec in recs:
             if type(rec) is not dict:
                 raise PlanError("receipt layers must be objects")
-            e = ReceiptLayer(_field(rec, "index", int), _field(rec, "c", int),
-                             _field(rec, "c_pruned", int), _field(rec, "target_rate", float),
-                             _field(rec, "realized_rate", float))
+            # field types are classes here: this module does not postpone annotations
+            e = ReceiptLayer(*(_field(rec, f.name, f.type) for f in fields(ReceiptLayer)))
             if e.index < 0 or (layers and e.index <= layers[-1].index):
                 raise PlanError(f"receipt layer index {e.index}: indices must be "
                                 "non-negative and strictly increasing")

@@ -175,7 +175,10 @@ def capacity(t: int, segment_length: int, r_cov: float) -> int:
         raise CodecError(f"segment length must lie in [1, {MAX_SEGMENT_LENGTH}]")
     if not (0.0 < r_cov <= 1.0):
         raise CodecError("r_cov must lie in (0, 1]")
-    return segment_length * round_half_up(t * r_cov)
+    try:
+        return segment_length * round_half_up(t * r_cov)
+    except OverflowError:  # t beyond float range
+        raise CodecError("conv-layer count is too large") from None
 
 
 class KeyStream:

@@ -69,6 +69,21 @@ def test_extract_via_receipt(marked, capsys):
     assert capsys.readouterr().out.strip() == BITS48
 
 
+def test_extract_receipt_with_other_n_exit_two(marked, capsys):
+    rc = main(["extract", "--receipt", str(marked / "r.json"),
+               "--suspect", str(marked / "marked.json"), "--n", "999"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --n 999 does not match the receipt")
+
+
+def test_receipt_carrier_beyond_suspect_exit_two(marked, tiny_host, capsys):
+    # the receipt marks all 16 convs of vgg16_style; vgg_tiny has 5
+    rc = main(["extract", "--receipt", str(marked / "r.json"),
+               "--suspect", str(tiny_host / "tiny.json")])
+    assert rc == 2
+    assert "suspect has only 5" in capsys.readouterr().err
+
+
 def test_verify_match_exit_zero(marked, capsys):
     rc = main(["verify", "--original", str(marked / "host.json"),
                "--suspect", str(marked / "marked.json"),
@@ -236,6 +251,13 @@ def test_train_demo_bad_epochs_exit_two(no_training, capsys, flags):
     assert f"{flags[0].rsplit('-', 1)[1]} must be >= 0" in capsys.readouterr().err
 
 
+def test_train_demo_capacity_checked_before_training(no_training, capsys):
+    rc = main(["train-demo", "--l", "5"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "error: capacity exceeded: 5 segment(s) required, 3 eligible")
+
+
 def test_train_demo_bad_segment_length_exit_two(no_training, capsys):
     rc = main(["train-demo", "--l", "-1"])
     assert rc == 2
@@ -318,6 +340,17 @@ def test_finetune_unfit_model_exit_two(unfit_hosts, capsys, tmp_path, monkeypatc
     rc = main(argv[command])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: model ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_attack_overflowing_noise_exit_two(tiny_host, capsys, recwarn, tmp_path):
+    rc = main(["attack", "--type", "noise", "--sigma", "1e300",
+               "--arch", str(tiny_host / "tiny.json"),
+               "--weights", str(tiny_host / "tiny.bin"),
+               "--out-prefix", str(tmp_path / "a")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: noise sigma 1e+300 overflows")
+    assert not recwarn.list, [str(w.message) for w in recwarn]
     assert list(tmp_path.iterdir()) == []
 
 

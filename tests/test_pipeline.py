@@ -128,6 +128,13 @@ def test_extract_architecture_mismatch(marked_deep):
         extract(model, other, params=params, n=48)
 
 
+def test_receipt_carrier_beyond_suspect(marked_deep):
+    _, _, receipt, _, _ = marked_deep
+    assert receipt.layers[-1].index >= len(channel_counts(vgg_tiny(0)))
+    with pytest.raises(ArchitectureMismatchError):
+        extract(receipt, vgg_tiny(0))
+
+
 def test_extract_needs_params_for_model_path(marked_deep):
     model, marked, *_ = marked_deep
     with pytest.raises(CodecError):

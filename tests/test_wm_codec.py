@@ -178,6 +178,8 @@ def test_capacity_rejects_bad_args():
     for l in (0, MAX_SEGMENT_LENGTH + 1):  # the range EmbedParams accepts
         with pytest.raises(CodecError):
             capacity(10, l, 0.5)
+    with pytest.raises(CodecError):  # a layer count beyond float range
+        capacity(10 ** 400, 1, 0.5)
 
 
 # --- keyed selection --------------------------------------------------------
