@@ -4,6 +4,8 @@
 Parameter-space attacks (noise, weight zeroing, fine-tuning) must leave the
 extracted bits untouched; the structural re-pruning attack is swept over
 increasing extra rates to chart how fast the bits decay without the key.
+The watermark reads only channel counts, which the extra rate alone fixes,
+so one re-pruning per rate gives the BER of every seed.
 """
 
 import argparse
@@ -29,8 +31,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--l", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=20,
-                        help="random re-prunings per structural rate")
     parser.add_argument("--rates", type=float, nargs="+",
                         default=[0.01, 0.02, 0.05, 0.0875, 0.15, 0.3])
     args = parser.parse_args(argv)
@@ -55,17 +55,11 @@ def main(argv=None) -> int:
         ber = verify(bits, extract(receipt, suspect)).ber
         print(f"  {name:<20} BER {ber:.4f} {'(intact)' if ber == 0 else '(CORRUPTED)'}")
 
-    print(f"\nstructural re-pruning sweep ({args.trials} trials per rate, "
-          f"cell width delta = {params.delta:.4f}):")
-    print(f"  {'extra rate':>10} {'mean BER':>9} {'intact runs':>12}")
+    print(f"\nstructural re-pruning sweep (cell width delta = {params.delta:.4f}):")
+    print(f"  {'extra rate':>10} {'BER':>9}")
     for rate in args.rates:
-        bers = []
-        for trial in range(args.trials):
-            suspect = attack_structural(marked, rate, seed=1000 + trial)
-            bers.append(verify(bits, extract(receipt, suspect)).ber)
-        intact = sum(1 for b in bers if b == 0)
-        print(f"  {rate:>10.4f} {float(np.mean(bers)):>9.4f} "
-              f"{intact:>6}/{args.trials}")
+        ber = verify(bits, extract(receipt, attack_structural(marked, rate, seed=1000))).ber
+        print(f"  {rate:>10.4f} {ber:>9.4f}")
     return 0
 
 

@@ -4,7 +4,10 @@ Exit codes: 0 success (verify: match), 1 verify mismatch, 2 usage or
 format errors.  Every command accepts --json for machine-readable output.
 Scheme parameters (--l, --pmin, --pmax, --criterion) are inputs at both
 ends and are never stored inside a model, so a marked model stays
-indistinguishable from an ordinarily pruned one.
+indistinguishable from an ordinarily pruned one.  With --receipt the
+receipt supplies them and the payload length --n; a flag given beside it
+must agree with the receipt or the command exits 2.  --original and
+--receipt exclude each other, as do capacity's --t and --arch.
 """
 
 from __future__ import annotations
@@ -39,32 +42,33 @@ def _default_seed() -> int:
         return 0
 
 
+def _hex(flag: str, digits: str) -> bytes:
+    try:
+        return bytes.fromhex(digits)
+    except ValueError:
+        raise NnwmError(f"{flag}: invalid hex string {digits!r}") from None
+
+
 def _parse_key(text: str) -> bytes:
     if text.startswith("hex:"):
-        try:
-            return bytes.fromhex(text[4:])
-        except ValueError:
-            raise NnwmError(f"--key: invalid hex string {text[4:]!r}") from None
+        return _hex("--key", text[4:])
     try:
         return text.encode("utf-8")
     except UnicodeEncodeError as e:
         raise NnwmError(f"--key is not valid UTF-8 text: {e}") from None
 
 
-def _parse_payload(text: str) -> str:
+def _parse_payload(flag: str, text: str) -> str:
+    """Bits from a flag's '0'/'1' string, hex:<digits> or @file."""
     if text.startswith("@"):
         try:
             text = Path(text[1:]).read_text(encoding="utf-8").strip()
         except UnicodeDecodeError as e:
-            raise NnwmError(f"--payload file {text[1:]} is not UTF-8 text: {e}") from None
+            raise NnwmError(f"{flag} file {text[1:]} is not UTF-8 text: {e}") from None
     if text.startswith("hex:"):
-        try:
-            raw = bytes.fromhex(text[4:])
-        except ValueError:
-            raise NnwmError(f"--payload: invalid hex string {text[4:]!r}") from None
-        return "".join(format(b, "08b") for b in raw)
+        return "".join(format(b, "08b") for b in _hex(flag, text[4:]))
     if not text or set(text) - {"0", "1"}:
-        raise NnwmError("--payload must be a '0'/'1' string, hex:<digits>, or @file")
+        raise NnwmError(f"{flag} must be a '0'/'1' string, hex:<digits>, or @file")
     return text
 
 
@@ -75,8 +79,27 @@ def _emit(args, doc: dict, human: str) -> None:
         print(human)
 
 
-def _params_from(args) -> EmbedParams:
-    return EmbedParams(segment_length=args.l, key=_parse_key(args.key),
+SCHEME_DEFAULTS = {"l": 3, "pmin": wm_codec.DEFAULT_P_MIN, "pmax": wm_codec.DEFAULT_P_MAX,
+                   "criterion": "l1"}
+
+
+def _params_from(args, receipt: pruner.Receipt | None = None) -> EmbedParams:
+    """Fill each omitted scheme flag, then build the parameters (key b"" when none).
+
+    With a receipt, omitted flags and --n take its values and a given one must
+    agree with it: extraction decodes with what was embedded.
+    """
+    pinned = {} if receipt is None else {
+        "l": receipt.segment_length, "pmin": receipt.p_min, "pmax": receipt.p_max,
+        "criterion": receipt.criterion, "n": receipt.payload_bits}
+    for name, value in {**SCHEME_DEFAULTS, **pinned}.items():
+        given = getattr(args, name)
+        if given is None:
+            setattr(args, name, value)
+        elif name in pinned and value != (
+                normalize_criterion(given) if name == "criterion" else given):
+            raise NnwmError(f"--{name} {given} does not match the receipt's {value}")
+    return EmbedParams(segment_length=args.l, key=_parse_key(getattr(args, "key", None) or ""),
                        p_min=args.pmin, p_max=args.pmax)
 
 
@@ -84,7 +107,7 @@ def cmd_embed(args) -> int:
     tune_cfg = TrainConfig(epochs=args.finetune_epochs, lr=0.001, seed=args.seed)
     model = load_model(args.arch, args.weights)
     params = _params_from(args)
-    payload = WatermarkPayload(_parse_payload(args.payload), args.l)
+    payload = WatermarkPayload(_parse_payload("--payload", args.payload), args.l)
     if tune_cfg.epochs > 0:
         train, _ = synth_dataset(args.seed, 512, 256)
         check_fit(model, train)  # before the embed work; finetune checks the marked model
@@ -120,28 +143,27 @@ def cmd_embed(args) -> int:
 
 
 def _run_extract(args, suspect_arch: str) -> pipeline.ExtractionResult:
+    """Extract from suspect_arch by receipt or by original + key; warnings go to stderr."""
     suspect = load_arch(suspect_arch)
     if args.receipt:
         receipt = pruner.load_receipt(args.receipt)
-        if args.n is not None and args.n != receipt.payload_bits:
-            raise NnwmError(f"--n {args.n} does not match the receipt's "
-                            f"{receipt.payload_bits}-bit payload")
-        key = _parse_key(args.key) if args.key is not None else None
-        return pipeline.extract(receipt, suspect, key=key)
-    if not args.original:
-        raise NnwmError("need --original (manifest) or --receipt")
-    if args.key is None:
-        raise NnwmError("extraction from an original model needs --key")
-    if args.n is None:
-        raise NnwmError("extraction from an original model needs --n")
-    return pipeline.extract(load_arch(args.original), suspect, params=_params_from(args),
-                            n=args.n, criterion=args.criterion)
+        params = _params_from(args, receipt)
+        result = pipeline.extract(receipt, suspect, key=None if args.key is None else params.key)
+    else:
+        missing = [f"--{f}" for f in ("original", "key", "n") if getattr(args, f) is None]
+        if missing:
+            raise NnwmError(f"extraction needs --receipt, or --original with --key and --n "
+                            f"(missing {', '.join(missing)})")
+        params = _params_from(args)
+        result = pipeline.extract(load_arch(args.original), suspect, params=params,
+                                  n=args.n, criterion=args.criterion)
+    for w in result.warnings:
+        print(f"warning: {w}", file=sys.stderr)
+    return result
 
 
 def cmd_extract(args) -> int:
     result = _run_extract(args, args.suspect)
-    for w in result.warnings:
-        print(f"warning: {w}", file=sys.stderr)
     _emit(args, {
         "command": "extract", "bits": result.bits,
         "segments": [vars(s) for s in result.segments],
@@ -152,13 +174,9 @@ def cmd_extract(args) -> int:
 
 def _verify(args, suspect_arch: str) -> int:
     """Extract from suspect_arch and compare with --expect; 0 match, 1 mismatch."""
-    expected = _parse_payload(args.expect)
+    expected = _parse_payload("--expect", args.expect)
     result = _run_extract(args, suspect_arch)
-    if args.n is not None and args.n != len(expected):
-        raise NnwmError(f"--n {args.n} does not match --expect length {len(expected)}")
     report = pipeline.verify(expected, result, theta=args.theta)
-    for w in result.warnings:
-        print(f"warning: {w}", file=sys.stderr)
     verdict = "match" if report.matched else "mismatch"
     _emit(args, {
         "command": "verify", "ber": report.ber, "theta": report.theta,
@@ -172,12 +190,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_capacity(args) -> int:
-    if args.arch:
-        t = len(channel_counts(load_arch(args.arch)))
-    elif args.t is not None:
-        t = args.t
-    else:
-        raise NnwmError("capacity needs --t or --arch")
+    t = args.t if args.arch is None else len(channel_counts(load_arch(args.arch)))
     n = wm_codec.capacity(t, args.l, args.rcov)
     _emit(args, {"command": "capacity", "t": t, "l": args.l, "r_cov": args.rcov,
                  "capacity_bits": n}, str(n))
@@ -185,6 +198,7 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    params = _params_from(args)
     if args.scores:
         if not (args.arch and args.weights):
             raise NnwmError("inspect --scores needs --arch and --weights")
@@ -209,7 +223,6 @@ def cmd_inspect(args) -> int:
     if len(c_orig) != len(c_susp):
         raise ArchitectureMismatchError(
             f"original has {len(c_orig)} conv layers, suspect has {len(c_susp)}")
-    params = EmbedParams(segment_length=args.l, key=b"", p_min=args.pmin, p_max=args.pmax)
     segments = pipeline.decode_segments(list(enumerate(c_orig)), c_susp, params)
     rows = [{"index": s.layer_index, "c": s.c, "c_suspect": s.c_suspect, "rate": s.rate,
              "value": s.value, "in_range": not s.clamped} for s in segments]
@@ -289,16 +302,19 @@ def cmd_train_demo(args) -> int:
 
 
 def _add_scheme_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--l", type=int, default=3, help="segment length in bits")
-    p.add_argument("--pmin", type=float, default=wm_codec.DEFAULT_P_MIN)
-    p.add_argument("--pmax", type=float, default=wm_codec.DEFAULT_P_MAX)
-    p.add_argument("--criterion", default="l1", choices=["l1", "bn"],
-                   help="importance criterion (default l1)")
+    d = SCHEME_DEFAULTS  # the flags default to None, so _params_from can tell them omitted
+    p.add_argument("--l", type=int, help=f"segment length in bits (default {d['l']})")
+    p.add_argument("--pmin", type=float, help=f"lowest pruning rate (default {d['pmin']})")
+    p.add_argument("--pmax", type=float,
+                   help=f"end of the pruning-rate range, exclusive (default {d['pmax']})")
+    p.add_argument("--criterion", choices=["l1", "bn"],
+                   help=f"importance criterion (default {d['criterion']})")
 
 
 def _add_extract_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--original", help="manifest of the unmarked model")
-    p.add_argument("--receipt", help="embedding receipt (alternative to --original)")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--original", help="manifest of the unmarked model")
+    source.add_argument("--receipt", help="embedding receipt; supplies the scheme flags and --n")
     p.add_argument("--key")
     p.add_argument("--n", type=int, help="payload length in bits")
     _add_scheme_flags(p)
@@ -339,8 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("capacity", help="embeddable bits for a layer count")
-    p.add_argument("--t", type=int)
-    p.add_argument("--arch")
+    layers = p.add_mutually_exclusive_group(required=True)
+    layers.add_argument("--t", type=int)
+    layers.add_argument("--arch")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--rcov", type=float, required=True)
     p.set_defaults(func=cmd_capacity)
@@ -392,10 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NnwmError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (NnwmError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

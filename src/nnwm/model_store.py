@@ -22,9 +22,9 @@ A parsed manifest holds each declared tensor as a read-only, zero-stride
 zero placeholder (``np.broadcast_to``): its shape and size give the blob
 layout, but it allocates nothing, so a manifest that declares a huge
 tensor costs no memory.  ``load_arch`` stops there and runs only the
-structural checks; ``load_model`` compares the blob size against the
-placeholder sizes before it reads any tensor, then swaps in owned arrays
-and runs the full ``validate``, which also checks values.
+structural checks; ``load_model`` starts from it, compares the blob size
+against the placeholder sizes before it reads any tensor, then swaps in
+owned arrays and runs the full ``validate``, which also checks values.
 """
 
 from __future__ import annotations
@@ -163,8 +163,6 @@ class ConvLayer(_LayerBase):
         kh, kw = _int_pair(rec, "kernel", idx)
         stride = _int_pair(rec, "stride", idx)
         padding = _int_pair(rec, "padding", idx)
-        if min(co, ci, kh, kw) < 1:
-            raise ManifestError(f"layer {idx}: conv2d dims must be positive")
         return cls(_placeholder((co, ci, kh, kw), idx), _bias(rec, idx, co), stride, padding)
 
     def record(self) -> dict:
@@ -214,8 +212,6 @@ class BatchNormLayer(_LayerBase):
     @classmethod
     def from_record(cls, rec: dict, idx: int) -> BatchNormLayer:
         n = _int(rec, "channels", idx)
-        if n < 1:
-            raise ManifestError(f"layer {idx}: batchnorm channels must be positive")
         eps = rec.get("eps", DEFAULT_BN_EPS)
         if type(eps) not in (int, float):
             raise ManifestError(f"layer {idx}: 'eps' must be a number, got {eps!r}")
@@ -289,8 +285,6 @@ class LinearLayer(_LayerBase):
     @classmethod
     def from_record(cls, rec: dict, idx: int) -> LinearLayer:
         out, inp = _int(rec, "out", idx), _int(rec, "in", idx)
-        if min(out, inp) < 1:
-            raise ManifestError(f"layer {idx}: linear dims must be positive")
         return cls(_placeholder((out, inp), idx), _bias(rec, idx, out))
 
     def record(self) -> dict:
@@ -449,7 +443,7 @@ def load_arch(arch_path: str | Path) -> ModelGraph:
 
 def load_model(arch_path: str | Path, weights_path: str | Path) -> ModelGraph:
     """Load a manifest + weight blob pair; bit-exact float payload."""
-    model = _parse_manifest(arch_path)
+    model = load_arch(arch_path)
     blob = Path(weights_path).read_bytes()
     if len(blob) < 8 or blob[:4] != MAGIC:
         raise BlobFormatError(f"weight blob {weights_path} has bad magic (expected {MAGIC!r})")

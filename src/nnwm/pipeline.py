@@ -107,23 +107,16 @@ def embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
     eligible = eligible_layers(model, params, crit, required=m)
     stream = KeyStream(params.key)
     selected = sorted(wm_codec.keyed_shuffle(eligible, stream)[:m])
-    entries = []
-    carriers = []  # (ordinal, target rate, pruned count) per segment, ascending
-    for value, ordinal in zip(values, selected):
-        rate = wm_codec.encode_rate(value, params)
-        k = wm_codec.rate_to_channel_count(rate, counts[ordinal])
-        retained = plan_layer(model, positions[ordinal], k, crit)
-        entries.append(PlanEntry(positions[ordinal], tuple(retained)))
-        carriers.append((ordinal, rate, k))
+    # carriers first, then (with decoy) every other conv in ascending order
+    rates = {o: wm_codec.encode_rate(v, params) for v, o in zip(values, selected)}
     if decoy:
-        chosen = set(selected)
-        for ordinal in range(len(positions)):
-            if ordinal in chosen:
-                continue
-            rate = params.p_min + stream.uniform() * (params.p_max - params.p_min)
-            k = wm_codec.rate_to_channel_count(rate, counts[ordinal])
-            if k == 0 or not criterion_applicable(model, positions[ordinal], crit):
-                continue
+        rates.update({o: params.p_min + stream.uniform() * (params.p_max - params.p_min)
+                      for o in range(len(positions)) if o not in rates})
+    entries, pruned = [], {}
+    for ordinal, rate in rates.items():
+        k = pruned[ordinal] = wm_codec.rate_to_channel_count(rate, counts[ordinal])
+        # a carrier is eligible and prunes k >= 1, so only a decoy is ever skipped
+        if k and criterion_applicable(model, positions[ordinal], crit):
             retained = plan_layer(model, positions[ordinal], k, crit)
             entries.append(PlanEntry(positions[ordinal], tuple(retained)))
     marked = apply_prune(model, tuple(entries))
@@ -133,10 +126,9 @@ def embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
         p_max=params.p_max,
         criterion=crit,
         layers=tuple(
-            ReceiptLayer(index=ordinal, c=counts[ordinal],
-                         c_pruned=counts[ordinal] - k, target_rate=rate,
-                         realized_rate=k / counts[ordinal])
-            for ordinal, rate, k in carriers),
+            ReceiptLayer(index=o, c=counts[o], c_pruned=counts[o] - pruned[o],
+                         target_rate=rates[o], realized_rate=pruned[o] / counts[o])
+            for o in selected),
         payload_bits=payload.n,
         key_fingerprint=wm_codec.key_fingerprint(params.key),
     )

@@ -69,11 +69,50 @@ def test_extract_via_receipt(marked, capsys):
     assert capsys.readouterr().out.strip() == BITS48
 
 
-def test_extract_receipt_with_other_n_exit_two(marked, capsys):
-    rc = main(["extract", "--receipt", str(marked / "r.json"),
-               "--suspect", str(marked / "marked.json"), "--n", "999"])
+def receipt_argv(command, marked, *flags):
+    """extract, verify or attack --expect on the marked model, by receipt."""
+    source = ["--receipt", str(marked / "r.json"), *flags]
+    suspect = ["--suspect", str(marked / "marked.json")]
+    return {"extract": ["extract", *suspect, *source],
+            "verify": ["verify", *suspect, "--expect", BITS48, *source],
+            "attack": ["attack", "--type", "noise", "--sigma", "0",
+                       "--arch", str(marked / "marked.json"),
+                       "--weights", str(marked / "marked.bin"),
+                       "--out-prefix", str(marked / "atk-flags"),
+                       "--expect", BITS48, *source]}[command]
+
+
+@pytest.mark.parametrize("command", ["extract", "verify", "attack"])
+@pytest.mark.parametrize("flag, value, pinned", [
+    ("--n", "999", "48"), ("--l", "7", "3"), ("--pmax", "inf", "0.7"),
+    ("--criterion", "bn", "l1_norm")], ids=["n", "l", "pmax", "criterion"])
+def test_receipt_with_other_flag_exit_two(marked, capsys, command, flag, value, pinned):
+    rc = main(receipt_argv(command, marked, flag, value))
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: --n 999 does not match the receipt")
+    assert capsys.readouterr().err.startswith(
+        f"error: {flag} {value} does not match the receipt's {pinned}")
+
+
+@pytest.mark.parametrize("command", ["extract", "verify", "attack"])
+def test_receipt_equal_flags_accepted(marked, capsys, command):
+    rc = main(receipt_argv(command, marked, "--l", "3", "--pmax", "0.7",
+                           "--criterion", "l1", "--n", "48", "--json"))
+    assert rc == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out[out.rindex('{\n  "command"'):])  # attack prints two documents
+    assert doc["bits" if command == "extract" else "extracted"] == BITS48
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "--suspect", "s.json", "--original", "o.json", "--receipt", "r.json"],
+    ["verify", "--suspect", "s.json", "--expect", "1", "--original", "o.json",
+     "--receipt", "r.json"],
+    ["capacity", "--t", "5", "--arch", "host.json", "--l", "3", "--rcov", "1"],
+    ["capacity", "--l", "3", "--rcov", "1"]])
+def test_exclusive_inputs_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2  # argparse: not allowed with / one of the arguments
 
 
 def test_receipt_carrier_beyond_suspect_exit_two(marked, tiny_host, capsys):
@@ -414,6 +453,16 @@ def test_payload_from_file(host, capsys, tmp_path):
                "--suspect", str(tmp_path / "pf.json")])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "101101"
+
+
+@pytest.mark.parametrize("expect, message", [("102", " must be a '0'/'1' string"),
+                                             ("hex:zz", ": invalid hex string 'zz'")],
+                         ids=["bits", "hex"])
+def test_bad_expect_names_its_flag(marked, capsys, expect, message):
+    rc = main(["verify", "--receipt", str(marked / "r.json"),
+               "--suspect", str(marked / "marked.json"), "--expect", expect])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: --expect{message}")
 
 
 def test_payload_file_not_utf8_exit_two(tiny_host, capsys, tmp_path):

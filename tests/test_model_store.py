@@ -192,6 +192,15 @@ def test_huge_declared_tensor_fails_before_allocating(tmp_path):
     assert peak < 1.0, f"load_model peaked at {peak:.1f} MB before rejecting the blob"
 
 
+def test_zero_width_conv_reports_the_dimension(tmp_path):
+    # the blob holds a 1-channel conv, so a size check first would hide the zero
+    arch = one_conv_manifest(tmp_path, 0, 1, 3)
+    weights = tmp_path / "one.bin"
+    weights.write_bytes(b"NNWM" + (1).to_bytes(4, "little") + bytes(4 * 9))
+    with pytest.raises(ShapeConsistencyError, match="non-positive weight dim"):
+        load_model(arch, weights)
+
+
 def test_unrepresentable_shape_is_manifest_error(tmp_path):
     err, peak = peak_mb(lambda: load_arch(one_conv_manifest(tmp_path, 10**30, 1, 1)))
     assert isinstance(err, ManifestError) and "cannot represent" in str(err)

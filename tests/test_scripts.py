@@ -19,7 +19,7 @@ def test_capacity_table(capsys):
 
 
 def test_robustness_experiment(capsys):
-    assert load("robustness_experiment").main(["--trials", "1", "--rates", "0.05"]) == 0
+    assert load("robustness_experiment").main(["--rates", "0.05"]) == 0
     out = capsys.readouterr().out
     parameter_space = out.split("structural re-pruning sweep")[0].strip().splitlines()[1:]
     assert len(parameter_space) == 6
