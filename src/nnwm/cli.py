@@ -7,12 +7,17 @@ ends and are never stored inside a model, so a marked model stays
 indistinguishable from an ordinarily pruned one.  With --receipt the
 receipt supplies them and the payload length --n; a flag given beside it
 must agree with the receipt or the command exits 2.  --original and
---receipt exclude each other, as do capacity's --t and --arch.
+--receipt exclude each other, as do capacity's --t and --arch.  attack
+takes the extraction flags (--original, --receipt, --key, --n and the
+scheme flags) only with --expect, and inspect takes --arch, --weights and
+--criterion only with --scores and the other flags only without it; a
+flag the command would ignore exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -142,19 +147,29 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _run_extract(args, suspect_arch: str) -> pipeline.ExtractionResult:
-    """Extract from suspect_arch by receipt or by original + key; warnings go to stderr."""
-    suspect = load_arch(suspect_arch)
+# Where extraction takes its carriers from: the receipt (None with --original) and the params.
+Source = tuple[pruner.Receipt | None, EmbedParams]
+
+
+def _resolve_source(args) -> Source:
+    """Check the extraction flags and read the receipt, if any, before any model is read."""
     if args.receipt:
         receipt = pruner.load_receipt(args.receipt)
-        params = _params_from(args, receipt)
+        return receipt, _params_from(args, receipt)
+    missing = [f"--{f}" for f in ("original", "key", "n") if getattr(args, f) is None]
+    if missing:
+        raise NnwmError(f"extraction needs --receipt, or --original with --key and --n "
+                        f"(missing {', '.join(missing)})")
+    return None, _params_from(args)
+
+
+def _run_extract(args, suspect_arch: str, source: Source) -> pipeline.ExtractionResult:
+    """Extract from suspect_arch by the resolved source; warnings go to stderr."""
+    receipt, params = source
+    suspect = load_arch(suspect_arch)
+    if receipt is not None:
         result = pipeline.extract(receipt, suspect, key=None if args.key is None else params.key)
     else:
-        missing = [f"--{f}" for f in ("original", "key", "n") if getattr(args, f) is None]
-        if missing:
-            raise NnwmError(f"extraction needs --receipt, or --original with --key and --n "
-                            f"(missing {', '.join(missing)})")
-        params = _params_from(args)
         result = pipeline.extract(load_arch(args.original), suspect, params=params,
                                   n=args.n, criterion=args.criterion)
     for w in result.warnings:
@@ -163,7 +178,7 @@ def _run_extract(args, suspect_arch: str) -> pipeline.ExtractionResult:
 
 
 def cmd_extract(args) -> int:
-    result = _run_extract(args, args.suspect)
+    result = _run_extract(args, args.suspect, _resolve_source(args))
     _emit(args, {
         "command": "extract", "bits": result.bits,
         "segments": [vars(s) for s in result.segments],
@@ -172,10 +187,15 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _verify(args, suspect_arch: str) -> int:
-    """Extract from suspect_arch and compare with --expect; 0 match, 1 mismatch."""
-    expected = _parse_payload("--expect", args.expect)
-    result = _run_extract(args, suspect_arch)
+def _verify_inputs(args) -> tuple[str, Source]:
+    """The expected bits and the resolved extraction source, checked before any work."""
+    return _parse_payload("--expect", args.expect), _resolve_source(args)
+
+
+def _verify(args, suspect_arch: str, inputs: tuple[str, Source]) -> int:
+    """Extract from suspect_arch and compare with the expected bits; 0 match, 1 mismatch."""
+    expected, source = inputs
+    result = _run_extract(args, suspect_arch, source)
     report = pipeline.verify(expected, result, theta=args.theta)
     verdict = "match" if report.matched else "mismatch"
     _emit(args, {
@@ -186,7 +206,7 @@ def _verify(args, suspect_arch: str) -> int:
 
 
 def cmd_verify(args) -> int:
-    return _verify(args, args.suspect)
+    return _verify(args, args.suspect, _verify_inputs(args))
 
 
 def cmd_capacity(args) -> int:
@@ -197,7 +217,19 @@ def cmd_capacity(args) -> int:
     return 0
 
 
+def _reject(args, flags, why: str) -> None:
+    """Raise (exit 2) naming every one of flags that was given: the command would ignore it."""
+    given = [f"--{f}" for f in flags if getattr(args, f) is not None]
+    if given:
+        raise NnwmError(f"{', '.join(given)}: {why}")
+
+
 def cmd_inspect(args) -> int:
+    if args.scores:
+        _reject(args, ("original", "suspect", "l", "pmin", "pmax"),
+                "not used by inspect --scores")
+    else:
+        _reject(args, ("arch", "weights", "criterion"), "used only by inspect --scores")
     params = _params_from(args)
     if args.scores:
         if not (args.arch and args.weights):
@@ -236,6 +268,10 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    if args.expect:
+        inputs = _verify_inputs(args)
+    else:
+        _reject(args, EXTRACT_FLAGS, "used only by attack --expect")
     model = load_model(args.arch, args.weights)
     if args.type == "noise":
         attacked = pipeline.attack_noise(model, args.sigma, seed=args.seed)
@@ -254,7 +290,7 @@ def cmd_attack(args) -> int:
            "out_arch": out_arch, "out_weights": out_weights,
            "channel_counts": channel_counts(attacked)}
     _emit(args, doc, f"applied {args.type}; wrote {out_arch}, {out_weights}")
-    return _verify(args, out_arch) if args.expect else 0
+    return _verify(args, out_arch, inputs) if args.expect else 0
 
 
 def cmd_train_demo(args) -> int:
@@ -311,6 +347,9 @@ def _add_scheme_flags(p: argparse.ArgumentParser) -> None:
                    help=f"importance criterion (default {d['criterion']})")
 
 
+EXTRACT_FLAGS = ("original", "receipt", "key", "n", *SCHEME_DEFAULTS)
+
+
 def _add_extract_flags(p: argparse.ArgumentParser) -> None:
     source = p.add_mutually_exclusive_group()
     source.add_argument("--original", help="manifest of the unmarked model")
@@ -320,7 +359,11 @@ def _add_extract_flags(p: argparse.ArgumentParser) -> None:
     _add_scheme_flags(p)
 
 
-def build_parser() -> argparse.ArgumentParser:
+SEEDED = ("embed", "attack", "train-demo")  # commands whose --seed defaults to NNWM_SEED
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
+    """The nnwm parser and its SEEDED subparsers, with --seed defaulting to NNWM_SEED now."""
     parser = argparse.ArgumentParser(
         prog="nnwm",
         description="Embed and verify ownership watermarks in CNN architectures "
@@ -401,11 +444,23 @@ def build_parser() -> argparse.ArgumentParser:
     for sp in sub.choices.values():
         sp.add_argument("--json", action="store_true",
                         help="machine-readable output")
-    return parser
+    return parser, [sub.choices[c] for c in SEEDED]
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
+    return _build_parsers()
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, seeded = _parsers()  # built once per process; only the seed default is re-read
+    seed = _default_seed()
+    for sp in seeded:
+        sp.set_defaults(seed=seed)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

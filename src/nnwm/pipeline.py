@@ -236,7 +236,11 @@ def attack_noise(model: ModelGraph, sigma_rel: float, seed: int = 0) -> ModelGra
 
 
 def attack_zero_weights(model: ModelGraph, fraction: float) -> ModelGraph:
-    """Zero the given fraction of smallest-magnitude conv/linear weights, globally."""
+    """Zero the given fraction of smallest-magnitude conv/linear weights, globally.
+
+    Ties at the cut go to the earlier weights in blob order, as in a stable
+    ascending sort of the (finite, validated) magnitudes.
+    """
     if not (0.0 <= fraction <= 1.0):
         raise AttackConfigError(f"zeroed fraction must lie in [0, 1], got {fraction}")
     out = clone_graph(model)
@@ -246,9 +250,9 @@ def attack_zero_weights(model: ModelGraph, fraction: float) -> ModelGraph:
     if k == 0:
         return out
     magnitudes = np.concatenate([np.abs(t).ravel() for t in tensors])
-    order = np.argsort(magnitudes, kind="stable")
-    kill = np.zeros(total, dtype=bool)
-    kill[order[:k]] = True
+    cut = np.partition(magnitudes, k - 1)[k - 1]  # the k-th smallest magnitude
+    kill = magnitudes < cut
+    kill[np.flatnonzero(magnitudes == cut)[:k - np.count_nonzero(kill)]] = True
     off = 0
     for t in tensors:
         mask = kill[off:off + t.size].reshape(t.shape)

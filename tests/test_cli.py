@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from nnwm import pipeline
+from nnwm import cli, pipeline
 from nnwm.cli import main
+from nnwm.errors import NnwmError
 from nnwm.fixtures import vgg16_style, vgg_tiny
 from nnwm.model_store import load_model, save_model
 
@@ -69,7 +70,7 @@ def test_extract_via_receipt(marked, capsys):
     assert capsys.readouterr().out.strip() == BITS48
 
 
-def receipt_argv(command, marked, *flags):
+def receipt_argv(command, marked, out_dir, *flags):
     """extract, verify or attack --expect on the marked model, by receipt."""
     source = ["--receipt", str(marked / "r.json"), *flags]
     suspect = ["--suspect", str(marked / "marked.json")]
@@ -78,7 +79,7 @@ def receipt_argv(command, marked, *flags):
             "attack": ["attack", "--type", "noise", "--sigma", "0",
                        "--arch", str(marked / "marked.json"),
                        "--weights", str(marked / "marked.bin"),
-                       "--out-prefix", str(marked / "atk-flags"),
+                       "--out-prefix", str(out_dir / "atk-flags"),
                        "--expect", BITS48, *source]}[command]
 
 
@@ -86,16 +87,18 @@ def receipt_argv(command, marked, *flags):
 @pytest.mark.parametrize("flag, value, pinned", [
     ("--n", "999", "48"), ("--l", "7", "3"), ("--pmax", "inf", "0.7"),
     ("--criterion", "bn", "l1_norm")], ids=["n", "l", "pmax", "criterion"])
-def test_receipt_with_other_flag_exit_two(marked, capsys, command, flag, value, pinned):
-    rc = main(receipt_argv(command, marked, flag, value))
+def test_receipt_with_other_flag_exit_two(marked, capsys, tmp_path, command, flag, value,
+                                          pinned):
+    rc = main(receipt_argv(command, marked, tmp_path, flag, value))
     assert rc == 2
     assert capsys.readouterr().err.startswith(
         f"error: {flag} {value} does not match the receipt's {pinned}")
+    assert list(tmp_path.iterdir()) == []  # attack checks the flags before it attacks
 
 
 @pytest.mark.parametrize("command", ["extract", "verify", "attack"])
-def test_receipt_equal_flags_accepted(marked, capsys, command):
-    rc = main(receipt_argv(command, marked, "--l", "3", "--pmax", "0.7",
+def test_receipt_equal_flags_accepted(marked, capsys, tmp_path, command):
+    rc = main(receipt_argv(command, marked, tmp_path, "--l", "3", "--pmax", "0.7",
                            "--criterion", "l1", "--n", "48", "--json"))
     assert rc == 0
     out = capsys.readouterr().out
@@ -493,6 +496,7 @@ def test_key_not_utf8_exit_two(tiny_host, capsys, tmp_path, command):
     rc = main(argv)
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: --key")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_demo_small(capsys, tmp_path):
@@ -520,6 +524,81 @@ def test_nnwm_seed_env_default(monkeypatch):
     monkeypatch.setenv("NNWM_SEED", "not-a-number")
     args = build_parser().parse_args(["train-demo"])
     assert args.seed == 0
+
+
+def test_main_builds_parser_once(monkeypatch, capsys):
+    built = []
+
+    def counting():
+        built.append(1)
+        return real()
+
+    real = cli._build_parsers
+    monkeypatch.setattr(cli, "_build_parsers", counting)
+    cli._parsers.cache_clear()
+    try:
+        for t in ("5", "6", "7"):
+            assert main(["capacity", "--t", t, "--l", "2", "--rcov", "1"]) == 0
+    finally:
+        cli._parsers.cache_clear()
+    assert built == [1]
+    assert capsys.readouterr().out.split() == ["10", "12", "14"]
+
+
+def test_main_reads_nnwm_seed_per_call(monkeypatch, capsys):
+    seeds = []
+
+    def stop(seed):
+        seeds.append(seed)
+        raise NnwmError("stop before training")
+
+    monkeypatch.setattr("nnwm.cli.vgg_tiny", stop)
+    for env in ("11", "12", "not-a-number"):
+        monkeypatch.setenv("NNWM_SEED", env)
+        assert main(["train-demo"]) == 2
+    assert main(["train-demo", "--seed", "5"]) == 2
+    assert seeds == [11, 12, 0, 5]
+
+
+def test_scheme_flag_does_not_leak_into_next_call(marked, capsys):
+    rc = main(["extract", "--original", str(marked / "host.json"),
+               "--suspect", str(marked / "marked.json"), "--key", "owner", "--n", "24",
+               "--l", "4", "--pmax", "0.6", "--criterion", "bn"])
+    assert rc == 0
+    capsys.readouterr()
+    rc = main(["extract", "--receipt", str(marked / "r.json"),
+               "--suspect", str(marked / "marked.json")])
+    assert rc == 0
+    assert capsys.readouterr().out.strip() == BITS48
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--receipt", "r.json"), ("--original", "o.json"), ("--key", "k"), ("--n", "3"),
+    ("--l", "3"), ("--pmin", "0"), ("--pmax", "0.7"), ("--criterion", "l1")])
+def test_attack_extraction_flag_without_expect_exit_two(tiny_host, capsys, tmp_path, flag,
+                                                        value):
+    rc = main(["attack", "--type", "noise", "--arch", str(tiny_host / "tiny.json"),
+               "--weights", str(tiny_host / "tiny.bin"),
+               "--out-prefix", str(tmp_path / "a"), flag, value])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}: used only by attack --expect")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("scores, flag, value", [
+    (False, "--criterion", "bn"), (False, "--arch", "tiny.json"),
+    (False, "--weights", "tiny.bin"), (True, "--l", "3"), (True, "--pmin", "0"),
+    (True, "--pmax", "0.7"), (True, "--original", "tiny.json"),
+    (True, "--suspect", "tiny.json")])
+def test_inspect_flag_of_other_mode_exit_two(tiny_host, capsys, scores, flag, value):
+    arch, weights = str(tiny_host / "tiny.json"), str(tiny_host / "tiny.bin")
+    mode = (["--scores", "--arch", arch, "--weights", weights] if scores
+            else ["--original", arch, "--suspect", arch])
+    rc = main(["inspect", *mode, flag,
+               str(tiny_host / value) if value.startswith("tiny") else value])
+    assert rc == 2
+    why = "not used by inspect --scores" if scores else "used only by inspect --scores"
+    assert capsys.readouterr().err.startswith(f"error: {flag}: {why}")
 
 
 def test_json_outputs_are_schema_stable(marked, capsys):

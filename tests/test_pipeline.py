@@ -2,10 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nnwm.errors import ArchitectureMismatchError, CapacityError, CodecError
 from nnwm.fixtures import random_conv_net, vgg16_style, vgg_tiny
-from nnwm.model_store import channel_counts, clone_graph, conv_layer_indices
+from nnwm.model_store import (
+    ConvLayer,
+    LinearLayer,
+    channel_counts,
+    clone_graph,
+    conv_layer_indices,
+)
 from nnwm.pipeline import (
     attack_finetune,
     attack_noise,
@@ -17,7 +25,7 @@ from nnwm.pipeline import (
     verify,
 )
 from nnwm.toy_trainer import synth_dataset
-from nnwm.wm_codec import EmbedParams, WatermarkPayload, min_channels
+from nnwm.wm_codec import EmbedParams, WatermarkPayload, min_channels, round_half_up
 
 
 def random_bits(rng, n):
@@ -223,6 +231,30 @@ def test_attack_zero_weights_fraction_is_global():
             total += ly.weights.size
             zeroed += int((ly.weights == 0).sum())
     assert zeroed == round(0.25 * total)
+
+
+SMALL_NET = random_conv_net(0, n_convs=3, c_lo=2, c_hi=6)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=4),
+       st.floats(min_value=0.0, max_value=1.0))
+@settings(max_examples=200, deadline=None)
+def test_attack_zero_weights_matches_stable_sort(seed, levels, fraction):
+    # magnitudes on a small non-zero grid, so most of them tie; a weight is zero
+    # after the attack iff the attack zeroed it
+    model = clone_graph(SMALL_NET)
+    tensors = [ly.weights for ly in model.layers if isinstance(ly, (ConvLayer, LinearLayer))]
+    rng = np.random.default_rng(seed)
+    for t in tensors:
+        t[...] = rng.integers(1, levels + 1, t.shape) * rng.choice([-1.0, 1.0], t.shape)
+    magnitudes = np.concatenate([np.abs(t).ravel() for t in tensors])
+    k = round_half_up(fraction * magnitudes.size)
+    expected = np.zeros(magnitudes.size, dtype=bool)
+    expected[np.argsort(magnitudes, kind="stable")[:k]] = True
+    out = attack_zero_weights(model, fraction)
+    zeroed = np.concatenate([(ly.weights == 0).ravel() for ly in out.layers
+                             if isinstance(ly, (ConvLayer, LinearLayer))])
+    assert np.array_equal(zeroed, expected)
 
 
 def test_attack_finetune_preserves_watermark():
