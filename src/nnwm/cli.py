@@ -7,11 +7,13 @@ ends and are never stored inside a model, so a marked model stays
 indistinguishable from an ordinarily pruned one.  With --receipt the
 receipt supplies them and the payload length --n; a flag given beside it
 must agree with the receipt or the command exits 2.  --original and
---receipt exclude each other, as do capacity's --t and --arch.  attack
-takes the extraction flags (--original, --receipt, --key, --n and the
-scheme flags) only with --expect, and inspect takes --arch, --weights and
---criterion only with --scores and the other flags only without it; a
-flag the command would ignore exits 2.
+--receipt exclude each other, as do capacity's --t and --arch; capacity
+takes --pmin, --pmax and --criterion only with --arch, which counts the
+eligible conv layers.  attack takes the extraction flags (--original,
+--receipt, --key, --n and the scheme flags) and --theta only with
+--expect, and inspect takes --arch, --weights and --criterion only with
+--scores and the other flags only without it; a flag the command would
+ignore exits 2.
 """
 
 from __future__ import annotations
@@ -188,7 +190,11 @@ def cmd_extract(args) -> int:
 
 
 def _verify_inputs(args) -> tuple[str, Source]:
-    """The expected bits and the resolved extraction source, checked before any work."""
+    """The expected bits and the resolved extraction source, checked before any work.
+
+    Also fills an omitted --theta with 0.0 and checks its range.
+    """
+    args.theta = pipeline.check_theta(0.0 if args.theta is None else args.theta)
     return _parse_payload("--expect", args.expect), _resolve_source(args)
 
 
@@ -210,7 +216,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_capacity(args) -> int:
-    t = args.t if args.arch is None else len(channel_counts(load_arch(args.arch)))
+    if args.arch is None:
+        _reject(args, ("pmin", "pmax", "criterion"), "used only by capacity --arch")
+        t = args.t
+    else:
+        params = _params_from(args)
+        # required=1, so a host with no eligible layer exits 2 with the reasons
+        t = len(pipeline.eligible_layers(load_arch(args.arch), params, args.criterion,
+                                         required=1))
     n = wm_codec.capacity(t, args.l, args.rcov)
     _emit(args, {"command": "capacity", "t": t, "l": args.l, "r_cov": args.rcov,
                  "capacity_bits": n}, str(n))
@@ -271,7 +284,7 @@ def cmd_attack(args) -> int:
     if args.expect:
         inputs = _verify_inputs(args)
     else:
-        _reject(args, EXTRACT_FLAGS, "used only by attack --expect")
+        _reject(args, (*EXTRACT_FLAGS, "theta"), "used only by attack --expect")
     model = load_model(args.arch, args.weights)
     if args.type == "noise":
         attacked = pipeline.attack_noise(model, args.sigma, seed=args.seed)
@@ -337,14 +350,21 @@ def cmd_train_demo(args) -> int:
     return 0
 
 
-def _add_scheme_flags(p: argparse.ArgumentParser) -> None:
+def _add_scheme_flags(p: argparse.ArgumentParser, l_required: bool = False) -> None:
     d = SCHEME_DEFAULTS  # the flags default to None, so _params_from can tell them omitted
-    p.add_argument("--l", type=int, help=f"segment length in bits (default {d['l']})")
+    p.add_argument("--l", type=int, required=l_required,
+                   help="segment length in bits" + ("" if l_required else f" (default {d['l']})"))
     p.add_argument("--pmin", type=float, help=f"lowest pruning rate (default {d['pmin']})")
     p.add_argument("--pmax", type=float,
                    help=f"end of the pruning-rate range, exclusive (default {d['pmax']})")
     p.add_argument("--criterion", choices=["l1", "bn"],
                    help=f"importance criterion (default {d['criterion']})")
+
+
+def _add_theta_flag(p: argparse.ArgumentParser) -> None:
+    # defaults to None, so attack can tell it given without --expect
+    p.add_argument("--theta", type=float,
+                   help="largest bit error rate that still counts as a match (default 0.0)")
 
 
 EXTRACT_FLAGS = ("original", "receipt", "key", "n", *SCHEME_DEFAULTS)
@@ -394,14 +414,14 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPar
     p.add_argument("--suspect", required=True, help="manifest of the suspect model")
     _add_extract_flags(p)
     p.add_argument("--expect", required=True)
-    p.add_argument("--theta", type=float, default=0.0)
+    _add_theta_flag(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("capacity", help="embeddable bits for a layer count")
     layers = p.add_mutually_exclusive_group(required=True)
-    layers.add_argument("--t", type=int)
-    layers.add_argument("--arch")
-    p.add_argument("--l", type=int, required=True)
+    layers.add_argument("--t", type=int, help="number of eligible conv layers")
+    layers.add_argument("--arch", help="manifest whose eligible conv layers are counted")
+    _add_scheme_flags(p, l_required=True)
     p.add_argument("--rcov", type=float, required=True)
     p.set_defaults(func=cmd_capacity)
 
@@ -428,7 +448,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPar
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--expect", help="chain a verify run against these bits")
     _add_extract_flags(p)
-    p.add_argument("--theta", type=float, default=0.0)
+    _add_theta_flag(p)
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("train-demo",

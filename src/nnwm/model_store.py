@@ -21,15 +21,26 @@ source of truth.  load/save round-trip at byte level.
 A parsed manifest holds each declared tensor as a read-only, zero-stride
 zero placeholder (``np.broadcast_to``): its shape and size give the blob
 layout, but it allocates nothing, so a manifest that declares a huge
-tensor costs no memory.  ``load_arch`` stops there and runs only the
-structural checks; ``load_model`` starts from it, compares the blob size
-against the placeholder sizes before it reads any tensor, then swaps in
-owned arrays and runs the full ``validate``, which also checks values.
+tensor costs no memory.
+
+The checks come in two parts, run where each is needed.  The structural
+part, ``layer_input_shapes``, needs only the manifest; the value part,
+``check_values`` (every value finite, every ``running_var`` >= 0), needs
+the weights; ``validate`` runs both.
+- ``load_arch`` runs the structural checks and stops.
+- ``load_model`` starts from ``load_arch``, checks the blob's header and
+  compares its size with the placeholder sizes before it reads any tensor,
+  reads each tensor into an owned, writable array of its own, then runs
+  the value checks.
+- ``pruner.apply_prune`` reruns only the structural checks: slicing loaded
+  arrays cannot create a bad value.
+- ``save_model`` runs the full ``validate`` before it writes anything.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator
@@ -188,7 +199,8 @@ class ConvLayer(_LayerBase):
         return ("map", self.c_out, ho, wo)
 
     def keep_inputs(self, retained: list[int], in_shape: tuple) -> bool:
-        self.weights = self.weights[:, retained]
+        # the bytes of weights[:, retained], but faster and in an array of its own
+        self.weights = np.take(self.weights, retained, axis=1)
         return True
 
 
@@ -302,7 +314,7 @@ class LinearLayer(_LayerBase):
         # a flattened map feeds h*w consecutive columns per channel
         per_channel = in_shape[2] * in_shape[3] if in_shape[0] == "map" else 1
         cols = (np.asarray(retained)[:, None] * per_channel + np.arange(per_channel)).ravel()
-        self.weights = self.weights[:, cols]
+        self.weights = np.take(self.weights, cols, axis=1)
         return True
 
 
@@ -362,18 +374,23 @@ def layer_input_shapes(model: ModelGraph) -> list[tuple]:
     return shapes
 
 
-def validate(model: ModelGraph) -> None:
-    """Check every structural invariant and that every array holds finite values.
+def check_values(model: ModelGraph) -> None:
+    """Check that every array holds finite values and no running_var is negative.
 
-    Raises ShapeConsistencyError if either is violated.
+    Raises ShapeConsistencyError on the first violation.
     """
-    layer_input_shapes(model)
     for pos, ly in enumerate(model.layers):
         where = f"layer {pos} ({type(ly).__name__})"
         for attr, arr in layer_arrays(ly):
             _check(bool(np.isfinite(arr).all()), f"{where}: non-finite {attr}")
         if isinstance(ly, BatchNormLayer):
             _check(bool((ly.running_var >= 0).all()), f"{where}: negative running_var")
+
+
+def validate(model: ModelGraph) -> None:
+    """Check every structural invariant, then every value; raise ShapeConsistencyError."""
+    layer_input_shapes(model)
+    check_values(model)
 
 
 def clone_graph(model: ModelGraph) -> ModelGraph:
@@ -442,24 +459,32 @@ def load_arch(arch_path: str | Path) -> ModelGraph:
 
 
 def load_model(arch_path: str | Path, weights_path: str | Path) -> ModelGraph:
-    """Load a manifest + weight blob pair; bit-exact float payload."""
+    """Load a manifest + weight blob pair; bit-exact float payload.
+
+    The structural checks run first, then the blob's header and size are
+    checked before any tensor is read, and the value checks run last.
+    """
     model = load_arch(arch_path)
-    blob = Path(weights_path).read_bytes()
-    if len(blob) < 8 or blob[:4] != MAGIC:
-        raise BlobFormatError(f"weight blob {weights_path} has bad magic (expected {MAGIC!r})")
-    version = int.from_bytes(blob[4:8], "little")
-    if version != VERSION:
-        raise BlobFormatError(f"unsupported blob version {version} (expected {VERSION})")
-    expected = 8 + 4 * sum(arr.size for ly in model.layers for _, arr in layer_arrays(ly))
-    if len(blob) != expected:
-        raise BlobSizeError(f"weight blob is {len(blob)} bytes, manifest declares {expected}")
-    off = 8
-    for ly in model.layers:
-        for attr, shaped in list(layer_arrays(ly)):
-            arr = np.frombuffer(blob, dtype="<f4", count=shaped.size, offset=off)
-            setattr(ly, attr, arr.reshape(shaped.shape).copy())
-            off += 4 * shaped.size
-    validate(model)
+    with open(weights_path, "rb") as fh:
+        head = fh.read(8)
+        if len(head) < 8 or head[:4] != MAGIC:
+            raise BlobFormatError(f"weight blob {weights_path} has bad magic (expected {MAGIC!r})")
+        version = int.from_bytes(head[4:8], "little")
+        if version != VERSION:
+            raise BlobFormatError(f"unsupported blob version {version} (expected {VERSION})")
+        size = os.fstat(fh.fileno()).st_size
+        expected = 8 + 4 * sum(arr.size for ly in model.layers for _, arr in layer_arrays(ly))
+        if size != expected:
+            raise BlobSizeError(f"weight blob is {size} bytes, manifest declares {expected}")
+        for pos, ly in enumerate(model.layers):
+            for attr, shaped in list(layer_arrays(ly)):
+                arr = np.fromfile(fh, dtype="<f4", count=shaped.size)
+                if arr.size != shaped.size:  # the file shrank after the size check
+                    raise BlobSizeError(f"weight blob {weights_path} ended inside "
+                                        f"layer {pos} {attr}")
+                arr.shape = shaped.shape  # in place: a reshape would not own its data
+                setattr(ly, attr, arr)
+    check_values(model)
     return model
 
 
@@ -473,8 +498,8 @@ def save_model(model: ModelGraph, arch_path: str | Path, weights_path: str | Pat
         "layers": [{"type": ly.TYPE, **ly.record()} for ly in model.layers],
     }
     Path(arch_path).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    parts = [MAGIC, VERSION.to_bytes(4, "little")]
-    for ly in model.layers:
-        for _, arr in layer_arrays(ly):
-            parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    Path(weights_path).write_bytes(b"".join(parts))
+    with open(weights_path, "wb") as fh:
+        fh.write(MAGIC + VERSION.to_bytes(4, "little"))
+        for ly in model.layers:
+            for _, arr in layer_arrays(ly):
+                fh.write(np.ascontiguousarray(arr, dtype="<f4"))

@@ -196,11 +196,17 @@ def extract(original: ModelGraph | Receipt, suspect: ModelGraph,
     return ExtractionResult(bits=bits, segments=segments, warnings=warnings)
 
 
+def check_theta(theta: float) -> float:
+    """The match threshold, if it lies in [0, 1]; CodecError otherwise (nan included)."""
+    if not 0.0 <= theta <= 1.0:
+        raise CodecError(f"theta must lie in [0, 1], got {theta}")
+    return theta
+
+
 def verify(expected: str, extracted: str | ExtractionResult,
            theta: float = 0.0) -> VerifyReport:
     """Bit error rate between expected and extracted; match iff BER <= theta."""
-    if not 0.0 <= theta <= 1.0:
-        raise CodecError(f"theta must lie in [0, 1], got {theta}")
+    check_theta(theta)
     if isinstance(extracted, ExtractionResult):
         extracted = extracted.bits
     if len(expected) != len(extracted):
@@ -287,6 +293,4 @@ def attack_structural(model: ModelGraph, extra_rate: float, seed: int = 0) -> Mo
             continue
         dropped = set(rng.choice(c, size=k, replace=False).tolist())
         entries.append(PlanEntry(pos, tuple(i for i in range(c) if i not in dropped)))
-    if not entries:
-        return clone_graph(model)
     return apply_prune(model, tuple(entries))

@@ -6,24 +6,27 @@ a batchnorm slices its vectors and relu and the pools pass the channels
 on unchanged, until the next conv (input channels) or a linear head (the
 matching columns, per channel of a flattened map) absorbs them.  The
 per-type rules live on the layer classes in ``model_store``.  The result
-is a new graph; inputs are never mutated.
+is a new graph that owns every array it holds; inputs are never mutated.
 """
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import importance
 from .errors import PlanError
 from .model_store import (
     ConvLayer,
     ModelGraph,
-    clone_graph,
     keep_channels,
+    layer_arrays,
     layer_input_shapes,
-    validate,
 )
+# Not called here: bound only because perfbench/tests/test_perfbench.py patches them here.
+from .model_store import clone_graph, validate  # noqa: F401
 
 RECEIPT_FORMAT = "nnwm-receipt-v1"
 
@@ -81,12 +84,17 @@ def apply_prune(model: ModelGraph, entries: tuple[PlanEntry, ...]) -> ModelGraph
     for entry in entries:
         _check_entry(model, entry)
     input_shapes = layer_input_shapes(model)  # also proves every consumer's width
-    out = clone_graph(model)
+    out = ModelGraph([replace(ly) for ly in model.layers], tuple(model.input_shape), model.name)
     for entry in entries:
         retained = list(entry.retained)
         keep_channels(out.layers[entry.conv_index], retained)
         _rewire_consumers(out.layers, entry.conv_index, retained, input_shapes)
-    validate(out)
+    # slicing made new arrays; copy only the ones no entry touched
+    for src, ly in zip(model.layers, out.layers):
+        for attr, arr in list(layer_arrays(ly)):
+            if np.may_share_memory(arr, getattr(src, attr)):
+                setattr(ly, attr, arr.copy())
+    layer_input_shapes(out)  # slicing creates no value; save_model checks the values
     return out
 
 

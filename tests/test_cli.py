@@ -8,7 +8,7 @@ import pytest
 from nnwm import cli, pipeline
 from nnwm.cli import main
 from nnwm.errors import NnwmError
-from nnwm.fixtures import vgg16_style, vgg_tiny
+from nnwm.fixtures import random_conv_net, vgg16_style, vgg_tiny
 from nnwm.model_store import load_model, save_model
 
 BITS48 = "110100101011110000101001101111000010100110111100"
@@ -199,6 +199,47 @@ def test_capacity_json(capsys):
                    "capacity_bits": 69}
 
 
+@pytest.fixture(scope="module")
+def narrow_host(tmp_path_factory):
+    """Conv widths [18, 14, 12, 8, 9, 4]: 3 eligible at l=3 over [0, 0.7)."""
+    d = tmp_path_factory.mktemp("narrow")
+    save_model(random_conv_net(0, n_convs=6, c_lo=4, c_hi=20), d / "h.json", d / "h.bin")
+    return d
+
+
+def test_capacity_arch_counts_only_eligible_layers(narrow_host, capsys, tmp_path):
+    arch = str(narrow_host / "h.json")
+    assert main(["capacity", "--arch", arch, "--l", "3", "--rcov", "1.0"]) == 0
+    assert capsys.readouterr().out.strip() == "9"
+    # embed accepts exactly that many bits at full coverage
+    for bits, rc in (("101" * 3, 0), ("101" * 4, 2)):
+        assert main(["embed", "--arch", arch, "--weights", str(narrow_host / "h.bin"),
+                     "--payload", bits, "--key", "k", "--l", "3",
+                     "--out-prefix", str(tmp_path / "m"),
+                     "--receipt", str(tmp_path / "r.json")]) == rc
+    assert "3 eligible" in capsys.readouterr().err
+
+
+def test_capacity_arch_takes_the_scheme_flags(narrow_host, capsys):
+    arch = str(narrow_host / "h.json")
+    # a wider rate range lets narrower layers decode; every conv is followed by a batchnorm
+    assert main(["capacity", "--arch", arch, "--l", "1", "--rcov", "1.0", "--pmax", "0.9",
+                 "--criterion", "bn", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"command", "t", "l", "r_cov", "capacity_bits"}
+    assert doc["t"] == 6 and doc["capacity_bits"] == 6
+    # at l=5 no layer is wide enough: the error says why, not "count must be >= 1"
+    assert main(["capacity", "--arch", arch, "--l", "5", "--rcov", "1.0"]) == 2
+    assert "6 conv layers total, 6 narrower than" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--pmin", "0"), ("--pmax", "0.7"),
+                                         ("--criterion", "bn")])
+def test_capacity_t_with_scheme_flag_exit_two(capsys, flag, value):
+    assert main(["capacity", "--t", "5", "--l", "3", "--rcov", "1", flag, value]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}: used only by capacity --arch")
+
+
 def test_inspect_unmarked_pair_all_zero(host, capsys):
     rc = main(["inspect", "--original", str(host / "host.json"),
                "--suspect", str(host / "host.json"), "--l", "3", "--json"])
@@ -257,15 +298,16 @@ def test_verify_bad_theta_exit_two(marked, capsys, theta):
     assert "theta" in capsys.readouterr().err
 
 
-def test_attack_expect_bad_theta_exit_two(marked, capsys):
+def test_attack_expect_bad_theta_exit_two(marked, capsys, tmp_path):
     rc = main(["attack", "--type", "noise", "--sigma", "0.0",
                "--arch", str(marked / "marked.json"),
                "--weights", str(marked / "marked.bin"),
-               "--out-prefix", str(marked / "atk-theta"),
+               "--out-prefix", str(tmp_path / "atk-theta"),
                "--expect", BITS48, "--receipt", str(marked / "r.json"),
                "--theta", "nan"])
     assert rc == 2
     assert "theta" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # checked before the attack
 
 
 @pytest.fixture
@@ -574,7 +616,8 @@ def test_scheme_flag_does_not_leak_into_next_call(marked, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--receipt", "r.json"), ("--original", "o.json"), ("--key", "k"), ("--n", "3"),
-    ("--l", "3"), ("--pmin", "0"), ("--pmax", "0.7"), ("--criterion", "l1")])
+    ("--l", "3"), ("--pmin", "0"), ("--pmax", "0.7"), ("--criterion", "l1"),
+    ("--theta", "0.5")])
 def test_attack_extraction_flag_without_expect_exit_two(tiny_host, capsys, tmp_path, flag,
                                                         value):
     rc = main(["attack", "--type", "noise", "--arch", str(tiny_host / "tiny.json"),
@@ -612,3 +655,4 @@ def test_json_outputs_are_schema_stable(marked, capsys):
           "--suspect", str(marked / "marked.json"), "--expect", BITS48, "--json"])
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == {"command", "ber", "theta", "matched", "extracted"}
+    assert doc["theta"] == 0.0  # the default of an omitted --theta

@@ -2,10 +2,12 @@
 
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from nnwm import model_store
 from nnwm.errors import (
     BlobFormatError,
     BlobSizeError,
@@ -60,6 +62,52 @@ def test_truncated_blob_raises_size_error(tmp_path, tiny_model):
     weights.write_bytes(blob[:-4])
     with pytest.raises(BlobSizeError):
         load_model(arch, weights)
+
+
+@pytest.mark.parametrize("whole", [False, True], ids=["inside_last_tensor", "whole_last_tensor"])
+def test_blob_that_shrinks_after_the_size_check_raises_size_error(tmp_path, tiny_model,
+                                                                 monkeypatch, whole):
+    # the size check passes on the full size; the read then runs out of file
+    arch, weights = saved(tmp_path, tiny_model)
+    full = weights.stat().st_size
+    _, last = list(layer_arrays(tiny_model.layers[-1]))[-1]
+    weights.write_bytes(weights.read_bytes()[:-4 * last.size if whole else -4])
+    monkeypatch.setattr(model_store.os, "fstat", lambda fd: SimpleNamespace(st_size=full))
+    with pytest.raises(BlobSizeError, match="ended inside layer"):
+        load_model(arch, weights)
+
+
+def blob_offset(model, pos: int, attr: str) -> int:
+    """Byte offset of layer pos's attr in the model's blob."""
+    off = 8
+    for p, ly in enumerate(model.layers):
+        for a, arr in layer_arrays(ly):
+            if (p, a) == (pos, attr):
+                return off
+            off += 4 * arr.size
+    raise KeyError((pos, attr))
+
+
+@pytest.mark.parametrize("pos, attr, value, message", [
+    (0, "weights", np.nan, "non-finite weights"),
+    (3, "weights", -np.inf, "non-finite weights"),
+    (1, "running_var", -1.0, "negative running_var")])
+def test_load_rejects_bad_values_in_the_blob(tmp_path, tiny_model, pos, attr, value, message):
+    arch, weights = saved(tmp_path, tiny_model)
+    blob = bytearray(weights.read_bytes())
+    off = blob_offset(tiny_model, pos, attr)
+    blob[off:off + 4] = np.array([value], dtype="<f4").tobytes()
+    weights.write_bytes(bytes(blob))
+    with pytest.raises(ShapeConsistencyError, match=f"layer {pos} .*{message}"):
+        load_model(arch, weights)
+
+
+def test_save_rejects_a_nan_and_writes_no_blob(tmp_path, tiny_model):
+    tiny_model.layers[0].weights[1, 0, 0, 0] = np.nan
+    arch, weights = tmp_path / "x.json", tmp_path / "x.bin"
+    with pytest.raises(ShapeConsistencyError, match="non-finite weights"):
+        save_model(tiny_model, arch, weights)
+    assert not arch.exists() and not weights.exists()
 
 
 def test_bad_magic_and_version(tmp_path, tiny_model):

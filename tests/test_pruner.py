@@ -6,15 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nnwm.errors import PlanError
-from nnwm.fixtures import random_conv_net, vgg_tiny
+from nnwm.fixtures import random_conv_net, vgg16_style, vgg_tiny
 from nnwm.model_store import (
     BatchNormLayer,
     ConvLayer,
     ModelGraph,
     channel_counts,
     conv_layer_indices,
+    layer_arrays,
     validate,
 )
+from nnwm.pipeline import embed
 from nnwm.pruner import (
     PlanEntry,
     Receipt,
@@ -25,6 +27,7 @@ from nnwm.pruner import (
     save_receipt,
 )
 from nnwm.toy_trainer import forward
+from nnwm.wm_codec import EmbedParams, WatermarkPayload
 
 
 def scored_model(scores):
@@ -114,6 +117,30 @@ def test_apply_prune_slices_flattened_linear_columns():
     cols = [c for ch in retained for c in range(ch * 4, ch * 4 + 4)]
     np.testing.assert_array_equal(out.layers[1].weights, linear_w[:, cols])
     validate(out)
+
+
+def all_arrays(model: ModelGraph) -> list[tuple[int, str, np.ndarray]]:
+    return [(pos, attr, arr) for pos, ly in enumerate(model.layers)
+            for attr, arr in layer_arrays(ly)]
+
+
+@pytest.mark.parametrize("plan", ["empty", "carriers", "decoy"])
+def test_apply_prune_output_aliases_nothing(plan):
+    model = vgg16_style(0)
+    before = [arr.tobytes() for _, _, arr in all_arrays(model)]
+    if plan == "empty":
+        out = apply_prune(model, ())
+    else:  # 2 carriers leave 14 convs untouched; decoys prune the other 14 too
+        out, _ = embed(model, WatermarkPayload("110011", 3), EmbedParams(3, b"owner"),
+                       decoy=plan == "decoy")
+    untouched = sum(a == b for a, b in zip(channel_counts(model), channel_counts(out)))
+    assert untouched == {"empty": 16, "carriers": 14, "decoy": 0}[plan]
+    inputs = [arr for _, _, arr in all_arrays(model)]
+    for pos, attr, arr in all_arrays(out):
+        assert arr.flags.owndata and arr.flags.writeable, (pos, attr)
+        assert not any(np.shares_memory(arr, src) for src in inputs), (pos, attr)
+        arr[...] = 7.0
+    assert [arr.tobytes() for arr in inputs] == before
 
 
 def test_apply_prune_rejects_bad_plans(tiny_model):
