@@ -19,6 +19,7 @@ ignore exits 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -314,25 +315,25 @@ def cmd_train_demo(args) -> int:
     t = len(channel_counts(host))
     pipeline.eligible_layers(host, params, args.criterion, required=t)  # widths never train
     train, test = synth_dataset(args.seed, 512, 256)
-    rows = []
+    # Opened before any training, so that a bad path exits 2 at once.
+    with (open(args.metrics_csv, "w", encoding="utf-8") if args.metrics_csv
+          else contextlib.nullcontext()) as csv:
 
-    def log_epoch(epoch, model, loss):
-        rows.append(f"{epoch},{loss:.6f},{evaluate(model, test):.6f}\n")
+        def log_epoch(epoch, model, loss):
+            csv.write(f"{epoch},{loss:.6f},{evaluate(model, test):.6f}\n")
 
-    after_epoch = log_epoch if args.metrics_csv else None
-    base = finetune(host, train, base_cfg, after_epoch)
-    acc_base = evaluate(base, test)
-    rng = np.random.default_rng(args.seed)
-    bits = "".join(rng.choice(["0", "1"], size=args.l * t))
-    payload = WatermarkPayload(bits, args.l)
-    marked, receipt = pipeline.embed(base, payload, params, criterion=args.criterion)
-    tuned = finetune(marked, train, tune_cfg, after_epoch)
+        if csv:
+            csv.write("epoch,train_loss,test_accuracy\n")
+        after_epoch = log_epoch if csv else None
+        base = finetune(host, train, base_cfg, after_epoch)
+        acc_base = evaluate(base, test)
+        rng = np.random.default_rng(args.seed)
+        bits = "".join(rng.choice(["0", "1"], size=args.l * t))
+        payload = WatermarkPayload(bits, args.l)
+        marked, receipt = pipeline.embed(base, payload, params, criterion=args.criterion)
+        tuned = finetune(marked, train, tune_cfg, after_epoch)
     acc_marked = evaluate(tuned, test)
     report = pipeline.verify(bits, pipeline.extract(receipt, tuned))
-    if args.metrics_csv:
-        with open(args.metrics_csv, "w", encoding="utf-8") as fh:
-            fh.write("epoch,train_loss,test_accuracy\n")
-            fh.writelines(rows)
     doc = {
         "command": "train-demo", "seed": args.seed, "criterion": args.criterion,
         "payload_bits": len(bits), "baseline_accuracy": acc_base,

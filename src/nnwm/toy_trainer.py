@@ -9,13 +9,27 @@ linear head, plus softmax cross-entropy and plain SGD with weight decay.
 ``KERNELS`` maps each layer class to its forward and backward kernel, so
 ``forward`` and ``backward`` are one loop each over the graph.
 
-A conv unfolds its padded input into a channel-major (Ci*kh*kw, N*Ho*Wo)
-patch matrix and multiplies it once by the (Co, Ci*kh*kw) weight matrix.
-The (Co, N*Ho*Wo) product is returned as an (N, Co, Ho, Wo) view, not
-copied back to NCHW memory; batchnorm and relu keep that channel-major
-order.  The backward pass reads the output gradient in the same order and
-accumulates the input gradient in a channel-major buffer, so neither the
-unfold copy nor the gradient scatter runs against the grain of memory.
+A conv pads its input once into a zeroed channel-major (Ci, N, Hp, Wp)
+grid.  Each of the kh*kw window offsets is one strided slice of that grid,
+and the slices are copied into a (Ci*kh*kw, N*Ho*Wo) patch matrix that
+is multiplied once by the (Co, Ci*kh*kw) weight matrix.  The (Co, N*Ho*Wo)
+product is returned as an (N, Co, Ho, Wo) view, not copied back to NCHW
+memory; batchnorm, relu and maxpool keep that channel-major order.
+
+The conv backward pass places the output gradient on a zeroed grid of the
+same (N, Hp, Wp) shape, at each window's top-left corner (s*y, s*x), and
+takes the patch gradient over every grid column.  In the flat grid, the
+input position for window offset (i, j) is the corner plus i*Wp + j, so
+the input gradient is kh*kw shifted adds of whole (Ci, N*Hp*Wp) rows into
+one flat buffer, in (i, j) order; the padding border is cut off at the end.
+
+Maxpool is a running maximum over its k*k strided window views.  Its
+backward pass walks the same views in row-major order and gives each
+window's gradient to the first view equal to the max, keeping a mask of
+the windows still unrouted, so ties go where argmax would send them.
+With non-overlapping windows (k <= s) every result is bit for bit that
+of the argmax scatter; with overlapping windows an input's gradient is
+summed in view order, so it may differ in the last bits.
 
 Batchnorm normalizes with the biased (1/N) batch variance in train mode
 and updates running statistics with momentum 0.1 (running variance uses
@@ -31,7 +45,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeConsistencyError, StaleCacheError, TrainConfigError
 from .model_store import (
@@ -114,37 +127,52 @@ def _model_dtype(model: ModelGraph) -> np.dtype:
     raise ShapeConsistencyError("model has no parameterized layer")
 
 
+def _window_views(x: np.ndarray, kernel: tuple[int, int],
+                  stride: tuple[int, int]) -> list[np.ndarray]:
+    """For each window offset (i, j), in row-major order, the strided view of
+    x's last two axes that holds that offset's element of every window."""
+    (kh, kw), (sy, sx) = kernel, stride
+    ho, wo = (x.shape[2] - kh) // sy + 1, (x.shape[3] - kw) // sx + 1
+    return [x[:, :, i:i + sy * ho:sy, j:j + sx * wo:sx] for i in range(kh) for j in range(kw)]
+
+
 def _conv_forward(ly: ConvLayer, x: np.ndarray, mode: str):
     """Output as an (N, Co, Ho, Wo) view of (Co, N, Ho, Wo) memory, plus the
     patch matrix and shapes that the backward pass needs."""
-    (sy, sx), (py, px) = ly.stride, ly.padding
+    py, px = ly.padding
     co, ci, kh, kw = ly.weights.shape
-    n = x.shape[0]
-    xp = np.pad(x, ((0, 0), (0, 0), (py, py), (px, px))) if (py or px) else x
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sy, ::sx]
-    ho, wo = win.shape[2], win.shape[3]
-    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(ci * kh * kw, n * ho * wo)
+    n, _, h, w = x.shape
+    hp, wp = h + 2 * py, w + 2 * px
+    xp = np.zeros((ci, n, hp, wp), dtype=x.dtype)
+    xp[:, :, py:py + h, px:px + w] = x.transpose(1, 0, 2, 3)
+    views = _window_views(xp, (kh, kw), ly.stride)
+    ho, wo = views[0].shape[2:]
+    cols = np.stack(views, axis=1).reshape(ci * kh * kw, n * ho * wo)
     out = ly.weights.reshape(co, -1) @ cols
     if ly.bias is not None:
         out += ly.bias[:, None]
-    return out.reshape(co, n, ho, wo).transpose(1, 0, 2, 3), (cols, xp.shape, x.shape)
+    return out.reshape(co, n, ho, wo).transpose(1, 0, 2, 3), (cols, (hp, wp), x.shape)
 
 
 def _conv_backward(ly: ConvLayer, ctx, dout: np.ndarray):
-    cols, padded_shape, in_shape = ctx
+    cols, (hp, wp), in_shape = ctx
     (sy, sx), (py, px) = ly.stride, ly.padding
     co, ci, kh, kw = ly.weights.shape
     n, _, ho, wo = dout.shape
     d = dout.transpose(1, 0, 2, 3).reshape(co, n * ho * wo)
     dw = (d @ cols.T).reshape(co, ci, kh, kw)
     db = d.sum(axis=1) if ly.bias is not None else None
-    dcols = (ly.weights.reshape(co, -1).T @ d).reshape(ci, kh, kw, n, ho, wo)
-    dxp = np.zeros((ci, n, padded_shape[2], padded_shape[3]), dtype=dout.dtype)
+    # col2im as kh*kw flat shifts of the padded grid (see the module docstring)
+    grid = np.zeros((co, n, hp, wp), dtype=dout.dtype)
+    grid[:, :, :sy * ho:sy, :sx * wo:sx] = dout.transpose(1, 0, 2, 3)
+    size = n * hp * wp
+    dcols = (ly.weights.reshape(co, -1).T @ grid.reshape(co, size)).reshape(ci, kh, kw, size)
+    dxp = np.zeros((ci, size + (kh - 1) * wp + kw - 1), dtype=dout.dtype)
     for i in range(kh):
         for j in range(kw):
-            dxp[:, :, i:i + sy * ho:sy, j:j + sx * wo:sx] += dcols[:, i, j]
-    dx = dxp.transpose(1, 0, 2, 3)[:, :, py:py + in_shape[2], px:px + in_shape[3]]
-    return dx, dw, db
+            dxp[:, i * wp + j:i * wp + j + size] += dcols[:, i, j]
+    dx = dxp[:, :size].reshape(ci, n, hp, wp).transpose(1, 0, 2, 3)
+    return dx[:, :, py:py + in_shape[2], px:px + in_shape[3]], dw, db
 
 
 def _bn_forward(ly: BatchNormLayer, x: np.ndarray, mode: str):
@@ -179,23 +207,25 @@ def _bn_backward(ly: BatchNormLayer, ctx, dout: np.ndarray):
 
 def _maxpool_forward(ly: MaxPoolLayer, x: np.ndarray, mode: str):
     k, s = ly.kernel, ly.stride
-    win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-    n, c, ho, wo = win.shape[:4]
-    flat = win.reshape(n, c, ho, wo, k * k)
-    arg = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    return out, (x.shape, arg)
+    views = _window_views(x, (k, k), (s, s))
+    out = views[0].copy(order="K")
+    for v in views[1:]:
+        np.maximum(out, v, out=out)
+    return out, (x, out)
 
 
 def _maxpool_backward(ly: MaxPoolLayer, ctx, dout: np.ndarray):
-    in_shape, arg = ctx
+    """Each window's gradient goes to its first position (row-major) that
+    holds the max, as argmax would pick it."""
+    x, out = ctx
     k, s = ly.kernel, ly.stride
-    n, c, ho, wo = dout.shape
-    dx = np.zeros(in_shape, dtype=dout.dtype)
-    ni, ci, ii, ji = np.indices((n, c, ho, wo))
-    hi = ii * s + arg // k
-    wi = ji * s + arg % k
-    np.add.at(dx, (ni, ci, hi, wi), dout)
+    dx = np.zeros(x.shape, dtype=dout.dtype)  # NCHW, as batchnorm's sums expect
+    free = np.ones_like(out, dtype=bool)  # windows not yet routed
+    for v, dv in zip(_window_views(x, (k, k), (s, s)), _window_views(dx, (k, k), (s, s))):
+        hit = v == out
+        hit &= free
+        dv += dout * hit
+        free ^= hit
     return (dx,)
 
 

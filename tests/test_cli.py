@@ -348,6 +348,16 @@ def test_train_demo_bad_segment_length_exit_two(no_training, capsys):
     assert capsys.readouterr().err.startswith("error: segment length")
 
 
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_train_demo_bad_metrics_csv_exit_two_before_training(no_training, capsys,
+                                                            tmp_path, where):
+    path = tmp_path / "absent" / "m.csv" if where == "missing_dir" else tmp_path
+    rc = main(["train-demo", "--metrics-csv", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno") and str(path) in err
+
+
 @pytest.mark.parametrize("command", ["train-demo", "embed", "noise", "structural",
                                      "finetune"])
 def test_negative_nnwm_seed_exit_two(no_training, tiny_host, monkeypatch, capsys,

@@ -12,6 +12,7 @@ from nnwm.model_store import (
     BatchNormLayer,
     ConvLayer,
     LinearLayer,
+    MaxPoolLayer,
     ModelGraph,
     channel_counts,
     iter_named_params,
@@ -22,6 +23,8 @@ from nnwm.toy_trainer import (
     TrainConfig,
     _conv_backward,
     _conv_forward,
+    _maxpool_backward,
+    _maxpool_forward,
     backward,
     evaluate,
     finetune,
@@ -60,7 +63,9 @@ def naive_conv(x, w, b, stride, padding):
 
 
 @pytest.mark.parametrize("kernel,stride,padding", [((3, 3), (2, 2), (1, 0)),
-                                                   ((3, 2), (2, 1), (0, 2))])
+                                                   ((3, 2), (2, 1), (0, 2)),
+                                                   ((3, 3), (1, 1), (1, 1)),
+                                                   ((1, 1), (2, 1), (1, 1))])
 def test_conv_kernels_vs_naive_reference(kernel, stride, padding):
     rng = np.random.default_rng(17)
     w = rng.normal(size=(4, 3, *kernel))
@@ -81,6 +86,49 @@ def test_conv_kernels_vs_naive_reference(kernel, stride, padding):
         assert float(np.vdot(dx, x)) == pytest.approx(lin, rel=1e-12)
         assert float(np.vdot(dw, w)) == pytest.approx(lin, rel=1e-12)
         np.testing.assert_allclose(db, dout.sum(axis=(0, 2, 3)), rtol=1e-12)
+
+
+def naive_maxpool(x, dout, k, s):
+    """Loop reference: window max, and each window's gradient added at the
+    first position (row-major) holding it, as argmax picks it."""
+    n, c, h, w = x.shape
+    ho, wo = (h - k) // s + 1, (w - k) // s + 1
+    out = np.zeros((n, c, ho, wo), dtype=x.dtype)
+    dx = np.zeros_like(x)
+    for a in range(n):
+        for o in range(c):
+            for i in range(ho):
+                for j in range(wo):
+                    win = x[a, o, i * s:i * s + k, j * s:j * s + k]
+                    first = int(np.argmax(win))
+                    out[a, o, i, j] = win.max()
+                    dx[a, o, i * s + first // k, j * s + first % k] += dout[a, o, i, j]
+    return out, dx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k,s", [(2, 2), (3, 2), (2, 3), (1, 1)])
+def test_maxpool_kernels_vs_naive_reference(k, s, dtype):
+    rng = np.random.default_rng(23)
+    # few distinct values, so most windows hold ties; relu makes all-zero windows
+    x = np.maximum(rng.integers(-2, 3, size=(3, 4, 8, 9)), 0).astype(dtype)
+    x[:, :, :k, :k] = 0
+    ly = MaxPoolLayer(k, s)
+    channel_major = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    for xin in (x, channel_major):
+        out, ctx = _maxpool_forward(ly, xin, "train")
+        # integer gradients add up exactly in any order, so routing is compared bit for bit
+        dout = rng.integers(-8, 9, size=out.shape).astype(dtype)
+        ref_out, ref_dx = naive_maxpool(x, dout, k, s)
+        np.testing.assert_array_equal(out, ref_out)
+        (dx,) = _maxpool_backward(ly, ctx, dout)
+        assert dx.shape == x.shape and dx.dtype == dtype
+        np.testing.assert_array_equal(dx, ref_dx)
+        # an all-zero window sends its whole gradient to its first position
+        np.testing.assert_array_equal(dx[:, :, 0, 0], dout[:, :, 0, 0])
+        if k <= s:  # no other window covers the rest of the first one
+            rest = dx[:, :, :k, :k].reshape(3, 4, -1)[:, :, 1:]
+            assert not rest.any()
 
 
 def bn_only_model(gamma, beta, mean, var, eps=1e-5, channels=1):
