@@ -12,7 +12,6 @@ from .errors import (
     NnwmError,
     PlanError,
     ShapeConsistencyError,
-    StaleCacheError,
     TrainConfigError,
 )
 from .importance import score

@@ -380,17 +380,14 @@ def _add_extract_flags(p: argparse.ArgumentParser) -> None:
     _add_scheme_flags(p)
 
 
-SEEDED = ("embed", "attack", "train-demo")  # commands whose --seed defaults to NNWM_SEED
-
-
-def _build_parsers() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
-    """The nnwm parser and its SEEDED subparsers, with --seed defaulting to NNWM_SEED now."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The nnwm parser, built once per process; an omitted --seed parses as None."""
     parser = argparse.ArgumentParser(
         prog="nnwm",
         description="Embed and verify ownership watermarks in CNN architectures "
                     "by channel pruning.")
     sub = parser.add_subparsers(dest="command", required=True)
-    seed = _default_seed()
 
     p = sub.add_parser("embed", help="prune a payload into a model")
     p.add_argument("--arch", required=True)
@@ -403,7 +400,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPar
     p.add_argument("--finetune-epochs", type=int, default=0)
     p.add_argument("--decoy", action="store_true",
                    help="also prune non-carrier layers at key-stream rates")
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("extract", help="read the payload back from a suspect model")
@@ -446,7 +443,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPar
     p.add_argument("--epochs", type=int, default=5)
     p.add_argument("--lr", type=float, default=0.001)
     p.add_argument("--extra-rate", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int)
     p.add_argument("--expect", help="chain a verify run against these bits")
     _add_extract_flags(p)
     _add_theta_flag(p)
@@ -454,7 +451,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPar
 
     p = sub.add_parser("train-demo",
                        help="train fixture, embed, fine-tune, report accuracy delta")
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int)
     p.add_argument("--epochs", type=int, default=5)
     p.add_argument("--finetune-epochs", type=int, default=5)
     p.add_argument("--key", default="demo-key")
@@ -465,24 +462,13 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPar
     for sp in sub.choices.values():
         sp.add_argument("--json", action="store_true",
                         help="machine-readable output")
-    return parser, [sub.choices[c] for c in SEEDED]
-
-
-def build_parser() -> argparse.ArgumentParser:
-    return _build_parsers()[0]
-
-
-@functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
-    return _build_parsers()
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, seeded = _parsers()  # built once per process; only the seed default is re-read
-    seed = _default_seed()
-    for sp in seeded:
-        sp.set_defaults(seed=seed)
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if getattr(args, "seed", 0) is None:  # NNWM_SEED is read per call
+        args.seed = _default_seed()
     try:
         return args.func(args)
     except (NnwmError, OSError) as e:

@@ -55,7 +55,3 @@ class TrainConfigError(NnwmError, ValueError):
 
 class AttackConfigError(NnwmError, ValueError):
     """Attack parameter out of its valid range."""
-
-
-class StaleCacheError(NnwmError):
-    """Backward pass invoked with a cache from a different forward pass."""

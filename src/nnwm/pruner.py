@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import importance
-from .errors import PlanError
+from .errors import CriterionError, PlanError
 from .model_store import (
     ConvLayer,
     ModelGraph,
@@ -168,10 +168,13 @@ class Receipt:
             if not math.isclose(e.realized_rate, (e.c - e.c_pruned) / e.c, abs_tol=1e-9):
                 raise PlanError(f"receipt layer {e.index}: realized_rate inconsistent with counts")
             layers.append(e)
+        try:
+            criterion = importance.normalize_criterion(_field(params, "criterion", str))
+        except CriterionError as e:
+            raise PlanError(f"receipt: {e}") from None
         return cls(_field(params, "l", int), _field(params, "p_min", float),
-                   _field(params, "p_max", float), _field(params, "criterion", str),
-                   tuple(layers), _field(doc, "payload_bits", int),
-                   _field(doc, "key_fingerprint", str))
+                   _field(params, "p_max", float), criterion, tuple(layers),
+                   _field(doc, "payload_bits", int), _field(doc, "key_fingerprint", str))
 
 
 def _field(doc: dict, key: str, kind: type):

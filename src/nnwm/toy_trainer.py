@@ -7,7 +7,10 @@ linear head, plus softmax cross-entropy and plain SGD with weight decay.
 ``finetune`` only trains; callers score the result with ``evaluate``.
 
 ``KERNELS`` maps each layer class to its forward and backward kernel, so
-``forward`` and ``backward`` are one loop each over the graph.
+``forward`` and ``backward`` are one loop each over the graph.  Only
+train-mode ``forward`` returns the per-layer kernel contexts (eval keeps
+none), and ``loss_softmax_ce`` returns the loss with its gradient w.r.t.
+the logits; ``backward`` takes those contexts and that gradient.
 
 A conv pads its input once into a zeroed channel-major (Ci, N, Hp, Wp)
 grid.  Each of the kh*kw window offsets is one strided slice of that grid,
@@ -42,11 +45,11 @@ model's own dtype.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ShapeConsistencyError, StaleCacheError, TrainConfigError
+from .errors import ShapeConsistencyError, TrainConfigError
 from .model_store import (
     BatchNormLayer,
     ConvLayer,
@@ -100,16 +103,6 @@ class TrainConfig:
             raise TrainConfigError(f"learning rate must be finite and positive, got {self.lr}")
         if self.seed < 0:
             raise TrainConfigError(f"seed must be >= 0, got {self.seed}")
-
-
-@dataclass
-class ForwardCache:
-    """Per-layer values saved by forward(train) for the backward pass."""
-
-    model: ModelGraph
-    mode: str
-    entries: list = field(default_factory=list)
-    logits: np.ndarray | None = None
 
 
 def to_precision(model: ModelGraph, precision: str) -> ModelGraph:
@@ -268,10 +261,12 @@ KERNELS = {
 
 
 def forward(model: ModelGraph, inputs: np.ndarray, mode: str = "eval"):
-    """Run the network; returns (logits, cache).
+    """Run the network; returns (logits, contexts).
 
-    Train mode uses batch statistics in batchnorm layers and updates their
-    running buffers in place; eval mode is a pure function.
+    Train mode uses batch statistics in batchnorm layers, updates their
+    running buffers in place and returns the kernel contexts for ``backward``.
+    Eval mode is a pure function; its contexts are None, each layer's dropped
+    as that layer finishes.
     """
     if mode not in ("train", "eval"):
         raise ValueError("mode must be 'train' or 'eval'")
@@ -280,54 +275,39 @@ def forward(model: ModelGraph, inputs: np.ndarray, mode: str = "eval"):
     if x.ndim != 4 or x.shape[1:] != tuple(model.input_shape):
         raise ShapeConsistencyError(
             f"input shape {x.shape} does not match model input {model.input_shape}")
-    cache = ForwardCache(model=model, mode=mode)
+    contexts = [] if mode == "train" else None
     for ly in model.layers:
         x, ctx = KERNELS[type(ly)][0](ly, x, mode)
-        cache.entries.append(ctx)
-    cache.logits = x
-    return x, cache
+        if contexts is not None:
+            contexts.append(ctx)
+        del ctx
+    return x, contexts
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def loss_softmax_ce(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy, stabilized by max subtraction."""
+def loss_softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy and its gradient w.r.t. the logits, from one exp pass."""
     if not np.isfinite(logits).all():
         raise TrainConfigError("training diverged (non-finite logits); lower lr")
     n, k = logits.shape
-    if labels.min() < 0 or labels.max() >= k:
-        raise ValueError("label out of range")
+    if labels.shape != (n,) or labels.min() < 0 or labels.max() >= k:
+        raise ValueError(f"labels must be one class index in [0, {k}) per row of logits")
+    rows = np.arange(n)
     z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    return float(np.mean(lse - z[np.arange(n), labels]))
+    e = np.exp(z)
+    total = e.sum(axis=1, keepdims=True)
+    dlogits = e / total
+    dlogits[rows, labels] -= 1.0
+    return float(np.mean(np.log(total[:, 0]) - z[rows, labels])), dlogits / n
 
 
-def backward(model: ModelGraph, cache: ForwardCache, labels: np.ndarray) -> dict:
-    """Gradients of the mean cross-entropy w.r.t. every trainable tensor.
-
-    Requires the cache of a train-mode forward pass on the same model.
-    """
-    if cache.model is not model:
-        raise StaleCacheError("cache was produced by a different model")
-    if cache.mode != "train":
-        raise StaleCacheError("backward needs a cache from forward(mode='train')")
-    if len(cache.entries) != len(model.layers) or cache.logits is None:
-        raise StaleCacheError("cache is incomplete")
-    n = cache.logits.shape[0]
-    if labels.shape != (n,):
-        raise StaleCacheError("labels do not match the cached batch")
-    probs = _softmax(cache.logits)
-    dx = probs
-    dx[np.arange(n), labels] -= 1.0
-    dx /= n
+def backward(model: ModelGraph, contexts: list, dlogits: np.ndarray) -> dict:
+    """Gradients w.r.t. every trainable tensor, by the chain rule from the
+    loss gradient ``dlogits`` through the contexts of a train-mode forward."""
     grads: dict[tuple[int, str], np.ndarray] = {}
+    dx = dlogits
     for pos in range(len(model.layers) - 1, -1, -1):
         ly = model.layers[pos]
-        dx, *layer_grads = KERNELS[type(ly)][1](ly, cache.entries[pos], dx)
+        dx, *layer_grads = KERNELS[type(ly)][1](ly, contexts[pos], dx)
         for attr, g in zip(ly.TRAINABLE, layer_grads):
             if g is not None:
                 grads[(pos, attr)] = g
@@ -386,10 +366,10 @@ def finetune(model: ModelGraph, train: Batch, config: TrainConfig,
                 for start in range(0, train.size, BATCH_SIZE):
                     idx = perm[start:start + BATCH_SIZE]
                     xb, yb = train.inputs[idx], train.labels[idx]
-                    logits, cache = forward(work, xb, mode="train")
-                    losses.append(loss_softmax_ce(logits, yb))
-                    grads = backward(work, cache, yb)
-                    sgd_step(work, grads, config)
+                    logits, contexts = forward(work, xb, mode="train")
+                    loss, dlogits = loss_softmax_ce(logits, yb)
+                    losses.append(loss)
+                    sgd_step(work, backward(work, contexts, dlogits), config)
                 if after_epoch is not None:
                     after_epoch(epoch, work, float(np.mean(losses)))
     except FloatingPointError as e:

@@ -163,8 +163,8 @@ def test_criterion_6_gradient_correctness():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(4, 1, 16, 16))
     y = rng.integers(0, 2, size=4)
-    _, cache = forward(model, x, mode="train")
-    grads = backward(model, cache, y)
+    logits, contexts = forward(model, x, mode="train")
+    grads = backward(model, contexts, loss_softmax_ce(logits, y)[1])
     h = 1e-5
     worst, checked = 0.0, 0
     kinds = set()
@@ -175,9 +175,9 @@ def test_criterion_6_gradient_correctness():
             i = int(rng.integers(0, flat.size))
             orig = flat[i]
             flat[i] = orig + h
-            lp = loss_softmax_ce(forward(model, x, mode="train")[0], y)
+            lp = loss_softmax_ce(forward(model, x, mode="train")[0], y)[0]
             flat[i] = orig - h
-            lm = loss_softmax_ce(forward(model, x, mode="train")[0], y)
+            lm = loss_softmax_ce(forward(model, x, mode="train")[0], y)[0]
             flat[i] = orig
             fd = (lp - lm) / (2 * h)
             an = grads[(pos, name)].ravel()[i]

@@ -568,32 +568,11 @@ def test_train_demo_small(capsys, tmp_path):
     assert lines[4].split(",")[2] == f"{doc['marked_accuracy']:.6f}"
 
 
-def test_nnwm_seed_env_default(monkeypatch):
-    from nnwm.cli import build_parser
-    monkeypatch.setenv("NNWM_SEED", "42")
-    args = build_parser().parse_args(["train-demo"])
-    assert args.seed == 42
-    monkeypatch.setenv("NNWM_SEED", "not-a-number")
-    args = build_parser().parse_args(["train-demo"])
-    assert args.seed == 0
-
-
-def test_main_builds_parser_once(monkeypatch, capsys):
-    built = []
-
-    def counting():
-        built.append(1)
-        return real()
-
-    real = cli._build_parsers
-    monkeypatch.setattr(cli, "_build_parsers", counting)
-    cli._parsers.cache_clear()
-    try:
-        for t in ("5", "6", "7"):
-            assert main(["capacity", "--t", t, "--l", "2", "--rcov", "1"]) == 0
-    finally:
-        cli._parsers.cache_clear()
-    assert built == [1]
+def test_main_builds_parser_once(capsys):
+    cli.build_parser.cache_clear()
+    for t in ("5", "6", "7"):
+        assert main(["capacity", "--t", t, "--l", "2", "--rcov", "1"]) == 0
+    assert cli.build_parser.cache_info().misses == 1
     assert capsys.readouterr().out.split() == ["10", "12", "14"]
 
 

@@ -79,6 +79,7 @@ BAD_RECEIPTS = [
     ("c_pruned_bool", ("layers", 0, "c_pruned"), True),
     ("p_min_string", ("params", "p_min"), "0"),
     ("criterion_number", ("params", "criterion"), 1),
+    ("criterion_unknown", ("params", "criterion"), "banana"),
     ("payload_bits_null", ("payload_bits",), None),
     ("negative_index", ("layers", 0, "index"), -1),
     ("c_pruned_negative", ("layers", 0, "c_pruned"), -1),
@@ -128,6 +129,15 @@ def test_receipt_accepts_ints_where_floats_are_expected(marked, tmp_path):
     receipt = load_receipt(path)
     assert (receipt.p_min, receipt.p_max) == (0.0, 1.0)
     assert isinstance(receipt.p_min, float)
+
+
+def test_receipt_criterion_is_parsed_like_the_flag(marked, tmp_path):
+    doc = json.loads((marked / "r.json").read_text())
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(mutated(doc, ("params", "criterion"), "l1")))
+    assert load_receipt(path).criterion == "l1_norm"
+    assert main(["verify", "--receipt", str(path), "--suspect", str(marked / "marked.json"),
+                 "--expect", BITS, "--criterion", "l1"]) == 0
 
 
 # --- manifests --------------------------------------------------------------

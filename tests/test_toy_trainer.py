@@ -1,12 +1,13 @@
 """Trainer tests: forward values, gradient oracles, SGD, synthetic data."""
 
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from nnwm.errors import ShapeConsistencyError, StaleCacheError, TrainConfigError
+from nnwm.errors import ShapeConsistencyError, TrainConfigError
 from nnwm.fixtures import vgg_tiny
 from nnwm.model_store import (
     BatchNormLayer,
@@ -156,17 +157,26 @@ def test_bn_eval_hand_value():
 
 
 def test_loss_examples():
-    assert loss_softmax_ce(np.array([[0.0, 0.0]]), np.array([0])) == pytest.approx(
+    assert loss_softmax_ce(np.array([[0.0, 0.0]]), np.array([0]))[0] == pytest.approx(
         math.log(2), abs=1e-12)
-    assert loss_softmax_ce(np.array([[100.0, 0.0]]), np.array([0])) == pytest.approx(
+    assert loss_softmax_ce(np.array([[100.0, 0.0]]), np.array([0]))[0] == pytest.approx(
         0.0, abs=1e-12)
     logits = np.array([[0.3, -1.2, 2.0], [0.0, 0.5, -0.5]])
     labels = np.array([2, 1])
     perm = np.array([2, 0, 1])
     permuted = logits[:, perm]
     relabeled = np.array([np.where(perm == y)[0][0] for y in labels])
-    assert loss_softmax_ce(permuted, relabeled) == pytest.approx(
-        loss_softmax_ce(logits, labels), abs=1e-12)
+    assert loss_softmax_ce(permuted, relabeled)[0] == pytest.approx(
+        loss_softmax_ce(logits, labels)[0], abs=1e-12)
+    for bad in (np.array([2, 0]), np.array([-1, 0]), np.array([1]), np.array([0, 1, 1])):
+        with pytest.raises(ValueError, match="one class index"):
+            loss_softmax_ce(np.zeros((2, 2)), bad)
+
+
+def gradients(model, x, y):
+    """One train-mode forward, the loss gradient and the backward pass."""
+    logits, contexts = forward(model, x, mode="train")
+    return backward(model, contexts, loss_softmax_ce(logits, y)[1])
 
 
 def test_zero_loss_configuration_gives_zero_gradients():
@@ -175,9 +185,8 @@ def test_zero_loss_configuration_gives_zero_gradients():
                        (4, 1, 1))
     x = np.ones((3, 4, 1, 1))
     y = np.zeros(3, dtype=np.int64)
-    logits, cache = forward(model, x, mode="train")
-    assert loss_softmax_ce(logits, y) == 0.0
-    grads = backward(model, cache, y)
+    assert loss_softmax_ce(forward(model, x, mode="train")[0], y)[0] == 0.0
+    grads = gradients(model, x, y)
     assert all(not g.any() for g in grads.values())
 
 
@@ -188,8 +197,8 @@ def test_linear_gradient_matches_closed_form():
     model = ModelGraph([LinearLayer(w.copy(), b.copy())], (5, 1, 1))
     x = rng.normal(size=(8, 5, 1, 1))
     y = rng.integers(0, 3, size=8)
-    logits, cache = forward(model, x, mode="train")
-    grads = backward(model, cache, y)
+    grads = gradients(model, x, y)
+    logits, _ = forward(model, x, mode="train")
     # closed form: d logits = (softmax - onehot)/N, dW = dlogits^T x, db = sum
     z = logits - logits.max(axis=1, keepdims=True)
     p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
@@ -204,9 +213,9 @@ def central_difference(model, x, y, pos, name, index, h=1e-5):
     arr = getattr(model.layers[pos], name).ravel()
     orig = arr[index]
     arr[index] = orig + h
-    lp = loss_softmax_ce(forward(model, x, mode="train")[0], y)
+    lp = loss_softmax_ce(forward(model, x, mode="train")[0], y)[0]
     arr[index] = orig - h
-    lm = loss_softmax_ce(forward(model, x, mode="train")[0], y)
+    lm = loss_softmax_ce(forward(model, x, mode="train")[0], y)[0]
     arr[index] = orig
     return (lp - lm) / (2 * h)
 
@@ -216,8 +225,7 @@ def test_full_model_gradients_vs_finite_differences():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(4, 1, 16, 16))
     y = rng.integers(0, 2, size=4)
-    logits, cache = forward(model, x, mode="train")
-    grads = backward(model, cache, y)
+    grads = gradients(model, x, y)
     checked = 0
     for pos, name, arr in iter_named_params(model):
         for _ in range(2):
@@ -240,8 +248,7 @@ def test_per_layer_type_gradients():
     model = to_precision(ModelGraph(layers, (2, 6, 6)), "f64")
     x = rng.normal(size=(5, 2, 6, 6))
     y = rng.integers(0, 2, size=5)
-    _, cache = forward(model, x, mode="train")
-    grads = backward(model, cache, y)
+    grads = gradients(model, x, y)
     for pos, name, arr in iter_named_params(model):
         idx = rng.choice(arr.size, size=min(4, arr.size), replace=False)
         for i in idx:
@@ -262,27 +269,12 @@ def test_strided_conv_and_overlapping_pool_gradients():
     model = to_precision(ModelGraph(layers, (2, 9, 11)), "f64")
     x = rng.normal(size=(3, 2, 9, 11))
     y = rng.integers(0, 2, size=3)
-    _, cache = forward(model, x, mode="train")
-    grads = backward(model, cache, y)
+    grads = gradients(model, x, y)
     for pos, name, arr in iter_named_params(model):
         for i in rng.choice(arr.size, size=min(5, arr.size), replace=False):
             fd = central_difference(model, x, y, pos, name, int(i))
             an = grads[(pos, name)].ravel()[int(i)]
             assert abs(an - fd) / max(abs(an), abs(fd), 1e-6) < 1e-4, (pos, name, i)
-
-
-def test_backward_rejects_stale_or_eval_cache(tiny_model):
-    x = np.zeros((2, 1, 16, 16), dtype=np.float32)
-    y = np.zeros(2, dtype=np.int64)
-    _, cache = forward(tiny_model, x, mode="eval")
-    with pytest.raises(StaleCacheError):
-        backward(tiny_model, cache, y)
-    _, cache = forward(tiny_model, x, mode="train")
-    other = vgg_tiny(0)
-    with pytest.raises(StaleCacheError):
-        backward(other, cache, y)
-    with pytest.raises(StaleCacheError):
-        backward(tiny_model, cache, np.zeros(3, dtype=np.int64))
 
 
 def test_sgd_step_examples():
@@ -299,8 +291,7 @@ def test_sgd_step_examples():
 def test_sgd_step_updates_in_place(tiny_model):
     x = np.random.default_rng(0).normal(size=(2, 1, 16, 16)).astype(np.float32)
     y = np.array([0, 1])
-    _, cache = forward(tiny_model, x, mode="train")
-    grads = backward(tiny_model, cache, y)
+    grads = gradients(tiny_model, x, y)
     weights = tiny_model.layers[0].weights
     before = weights.copy()
     assert sgd_step(tiny_model, grads, TrainConfig(epochs=1, lr=0.1)) is None
@@ -319,6 +310,21 @@ def test_bn_train_eval_consistency():
         train_out, _ = forward(model, x, mode="train")
     eval_out, _ = forward(model, x, mode="eval")
     assert np.max(np.abs(train_out - eval_out)) < 1e-2
+
+
+def test_eval_forward_keeps_no_contexts(tiny_model):
+    x = np.zeros((2, 1, 16, 16), dtype=np.float32)
+    assert forward(tiny_model, x, mode="eval")[1] is None
+    assert len(forward(tiny_model, x, mode="train")[1]) == len(tiny_model.layers)
+    model, test = vgg_tiny(0), synth_dataset(0, 16, 256)[1]
+    tracemalloc.start()
+    try:
+        evaluate(model, test)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # no conv patch matrix outlives its layer (about 135 MiB when all were kept)
+    assert peak < 120 * 2**20
 
 
 def test_forward_mode_and_shape_validation(tiny_model):
