@@ -14,6 +14,14 @@ eligible conv layers.  attack takes the extraction flags (--original,
 --expect, and inspect takes --arch, --weights and --criterion only with
 --scores and the other flags only without it; a flag the command would
 ignore exits 2.
+
+embed's model and receipt and attack's model appear whole or not at all:
+each is written to a new file beside its target and moved into place only
+after every write has succeeded (``model_store.staged_outputs``).  An
+existing output is removed first, so a symlinked target is replaced, not
+written through.  A target that is a directory or lies in a missing
+directory exits 2 before any work.  train-demo's
+--metrics-csv is the exception: it streams one row per epoch.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from .model_store import (
     load_arch,
     load_model,
     save_model,
+    staged_outputs,
 )
 from .toy_trainer import TrainConfig, check_fit, evaluate, finetune, synth_dataset
 from .wm_codec import EmbedParams, WatermarkPayload
@@ -112,21 +121,25 @@ def _params_from(args, receipt: pruner.Receipt | None = None) -> EmbedParams:
 
 
 def cmd_embed(args) -> int:
-    tune_cfg = TrainConfig(epochs=args.finetune_epochs, lr=0.001, seed=args.seed)
-    model = load_model(args.arch, args.weights)
-    params = _params_from(args)
-    payload = WatermarkPayload(_parse_payload("--payload", args.payload), args.l)
-    if tune_cfg.epochs > 0:
-        train, _ = synth_dataset(args.seed, 512, 256)
-        check_fit(model, train)  # before the embed work; finetune checks the marked model
-    marked, receipt = pipeline.embed(model, payload, params,
-                                     criterion=args.criterion, decoy=args.decoy)
-    if tune_cfg.epochs > 0:
-        marked = finetune(marked, train, tune_cfg)
     out_arch = f"{args.out_prefix}.json"
     out_weights = f"{args.out_prefix}.bin"
-    save_model(marked, out_arch, out_weights)
-    pruner.save_receipt(receipt, args.receipt)
+    tune_cfg = TrainConfig(epochs=args.finetune_epochs, lr=0.001, seed=args.seed)
+    with staged_outputs(out_arch, out_weights, args.receipt) as (tmp_arch, tmp_weights,
+                                                                 tmp_receipt):
+        model = load_model(args.arch, args.weights)
+        params = _params_from(args)
+        payload = WatermarkPayload(_parse_payload("--payload", args.payload), args.l)
+        for w in pipeline.one_value_warnings(wm_codec.segment(payload), "segments have"):
+            print(f"warning: {w}", file=sys.stderr)
+        if tune_cfg.epochs > 0:
+            train, _ = synth_dataset(args.seed, 512, 256)
+            check_fit(model, train)  # before the embed work; finetune checks the marked model
+        marked, receipt = pipeline.embed(model, payload, params,
+                                         criterion=args.criterion, decoy=args.decoy)
+        if tune_cfg.epochs > 0:
+            marked = finetune(marked, train, tune_cfg)
+        save_model(marked, tmp_arch, tmp_weights)
+        pruner.save_receipt(receipt, tmp_receipt)
     eligible = pipeline.eligible_layers(model, params, args.criterion)
     n_max = wm_codec.capacity(len(eligible), args.l, 1.0)
     lines = [
@@ -286,20 +299,21 @@ def cmd_attack(args) -> int:
         inputs = _verify_inputs(args)
     else:
         _reject(args, (*EXTRACT_FLAGS, "theta"), "used only by attack --expect")
-    model = load_model(args.arch, args.weights)
-    if args.type == "noise":
-        attacked = pipeline.attack_noise(model, args.sigma, seed=args.seed)
-    elif args.type == "zero":
-        attacked = pipeline.attack_zero_weights(model, args.fraction)
-    elif args.type == "finetune":
-        train, _ = synth_dataset(args.seed, 512, 256)
-        attacked = pipeline.attack_finetune(model, train, epochs=args.epochs,
-                                            lr=args.lr, seed=args.seed)
-    else:
-        attacked = pipeline.attack_structural(model, args.extra_rate, seed=args.seed)
     out_arch = f"{args.out_prefix}.json"
     out_weights = f"{args.out_prefix}.bin"
-    save_model(attacked, out_arch, out_weights)
+    with staged_outputs(out_arch, out_weights) as (tmp_arch, tmp_weights):
+        model = load_model(args.arch, args.weights)
+        if args.type == "noise":
+            attacked = pipeline.attack_noise(model, args.sigma, seed=args.seed)
+        elif args.type == "zero":
+            attacked = pipeline.attack_zero_weights(model, args.fraction)
+        elif args.type == "finetune":
+            train, _ = synth_dataset(args.seed, 512, 256)
+            attacked = pipeline.attack_finetune(model, train, epochs=args.epochs,
+                                                lr=args.lr, seed=args.seed)
+        else:
+            attacked = pipeline.attack_structural(model, args.extra_rate, seed=args.seed)
+        save_model(attacked, tmp_arch, tmp_weights)
     doc = {"command": "attack", "type": args.type,
            "out_arch": out_arch, "out_weights": out_weights,
            "channel_counts": channel_counts(attacked)}

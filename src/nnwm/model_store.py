@@ -35,12 +35,19 @@ the weights; ``validate`` runs both.
 - ``pruner.apply_prune`` reruns only the structural checks: slicing loaded
   arrays cannot create a bad value.
 - ``save_model`` runs the full ``validate`` before it writes anything.
+
+Writers create their files with ``open_new`` and never truncate or write
+through an existing one.  ``staged_outputs`` gives a command's outputs
+fresh names beside their targets and moves them into place only after
+every write has succeeded, so the outputs appear whole or not at all.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import secrets
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator
@@ -51,6 +58,7 @@ from .errors import (
     BlobFormatError,
     BlobSizeError,
     ManifestError,
+    NnwmError,
     ShapeConsistencyError,
 )
 
@@ -382,7 +390,9 @@ def check_values(model: ModelGraph) -> None:
     for pos, ly in enumerate(model.layers):
         where = f"layer {pos} ({type(ly).__name__})"
         for attr, arr in layer_arrays(ly):
-            _check(bool(np.isfinite(arr).all()), f"{where}: non-finite {attr}")
+            # NaN propagates through min and max, so both are finite only if every value is
+            _check(bool(np.isfinite(arr.min()) and np.isfinite(arr.max())),
+                   f"{where}: non-finite {attr}")
         if isinstance(ly, BatchNormLayer):
             _check(bool((ly.running_var >= 0).all()), f"{where}: negative running_var")
 
@@ -489,7 +499,7 @@ def load_model(arch_path: str | Path, weights_path: str | Path) -> ModelGraph:
 
 
 def save_model(model: ModelGraph, arch_path: str | Path, weights_path: str | Path) -> None:
-    """Write the manifest/blob pair; deterministic bytes for identical input."""
+    """Write the manifest/blob pair as new files; deterministic bytes for identical input."""
     validate(model)
     manifest = {
         "format": MANIFEST_FORMAT,
@@ -497,9 +507,60 @@ def save_model(model: ModelGraph, arch_path: str | Path, weights_path: str | Pat
         "input": [int(x) for x in model.input_shape],
         "layers": [{"type": ly.TYPE, **ly.record()} for ly in model.layers],
     }
-    Path(arch_path).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    with open(weights_path, "wb") as fh:
+    with open_new(arch_path) as fh:
+        fh.write((json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
+    with open_new(weights_path) as fh:
         fh.write(MAGIC + VERSION.to_bytes(4, "little"))
         for ly in model.layers:
             for _, arr in layer_arrays(ly):
                 fh.write(np.ascontiguousarray(arr, dtype="<f4"))
+
+
+# --- writing outputs -------------------------------------------------------
+#
+# On ext4 (auto_da_alloc, the default) truncating a file and renaming over
+# one both start writeback of the new data at once, which for a large blob
+# costs more than writing it.  A new file under a free name waits for
+# ordinary writeback, so writers only ever create new files.
+
+def open_new(path: str | Path):
+    """Open path for binary writing as a new file: O_EXCL, mode 0o666 & ~umask.
+
+    A file already there is removed first, never truncated or written
+    through, so a symlink at path is replaced, not followed.
+    """
+    try:
+        return open(path, "xb")
+    except FileExistsError:
+        os.unlink(path)
+        return open(path, "xb")
+
+
+@contextlib.contextmanager
+def staged_outputs(*targets: str | Path) -> Iterator[list[Path]]:
+    """Yield one temp path per target; move each onto its target once the block succeeds.
+
+    Every target is checked before the block runs: a directory or a target
+    in a missing directory raises NnwmError.  Each temp is a fresh name in
+    its target's directory, for a writer to create with ``open_new``.  When
+    the block returns, each old target is removed and its temp renamed onto
+    the freed name.  When it raises, every temp is deleted and the old
+    targets are left as they were.
+    """
+    paths = [Path(t) for t in targets]
+    for p in paths:
+        if p.is_dir():
+            raise NnwmError(f"output {p} is a directory")
+        if not p.parent.is_dir():
+            raise NnwmError(f"output {p}: no directory {p.parent}")
+    temps = [p.with_name(f".{p.name}.{secrets.token_hex(8)}.tmp") for p in paths]
+    try:
+        yield temps
+        for tmp, p in zip(temps, paths):
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(p)
+            os.rename(tmp, p)
+    finally:
+        for tmp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)

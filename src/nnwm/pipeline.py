@@ -138,6 +138,18 @@ def embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
     return marked, receipt
 
 
+def one_value_warnings(values: list[int], what: str) -> list[str]:
+    """A warning when two or more segment values are all one value, else none.
+
+    A uniform re-pruning of an unmarked model puts every carrier in about
+    the same cell, so it reads as such a payload without any mark.
+    """
+    if len(values) < 2 or len(set(values)) > 1:
+        return []
+    return [f"all {len(values)} {what} value {values[0]}; a uniform re-pruning "
+            "of an unmarked model reads the same"]
+
+
 def decode_segments(carriers: list[tuple[int, int]], suspect_counts: list[int],
                     params: EmbedParams) -> list[SegmentDecode]:
     """Decode each (conv ordinal, original width) carrier against the suspect's widths.
@@ -192,7 +204,11 @@ def extract(original: ModelGraph | Receipt, suspect: ModelGraph,
     warnings += [f"conv layer {s.layer_index}: observed rate {s.rate:.6f} outside "
                  f"[{params.p_min}, {params.p_max}); decoded by clamping"
                  for s in segments if s.clamped]
-    bits = wm_codec.assemble_bits([s.value for s in segments], params.segment_length, n)
+    warnings += [f"conv layer {s.layer_index}: width {s.c} unchanged, no channel pruned; "
+                 "the model may be unmarked" for s in segments if s.c_suspect == s.c]
+    values = [s.value for s in segments]
+    warnings += one_value_warnings(values, "carriers decode to")
+    bits = wm_codec.assemble_bits(values, params.segment_length, n)
     return ExtractionResult(bits=bits, segments=segments, warnings=warnings)
 
 

@@ -7,6 +7,10 @@ on unchanged, until the next conv (input channels) or a linear head (the
 matching columns, per channel of a flattened map) absorbs them.  The
 per-type rules live on the layer classes in ``model_store``.  The result
 is a new graph that owns every array it holds; inputs are never mutated.
+
+``save_receipt`` writes a receipt as a new file, like ``save_model``.
+``nnwm embed`` stages it with the marked model's two files through
+``model_store.staged_outputs``, so the three appear together or not at all.
 """
 
 import json
@@ -24,6 +28,7 @@ from .model_store import (
     keep_channels,
     layer_arrays,
     layer_input_shapes,
+    open_new,
 )
 # Not called here: bound only because perfbench/tests/test_perfbench.py patches them here.
 from .model_store import clone_graph, validate  # noqa: F401
@@ -193,7 +198,9 @@ def _field(doc: dict, key: str, kind: type):
 
 
 def save_receipt(receipt: Receipt, path: str | Path) -> None:
-    Path(path).write_text(receipt.to_json(), encoding="utf-8")
+    """Write the receipt as a new file (see ``model_store.open_new``)."""
+    with open_new(path) as fh:
+        fh.write(receipt.to_json().encode("utf-8"))
 
 
 def load_receipt(path: str | Path) -> Receipt:

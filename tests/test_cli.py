@@ -319,13 +319,6 @@ def no_training(monkeypatch):
     monkeypatch.setattr("nnwm.pipeline.finetune", refuse)
 
 
-@pytest.fixture(scope="module")
-def tiny_host(tmp_path_factory):
-    d = tmp_path_factory.mktemp("tiny")
-    save_model(vgg_tiny(0), d / "tiny.json", d / "tiny.bin")
-    return d
-
-
 @pytest.mark.parametrize("flags", [["--epochs", "-1"], ["--finetune-epochs", "-2"],
                                    ["--seed", "-1"]])
 def test_train_demo_bad_epochs_exit_two(no_training, capsys, flags):
@@ -645,3 +638,49 @@ def test_json_outputs_are_schema_stable(marked, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == {"command", "ber", "theta", "matched", "extracted"}
     assert doc["theta"] == 0.0  # the default of an omitted --theta
+
+
+def _embed_tiny(tiny_host, tmp_path, payload):
+    return main(["embed", "--arch", str(tiny_host / "tiny.json"),
+                 "--weights", str(tiny_host / "tiny.bin"), "--payload", payload,
+                 "--key", "k", "--l", "3", "--out-prefix", str(tmp_path / "m"),
+                 "--receipt", str(tmp_path / "r.json")])
+
+
+@pytest.mark.parametrize("payload, warned", [("000000000", True), ("010010010", True),
+                                             ("101100111", False), ("101", False)])
+def test_embed_warns_when_all_segments_share_one_value(tiny_host, capsys, tmp_path,
+                                                       payload, warned):
+    assert _embed_tiny(tiny_host, tmp_path, payload) == 0
+    err = capsys.readouterr().err
+    assert ("warning: all 3 segments have value" in err) == warned, err
+
+
+@pytest.mark.parametrize("by_receipt", [True, False])
+def test_unmarked_host_extracts_only_with_warnings(tiny_host, capsys, tmp_path, by_receipt):
+    # an unpruned carrier reads as rate 0, cell 0: the unmarked host "carries" 000000000
+    assert _embed_tiny(tiny_host, tmp_path, "000000000") == 0
+    capsys.readouterr()
+    source = (["--receipt", str(tmp_path / "r.json")] if by_receipt else
+              ["--original", str(tiny_host / "tiny.json"), "--key", "k", "--n", "9",
+               "--l", "3"])
+    suspect = ["--suspect", str(tiny_host / "tiny.json")]
+    assert main(["verify", *suspect, *source, "--expect", "000000000"]) == 0
+    err = capsys.readouterr().err
+    assert err.count("unchanged, no channel pruned; the model may be unmarked") == 3, err
+    assert "warning: all 3 carriers decode to value 0" in err
+    assert main(["extract", *suspect, *source, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["bits"] == "000000000" and len(doc["warnings"]) == 4
+
+
+def test_uniformly_repruned_unmarked_host_warns(tiny_host, capsys, tmp_path):
+    # a keyless uniform re-pruning puts every carrier of the unmarked host in one cell
+    assert _embed_tiny(tiny_host, tmp_path, "010010010") == 0
+    capsys.readouterr()
+    rc = main(["attack", "--type", "structural", "--extra-rate", "0.2",
+               "--arch", str(tiny_host / "tiny.json"), "--weights", str(tiny_host / "tiny.bin"),
+               "--out-prefix", str(tmp_path / "a"), "--receipt", str(tmp_path / "r.json"),
+               "--expect", "010010010"])
+    assert rc == 0
+    assert "warning: all 3 carriers decode to value 2" in capsys.readouterr().err

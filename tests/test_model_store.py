@@ -102,6 +102,29 @@ def test_load_rejects_bad_values_in_the_blob(tmp_path, tiny_model, pos, attr, va
         load_model(arch, weights)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("place", ["first", "middle", "last"])
+def test_a_non_finite_value_anywhere_is_rejected_on_load_and_save(tmp_path, value, place):
+    model = vgg_tiny(0)
+    arch, weights = saved(tmp_path, model)
+    blob = weights.read_bytes()
+    for pos, ly in enumerate(model.layers):
+        for attr, arr in list(layer_arrays(ly)):
+            i = {"first": 0, "middle": arr.size // 2, "last": arr.size - 1}[place]
+            off = blob_offset(model, pos, attr) + 4 * i
+            weights.write_bytes(blob[:off] + np.array([value], "<f4").tobytes() + blob[off + 4:])
+            match = f"layer {pos} .*non-finite {attr}"
+            with pytest.raises(ShapeConsistencyError, match=match):
+                load_model(arch, weights)
+            bad = arr.copy()
+            bad.flat[i] = value
+            setattr(ly, attr, bad)
+            with pytest.raises(ShapeConsistencyError, match=match):
+                save_model(model, tmp_path / "x.json", tmp_path / "x.bin")
+            assert not (tmp_path / "x.json").exists()
+            setattr(ly, attr, arr)
+
+
 def test_save_rejects_a_nan_and_writes_no_blob(tmp_path, tiny_model):
     tiny_model.layers[0].weights[1, 0, 0, 0] = np.nan
     arch, weights = tmp_path / "x.json", tmp_path / "x.bin"
