@@ -20,7 +20,8 @@ each is written to a new file beside its target and moved into place only
 after every write has succeeded (``model_store.staged_outputs``).  An
 existing output is removed first, so a symlinked target is replaced, not
 written through.  A target that is a directory or lies in a missing
-directory exits 2 before any work.  train-demo's
+directory exits 2 before any work; two outputs that name one file exit 2
+before anything is moved.  train-demo's
 --metrics-csv is the exception: it streams one row per epoch.
 """
 

@@ -18,15 +18,18 @@ row-major, concatenated in graph order.  Tensor offsets are always derived
 from the manifest shapes, never stored, so the manifest is the single
 source of truth.  load/save round-trip at byte level.
 
-A parsed manifest holds each declared tensor as a read-only, zero-stride
-zero placeholder (``np.broadcast_to``): its shape and size give the blob
-layout, but it allocates nothing, so a manifest that declares a huge
+A parsed manifest holds each declared tensor as a read-only zero
+placeholder: an ``np.ndarray`` of the declared shape whose strides are all
+zero, a view of one immutable 4-byte buffer.  Its shape and size give the
+blob layout, but it allocates nothing, so a manifest that declares a huge
 tensor costs no memory.
 
 The checks come in two parts, run where each is needed.  The structural
 part, ``layer_input_shapes``, needs only the manifest; the value part,
 ``check_values`` (every value finite, every ``running_var`` >= 0), needs
-the weights; ``validate`` runs both.
+the weights; ``validate`` runs both.  Every check passes ``_check`` a
+message template and its arguments, so a message is formatted only when
+its check fails and a passing check builds no text.
 - ``load_arch`` runs the structural checks and stops.
 - ``load_model`` starts from ``load_arch``, checks the blob's header and
   compares its size with the placeholder sizes before it reads any tensor,
@@ -45,7 +48,9 @@ every write has succeeded, so the outputs appear whole or not at all.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
+import math
 import os
 import secrets
 from dataclasses import dataclass, fields, replace
@@ -68,24 +73,41 @@ MANIFEST_FORMAT = "nnwm-v1"
 DEFAULT_BN_EPS = 1e-5
 
 
-def _check(cond: bool, msg: str) -> None:
+def _check(cond: bool, template: str, *args) -> None:
+    """Raise ShapeConsistencyError(template.format(*args)) unless cond holds."""
     if not cond:
-        raise ShapeConsistencyError(msg)
+        raise ShapeConsistencyError(template.format(*args))
 
 
-def _check_vector(name: str, v: np.ndarray, length: int | None = None) -> None:
-    _check(isinstance(v, np.ndarray) and v.ndim == 1, f"{name} must be a 1-D array")
-    _check(v.size >= 1, f"{name} must be non-empty")
+class _Where:
+    """A layer's message prefix, "layer {pos} ({type})", formatted only when shown."""
+
+    __slots__ = ("pos", "layer")
+
+    def __init__(self, pos: int, layer: Layer):
+        self.pos, self.layer = pos, layer
+
+    def __format__(self, spec: str) -> str:
+        return f"layer {self.pos} ({type(self.layer).__name__})"
+
+
+def _check_vector(where, attr: str, v: np.ndarray, length: int | None = None) -> None:
+    _check(isinstance(v, np.ndarray) and v.ndim == 1, "{} {} must be a 1-D array", where, attr)
+    _check(v.size >= 1, "{} {} must be non-empty", where, attr)
     if length is not None:
-        _check(v.shape[0] == length, f"{name} has length {v.shape[0]}, expected {length}")
+        _check(v.shape[0] == length, "{} {} has length {}, expected {}",
+               where, attr, v.shape[0], length)
 
 
-def _check_weights(ly: Layer, ndim: int, where: str) -> None:
-    _check(isinstance(ly.weights, np.ndarray) and ly.weights.ndim == ndim,
-           f"{where}: weights must be {ndim}-D")
-    _check(all(d >= 1 for d in ly.weights.shape), f"{where}: non-positive weight dim")
+def _check_weights(ly: Layer, ndim: int, where) -> tuple[int, ...]:
+    """Check the weights' rank and dims and the bias length; return the weights' shape."""
+    w = ly.weights
+    _check(isinstance(w, np.ndarray) and w.ndim == ndim, "{}: weights must be {}-D", where, ndim)
+    shape = w.shape
+    _check(min(shape) >= 1, "{}: non-positive weight dim", where)
     if ly.bias is not None:
-        _check_vector(f"{where} bias", ly.bias, int(ly.weights.shape[0]))
+        _check_vector(where, "bias", ly.bias, shape[0])
+    return shape
 
 
 def _require(rec: dict, key: str, idx: int):
@@ -103,18 +125,18 @@ def _int(rec: dict, key: str, idx: int) -> int:
 
 def _int_pair(rec: dict, key: str, idx: int) -> tuple[int, int]:
     v = _require(rec, key, idx)
-    if not (isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v)):
+    if not (isinstance(v, list) and len(v) == 2 and type(v[0]) is int and type(v[1]) is int):
         raise ManifestError(f"layer {idx}: '{key}' must be a pair of integers")
     return v[0], v[1]
 
 
-_ZERO = np.zeros((), dtype=np.float32)
+_ZERO = bytes(4)  # one float32 zero; immutable, so every view of it is read-only
 
 
 def _placeholder(shape: tuple[int, ...], idx: int) -> np.ndarray:
     """Read-only zero view of the declared shape; allocates nothing, whatever the shape."""
     try:
-        return np.broadcast_to(_ZERO, shape)
+        return np.ndarray(shape, np.float32, _ZERO, 0, (0,) * len(shape))
     except (ValueError, OverflowError) as e:
         raise ManifestError(f"layer {idx}: cannot represent a tensor of shape {shape}: {e}") from e
 
@@ -126,6 +148,11 @@ def _bias(rec: dict, idx: int, n: int) -> np.ndarray | None:
     return _placeholder((n,), idx) if v else None
 
 
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 class _LayerBase:
     """Defaults for a layer that owns no arrays, keeps its input shape and
     stores each of its fields as a manifest integer of the same name."""
@@ -135,15 +162,16 @@ class _LayerBase:
     @classmethod
     def from_record(cls, rec: dict, idx: int):
         """The layer a manifest record describes, with placeholder arrays."""
-        return cls(*(_int(rec, f.name, idx) for f in fields(cls)))
+        return cls(*[_int(rec, name, idx) for name in _field_names(cls)])
 
     def record(self) -> dict:
         """The manifest fields that follow "type", in pinned order."""
-        return {f.name: int(getattr(self, f.name)) for f in fields(self)}
+        return {name: int(getattr(self, name)) for name in _field_names(type(self))}
 
-    def out_shape(self, shape: tuple, where: str) -> tuple:
+    def out_shape(self, shape: tuple, where) -> tuple:
         """Check the layer against its input activation shape, ("map", C, H, W)
-        or ("vec", F); return the shape it emits."""
+        or ("vec", F); return the shape it emits.  ``where`` formats as the
+        prefix of its messages."""
         return shape
 
     def keep_inputs(self, retained: list[int], in_shape: tuple) -> bool:
@@ -191,20 +219,19 @@ class ConvLayer(_LayerBase):
                 "padding": [int(self.padding[0]), int(self.padding[1])],
                 "bias": self.bias is not None}
 
-    def out_shape(self, shape: tuple, where: str) -> tuple:
-        _check_weights(self, 4, where)
+    def out_shape(self, shape: tuple, where) -> tuple:
+        co, ci, kh, kw = _check_weights(self, 4, where)
         (sy, sx), (py, px) = self.stride, self.padding
-        _check(sy >= 1 and sx >= 1, f"{where}: stride must be >= 1")
-        _check(py >= 0 and px >= 0, f"{where}: negative padding")
-        _check(shape[0] == "map", f"{where}: conv applied to non-spatial input")
+        _check(sy >= 1 and sx >= 1, "{}: stride must be >= 1", where)
+        _check(py >= 0 and px >= 0, "{}: negative padding", where)
+        _check(shape[0] == "map", "{}: conv applied to non-spatial input", where)
         _, c, h, w = shape
-        _check(self.c_in == c, f"{where}: c_in {self.c_in} != incoming channels {c}")
-        kh, kw = int(self.weights.shape[2]), int(self.weights.shape[3])
+        _check(ci == c, "{}: c_in {} != incoming channels {}", where, ci, c)
         ho = (h + 2 * py - kh) // sy + 1
         wo = (w + 2 * px - kw) // sx + 1
         _check(h + 2 * py >= kh and w + 2 * px >= kw and ho >= 1 and wo >= 1,
-               f"{where}: kernel {kh}x{kw} too large for {h}x{w} input")
-        return ("map", self.c_out, ho, wo)
+               "{}: kernel {}x{} too large for {}x{} input", where, kh, kw, h, w)
+        return ("map", co, ho, wo)
 
     def keep_inputs(self, retained: list[int], in_shape: tuple) -> bool:
         # the bytes of weights[:, retained], but faster and in an array of its own
@@ -245,14 +272,15 @@ class BatchNormLayer(_LayerBase):
     def record(self) -> dict:
         return {"channels": self.channels, "eps": float(self.eps)}
 
-    def out_shape(self, shape: tuple, where: str) -> tuple:
-        _check_vector(f"{where} gamma", self.gamma)
+    def out_shape(self, shape: tuple, where) -> tuple:
+        _check_vector(where, "gamma", self.gamma)
+        n = self.gamma.shape[0]
         for attr in self.ARRAYS[1:]:
-            _check_vector(f"{where} {attr}", getattr(self, attr), self.channels)
-        _check(float(self.eps) > 0 and np.isfinite(self.eps), f"{where}: eps must be positive")
-        _check(shape[0] == "map", f"{where}: batchnorm applied to non-spatial input")
-        _check(self.channels == shape[1],
-               f"{where}: batchnorm length {self.channels} != incoming channels {shape[1]}")
+            _check_vector(where, attr, getattr(self, attr), n)
+        _check(0 < float(self.eps) < math.inf, "{}: eps must be positive", where)
+        _check(shape[0] == "map", "{}: batchnorm applied to non-spatial input", where)
+        _check(n == shape[1], "{}: batchnorm length {} != incoming channels {}",
+               where, n, shape[1])
         return shape
 
 
@@ -267,12 +295,12 @@ class MaxPoolLayer(_LayerBase):
     kernel: int
     stride: int
 
-    def out_shape(self, shape: tuple, where: str) -> tuple:
+    def out_shape(self, shape: tuple, where) -> tuple:
         k, s = self.kernel, self.stride
-        _check(k >= 1 and s >= 1, f"{where}: kernel and stride must be >= 1")
-        _check(shape[0] == "map", f"{where}: maxpool applied to non-spatial input")
+        _check(k >= 1 and s >= 1, "{}: kernel and stride must be >= 1", where)
+        _check(shape[0] == "map", "{}: maxpool applied to non-spatial input", where)
         _, c, h, w = shape
-        _check(h >= k and w >= k, f"{where}: pool kernel {k} too large for {h}x{w} input")
+        _check(h >= k and w >= k, "{}: pool kernel {} too large for {}x{} input", where, k, h, w)
         return ("map", c, (h - k) // s + 1, (w - k) // s + 1)
 
 
@@ -280,8 +308,8 @@ class MaxPoolLayer(_LayerBase):
 class GlobalAvgPoolLayer(_LayerBase):
     TYPE = "global_avg_pool"
 
-    def out_shape(self, shape: tuple, where: str) -> tuple:
-        _check(shape[0] == "map", f"{where}: global pool applied to non-spatial input")
+    def out_shape(self, shape: tuple, where) -> tuple:
+        _check(shape[0] == "map", "{}: global pool applied to non-spatial input", where)
         return ("vec", shape[1])
 
 
@@ -311,12 +339,11 @@ class LinearLayer(_LayerBase):
         return {"out": self.out_features, "in": self.in_features,
                 "bias": self.bias is not None}
 
-    def out_shape(self, shape: tuple, where: str) -> tuple:
-        _check_weights(self, 2, where)
+    def out_shape(self, shape: tuple, where) -> tuple:
+        out, inp = _check_weights(self, 2, where)
         feats = shape[1] * shape[2] * shape[3] if shape[0] == "map" else shape[1]
-        _check(self.in_features == feats,
-               f"{where}: in_features {self.in_features} != incoming features {feats}")
-        return ("vec", self.out_features)
+        _check(inp == feats, "{}: in_features {} != incoming features {}", where, inp, feats)
+        return ("vec", out)
 
     def keep_inputs(self, retained: list[int], in_shape: tuple) -> bool:
         # a flattened map feeds h*w consecutive columns per channel
@@ -371,14 +398,14 @@ def layer_input_shapes(model: ModelGraph) -> list[tuple]:
     lengths, strides, eps, at least one conv and each adjacent shape.
     Raises ShapeConsistencyError on the first violation.
     """
-    _check(len(conv_layer_indices(model)) >= 1, "model has no conv layer")
-    c, h, w = (int(x) for x in model.input_shape)
-    _check(c >= 1 and h >= 1 and w >= 1, f"input shape {model.input_shape} not positive")
+    _check(any(isinstance(ly, ConvLayer) for ly in model.layers), "model has no conv layer")
+    c, h, w = map(int, model.input_shape)
+    _check(c >= 1 and h >= 1 and w >= 1, "input shape {} not positive", model.input_shape)
     shape: tuple = ("map", c, h, w)
     shapes = []
     for pos, ly in enumerate(model.layers):
         shapes.append(shape)
-        shape = ly.out_shape(shape, f"layer {pos} ({type(ly).__name__})")
+        shape = ly.out_shape(shape, _Where(pos, ly))
     return shapes
 
 
@@ -388,13 +415,13 @@ def check_values(model: ModelGraph) -> None:
     Raises ShapeConsistencyError on the first violation.
     """
     for pos, ly in enumerate(model.layers):
-        where = f"layer {pos} ({type(ly).__name__})"
+        where = _Where(pos, ly)
         for attr, arr in layer_arrays(ly):
             # NaN propagates through min and max, so both are finite only if every value is
             _check(bool(np.isfinite(arr.min()) and np.isfinite(arr.max())),
-                   f"{where}: non-finite {attr}")
+                   "{}: non-finite {}", where, attr)
         if isinstance(ly, BatchNormLayer):
-            _check(bool((ly.running_var >= 0).all()), f"{where}: negative running_var")
+            _check(bool((ly.running_var >= 0).all()), "{}: negative running_var", where)
 
 
 def validate(model: ModelGraph) -> None:
@@ -451,8 +478,11 @@ def _parse_manifest(arch_path: str | Path) -> ModelGraph:
     recs = doc.get("layers")
     if not isinstance(recs, list) or not recs:
         raise ManifestError("manifest 'layers' must be a non-empty list")
+    name = doc.get("name", "model")
+    if type(name) is not str:
+        raise ManifestError(f"manifest 'name' must be a string, got {name!r}")
     layers = [_record_to_layer(rec, i) for i, rec in enumerate(recs)]
-    return ModelGraph(layers, (inp[0], inp[1], inp[2]), str(doc.get("name", "model")))
+    return ModelGraph(layers, (inp[0], inp[1], inp[2]), name)
 
 
 def load_arch(arch_path: str | Path) -> ModelGraph:
@@ -543,9 +573,12 @@ def staged_outputs(*targets: str | Path) -> Iterator[list[Path]]:
     Every target is checked before the block runs: a directory or a target
     in a missing directory raises NnwmError.  Each temp is a fresh name in
     its target's directory, for a writer to create with ``open_new``.  When
-    the block returns, each old target is removed and its temp renamed onto
-    the freed name.  When it raises, every temp is deleted and the old
-    targets are left as they were.
+    the block returns, two targets that name one directory entry raise
+    NnwmError, since one output would replace the other; the check comes
+    after the block so that the block's own errors come first.  Otherwise
+    each old target is removed and its temp renamed onto the freed name.
+    When anything raises, every temp is deleted and the old targets are
+    left as they were.
     """
     paths = [Path(t) for t in targets]
     for p in paths:
@@ -556,6 +589,12 @@ def staged_outputs(*targets: str | Path) -> Iterator[list[Path]]:
     temps = [p.with_name(f".{p.name}.{secrets.token_hex(8)}.tmp") for p in paths]
     try:
         yield temps
+        # a symlinked target is replaced, not followed, so only its directory resolves
+        entries = {}
+        for p in paths:
+            first = entries.setdefault(p.parent.resolve() / p.name, p)
+            if first is not p:
+                raise NnwmError(f"outputs {first} and {p} name one file")
         for tmp, p in zip(temps, paths):
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(p)

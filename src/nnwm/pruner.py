@@ -120,8 +120,10 @@ class ReceiptLayer:
 class Receipt:
     """Portable record of the original channel counts and scheme parameters.
 
-    Carries a key fingerprint (SHA-256), never the key itself, so it can be
-    published without weakening the watermark.
+    Carries a key fingerprint (SHA-256), never the key itself.  It does list
+    every carrier's conv index and original width, so publishing it shows
+    anyone which layers carry the mark, and re-pruning those layers past
+    their decode cells erases it: a published receipt weakens the watermark.
     """
 
     segment_length: int

@@ -375,3 +375,177 @@ def test_every_layer_type_is_registered_and_round_trips_its_record():
         cls = type(ly)
         assert LAYER_TYPES[cls.TYPE] is cls
         assert cls.from_record({"type": cls.TYPE, **ly.record()}, 0).record() == ly.record()
+
+
+# --- exact message text -------------------------------------------------------
+#
+# One bad graph per structural or value check, each with the full text it
+# must raise.  Builders mutate a fresh vgg_tiny: layer 0 a 1->32 conv on
+# 1x16x16, 1 its batchnorm, 3 a 32->32 conv, 6 a 2x2 max-pool, 17 the global
+# pool and 18 the 64->2 linear head.
+
+def _set(pos, **attrs):
+    def mutate(m):
+        for attr, value in attrs.items():
+            setattr(m.layers[pos], attr, value)
+    return mutate
+
+
+def _insert(pos, layer):
+    return lambda m: m.layers.insert(pos, layer)
+
+
+def _bn_of(n):
+    return _set(1, **{attr: np.ones(n, dtype=np.float32) for attr in BatchNormLayer.ARRAYS})
+
+
+def _fill(pos, attr, index, value):
+    def mutate(m):
+        arr = getattr(m.layers[pos], attr)
+        arr[index] = value
+    return mutate
+
+
+def _ones(*shape):
+    return np.ones(shape, dtype=np.float32)
+
+
+MESSAGES = [
+    ("no_conv", lambda m: setattr(m, "layers", [ReluLayer()]), "model has no conv layer"),
+    ("input_zero", lambda m: setattr(m, "input_shape", (0, 16, 16)),
+     "input shape (0, 16, 16) not positive"),
+    ("conv_rank", _set(0, weights=_ones(32, 1, 3)), "layer 0 (ConvLayer): weights must be 4-D"),
+    ("conv_zero_dim", _set(0, weights=_ones(32, 1, 0, 3)),
+     "layer 0 (ConvLayer): non-positive weight dim"),
+    ("conv_bias_rank", _set(0, bias=_ones(32, 1)),
+     "layer 0 (ConvLayer) bias must be a 1-D array"),
+    ("conv_bias_empty", _set(0, bias=_ones(0)), "layer 0 (ConvLayer) bias must be non-empty"),
+    ("conv_bias_length", _set(0, bias=_ones(31)),
+     "layer 0 (ConvLayer) bias has length 31, expected 32"),
+    ("conv_stride", _set(0, stride=(1, 0)), "layer 0 (ConvLayer): stride must be >= 1"),
+    ("conv_padding", _set(0, padding=(0, -1)), "layer 0 (ConvLayer): negative padding"),
+    ("conv_on_vector", _insert(18, ConvLayer(_ones(64, 64, 1, 1))),
+     "layer 18 (ConvLayer): conv applied to non-spatial input"),
+    ("conv_c_in", _set(3, weights=_ones(32, 33, 3, 3)),
+     "layer 3 (ConvLayer): c_in 33 != incoming channels 32"),
+    ("conv_kernel", _set(0, weights=_ones(32, 1, 19, 3)),
+     "layer 0 (ConvLayer): kernel 19x3 too large for 16x16 input"),
+    ("bn_gamma_rank", _set(1, gamma=_ones(32, 1)),
+     "layer 1 (BatchNormLayer) gamma must be a 1-D array"),
+    ("bn_gamma_empty", _set(1, gamma=_ones(0)),
+     "layer 1 (BatchNormLayer) gamma must be non-empty"),
+    ("bn_beta_length", _set(1, beta=_ones(33)),
+     "layer 1 (BatchNormLayer) beta has length 33, expected 32"),
+    ("bn_var_not_array", _set(1, running_var=[1.0] * 32),
+     "layer 1 (BatchNormLayer) running_var must be a 1-D array"),
+    ("bn_eps_zero", _set(1, eps=0.0), "layer 1 (BatchNormLayer): eps must be positive"),
+    ("bn_eps_nan", _set(1, eps=float("nan")), "layer 1 (BatchNormLayer): eps must be positive"),
+    ("bn_eps_inf", _set(1, eps=float("inf")), "layer 1 (BatchNormLayer): eps must be positive"),
+    ("bn_on_vector", _insert(18, BatchNormLayer(*(_ones(64) for _ in range(4)))),
+     "layer 18 (BatchNormLayer): batchnorm applied to non-spatial input"),
+    ("bn_length", _bn_of(33),
+     "layer 1 (BatchNormLayer): batchnorm length 33 != incoming channels 32"),
+    ("pool_stride", _set(6, stride=0), "layer 6 (MaxPoolLayer): kernel and stride must be >= 1"),
+    ("pool_on_vector", _insert(18, MaxPoolLayer(1, 1)),
+     "layer 18 (MaxPoolLayer): maxpool applied to non-spatial input"),
+    ("pool_kernel", _set(6, kernel=17),
+     "layer 6 (MaxPoolLayer): pool kernel 17 too large for 16x16 input"),
+    ("gap_on_vector", _insert(18, GlobalAvgPoolLayer()),
+     "layer 18 (GlobalAvgPoolLayer): global pool applied to non-spatial input"),
+    ("linear_rank", _set(18, weights=_ones(2, 64, 1)),
+     "layer 18 (LinearLayer): weights must be 2-D"),
+    ("linear_zero_dim", _set(18, weights=_ones(2, 0)),
+     "layer 18 (LinearLayer): non-positive weight dim"),
+    ("linear_bias_length", _set(18, bias=_ones(3)),
+     "layer 18 (LinearLayer) bias has length 3, expected 2"),
+    ("linear_in", _set(18, weights=_ones(2, 63)),
+     "layer 18 (LinearLayer): in_features 63 != incoming features 64"),
+    ("linear_on_map", lambda m: m.layers.__setitem__(17, ReluLayer()),
+     "layer 18 (LinearLayer): in_features 64 != incoming features 1024"),
+    ("nan_weight", _fill(3, "weights", (0, 0, 0, 0), np.nan),
+     "layer 3 (ConvLayer): non-finite weights"),
+    ("inf_bias", _fill(18, "bias", 1, -np.inf), "layer 18 (LinearLayer): non-finite bias"),
+    ("nan_running_mean", _fill(1, "running_mean", 5, np.nan),
+     "layer 1 (BatchNormLayer): non-finite running_mean"),
+    ("negative_running_var", _fill(1, "running_var", 0, -1.0),
+     "layer 1 (BatchNormLayer): negative running_var"),
+]
+
+
+@pytest.mark.parametrize("mutate,message", [m[1:] for m in MESSAGES],
+                         ids=[m[0] for m in MESSAGES])
+def test_every_check_raises_its_exact_message(mutate, message):
+    model = vgg_tiny(0)
+    mutate(model)
+    with pytest.raises(ShapeConsistencyError) as err:
+        validate(model)
+    assert str(err.value) == message
+
+
+DELETE_FIELD = object()
+
+MANIFEST_MESSAGES = [
+    ("kernel_too_large", ("layers", 0, "kernel"), [19, 3], ShapeConsistencyError,
+     "layer 0 (ConvLayer): kernel 19x3 too large for 16x16 input"),
+    ("zero_channels", ("layers", 1, "channels"), 0, ShapeConsistencyError,
+     "layer 1 (BatchNormLayer) gamma must be non-empty"),
+    ("kernel_not_a_pair", ("layers", 0, "kernel"), [3, 3, 3], ManifestError,
+     "layer 0: 'kernel' must be a pair of integers"),
+    ("stride_with_a_float", ("layers", 0, "stride"), [1, 1.0], ManifestError,
+     "layer 0: 'stride' must be a pair of integers"),
+    ("missing_padding", ("layers", 3, "padding"), DELETE_FIELD, ManifestError,
+     "layer 3: missing field 'padding'"),
+    ("channels_string", ("layers", 1, "channels"), "32", ManifestError,
+     "layer 1: 'channels' must be an integer, got '32'"),
+    ("pool_kernel_bool", ("layers", 6, "kernel"), True, ManifestError,
+     "layer 6: 'kernel' must be an integer, got True"),
+    ("bias_int", ("layers", 18, "bias"), 1, ManifestError,
+     "layer 18: 'bias' must be true or false, got 1"),
+    ("eps_string", ("layers", 1, "eps"), "x", ManifestError,
+     "layer 1: 'eps' must be a number, got 'x'"),
+    ("unknown_type", ("layers", 2, "type"), "gelu", ManifestError,
+     "layer 2: unknown layer type 'gelu'"),
+    ("record_not_an_object", ("layers", 2), [], ManifestError,
+     "layer 2: record must be an object with a 'type' field"),
+    ("format", ("format",), "nnwm-v2", ManifestError,
+     "manifest format must be 'nnwm-v1', got 'nnwm-v2'"),
+    ("input", ("input",), [1, 16], ManifestError,
+     "manifest 'input' must be [C, H, W] positive integers"),
+    ("layers", ("layers",), [], ManifestError, "manifest 'layers' must be a non-empty list"),
+]
+
+
+@pytest.mark.parametrize("path,value,kind,message", [m[1:] for m in MANIFEST_MESSAGES],
+                         ids=[m[0] for m in MANIFEST_MESSAGES])
+def test_every_manifest_check_raises_its_exact_message(tmp_path, path, value, kind, message):
+    arch, _ = saved(tmp_path, vgg_tiny(0))
+    doc = json.loads(arch.read_text())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    if value is DELETE_FIELD:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    arch.write_text(json.dumps(doc))
+    with pytest.raises(kind) as err:
+        load_arch(arch)
+    assert type(err.value) is kind and str(err.value) == message
+
+
+@pytest.mark.parametrize("dim", [-1, 10**30, 2**62], ids=["negative", "10^30", "2^62"])
+def test_an_unrepresentable_shape_names_the_layer_and_shape(tmp_path, dim):
+    arch = one_conv_manifest(tmp_path, dim, 1, 3)
+    with pytest.raises(ManifestError) as err:
+        load_arch(arch)
+    prefix = f"layer 0: cannot represent a tensor of shape ({dim}, 1, 3, 3): "
+    assert str(err.value).startswith(prefix)
+
+
+def test_placeholders_are_zero_views_that_cannot_be_made_writable(tmp_path):
+    arch, _ = saved(tmp_path, vgg_tiny(0))
+    for ly in load_arch(arch).layers:
+        for attr, arr in layer_arrays(ly):
+            assert arr.dtype == np.float32 and not any(arr.strides), attr
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True

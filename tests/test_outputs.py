@@ -141,6 +141,40 @@ def test_staged_outputs_move_nothing_when_the_block_raises(tmp_path):
     assert contents(tmp_path) == {"a": b"old"}
 
 
+def test_embed_receipt_naming_the_marked_manifest_moves_nothing(tiny_host, tmp_path, capsys):
+    assert embed(tiny_host, tmp_path) == 0
+    before = contents(tmp_path)
+    rc = embed(tiny_host, tmp_path, payload="011011011", receipt=tmp_path / "." / "marked.json")
+    assert rc == 2
+    assert "name one file" in capsys.readouterr().err
+    assert contents(tmp_path) == before
+
+
+def test_staged_outputs_refuse_two_targets_naming_one_entry(tmp_path):
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "a").write_bytes(b"old")
+    (tmp_path / "link").symlink_to(tmp_path / "d")
+    ran = []
+    with pytest.raises(NnwmError, match="name one file"):
+        with model_store.staged_outputs(tmp_path / "d" / "a", tmp_path / "link" / "a") as temps:
+            for tmp in temps:
+                with model_store.open_new(tmp) as fh:
+                    fh.write(b"new")
+            ran.append(True)
+    assert ran  # the block's own errors come first
+    assert contents(tmp_path / "d") == {"a": b"old"}
+
+
+def test_staged_outputs_replace_a_symlink_beside_its_target(tmp_path):
+    (tmp_path / "a").write_bytes(b"old")
+    (tmp_path / "b").symlink_to(tmp_path / "a")
+    with model_store.staged_outputs(tmp_path / "a", tmp_path / "b") as temps:
+        for tmp, data in zip(temps, (b"new a", b"new b")):
+            with model_store.open_new(tmp) as fh:
+                fh.write(data)
+    assert contents(tmp_path) == {"a": b"new a", "b": b"new b"}
+
+
 def test_staged_outputs_check_every_target_before_the_block(tmp_path):
     (tmp_path / "d").mkdir()
     for bad in (tmp_path / "d", tmp_path / "missing" / "x"):

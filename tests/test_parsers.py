@@ -212,6 +212,26 @@ def test_huge_manifest_dimension_exits_two(marked, tmp_path, capsys, command, di
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("name", [[1, 2], 7, None, {"a": 1}], ids=["list", "int", "null", "object"])
+def test_manifest_name_must_be_a_string(marked, tmp_path, capsys, name):
+    doc = json.loads((marked / "marked.json").read_text())
+    doc["name"] = name
+    bad = tmp_path / "m.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match="'name' must be a string"):
+        load_arch(bad)
+    assert verify_rc(marked / "r.json", bad) == 2
+    assert "'name' must be a string" in capsys.readouterr().err
+
+
+def test_manifest_name_is_optional_and_round_trips(marked, tmp_path):
+    doc = json.loads((marked / "marked.json").read_text())
+    path = tmp_path / "m.json"
+    for name, want in ((DELETE, "model"), ("héllo [1, 2]", "héllo [1, 2]")):
+        path.write_text(json.dumps(mutated(doc, ("name",), name)))
+        assert load_arch(path).name == want
+
+
 # --- one-field fuzzing ------------------------------------------------------
 
 def json_values(ints):
