@@ -33,8 +33,8 @@ its check fails and a passing check builds no text.
 - ``load_arch`` runs the structural checks and stops.
 - ``load_model`` starts from ``load_arch``, checks the blob's header and
   compares its size with the placeholder sizes before it reads any tensor,
-  reads each tensor into an owned, writable array of its own, then runs
-  the value checks.
+  reads each tensor with one ``readinto`` call into a new owned, writable
+  array of its own, then runs the value checks.
 - ``pruner.apply_prune`` reruns only the structural checks: slicing loaded
   arrays cannot create a bad value.
 - ``save_model`` runs the full ``validate`` before it writes anything.
@@ -137,8 +137,10 @@ def _placeholder(shape: tuple[int, ...], idx: int) -> np.ndarray:
     """Read-only zero view of the declared shape; allocates nothing, whatever the shape."""
     try:
         return np.ndarray(shape, np.float32, _ZERO, 0, (0,) * len(shape))
-    except (ValueError, OverflowError) as e:
-        raise ManifestError(f"layer {idx}: cannot represent a tensor of shape {shape}: {e}") from e
+    except (ValueError, OverflowError) as e:  # numpy's own text varies by version
+        reason = "a dimension is negative" if min(shape) < 0 else "it is too large to address"
+        raise ManifestError(f"layer {idx}: cannot represent a tensor of shape {shape}: "
+                            f"{reason}") from e
 
 
 def _bias(rec: dict, idx: int, n: int) -> np.ndarray | None:
@@ -518,11 +520,10 @@ def load_model(arch_path: str | Path, weights_path: str | Path) -> ModelGraph:
             raise BlobSizeError(f"weight blob is {size} bytes, manifest declares {expected}")
         for pos, ly in enumerate(model.layers):
             for attr, shaped in list(layer_arrays(ly)):
-                arr = np.fromfile(fh, dtype="<f4", count=shaped.size)
-                if arr.size != shaped.size:  # the file shrank after the size check
+                arr = np.empty(shaped.shape, "<f4")
+                if fh.readinto(arr) != arr.nbytes:  # the file shrank after the size check
                     raise BlobSizeError(f"weight blob {weights_path} ended inside "
                                         f"layer {pos} {attr}")
-                arr.shape = shaped.shape  # in place: a reshape would not own its data
                 setattr(ly, attr, arr)
     check_values(model)
     return model

@@ -261,7 +261,8 @@ def attack_zero_weights(model: ModelGraph, fraction: float) -> ModelGraph:
     """Zero the given fraction of smallest-magnitude conv/linear weights, globally.
 
     Ties at the cut go to the earlier weights in blob order, as in a stable
-    ascending sort of the (finite, validated) magnitudes.
+    ascending sort of the (finite, validated) magnitudes.  A zeroed weight
+    becomes +0.0 and every other weight keeps its exact bits.
     """
     if not (0.0 <= fraction <= 1.0):
         raise AttackConfigError(f"zeroed fraction must lie in [0, 1], got {fraction}")
@@ -271,14 +272,21 @@ def attack_zero_weights(model: ModelGraph, fraction: float) -> ModelGraph:
     k = min(wm_codec.round_half_up(fraction * total), total)
     if k == 0:
         return out
-    magnitudes = np.concatenate([np.abs(t).ravel() for t in tensors])
+    # the clone's arrays are C-contiguous, so every reshape below is a view
+    magnitudes = np.empty(total, np.result_type(*tensors))
+    off = 0
+    for t in tensors:
+        np.abs(t, out=magnitudes[off:off + t.size].reshape(t.shape))
+        off += t.size
     cut = np.partition(magnitudes, k - 1)[k - 1]  # the k-th smallest magnitude
     kill = magnitudes < cut
     kill[np.flatnonzero(magnitudes == cut)[:k - np.count_nonzero(kill)]] = True
     off = 0
     for t in tensors:
-        mask = kill[off:off + t.size].reshape(t.shape)
-        t[mask] = 0.0
+        # AND with all ones (kill 0 - 1 wraps) keeps a weight, with zeros clears it
+        bits = t.reshape(-1).view(f"u{t.itemsize}")
+        np.bitwise_and(bits, np.subtract(kill[off:off + t.size], 1, dtype=bits.dtype),
+                       out=bits)
         off += t.size
     return out
 

@@ -54,9 +54,8 @@ def plan_layer(model: ModelGraph, conv_index: int, k: int, criterion: str) -> li
     c = scores.shape[0]
     if not (0 <= k <= c - 1):
         raise PlanError(f"k={k} out of range for a {c}-channel layer (need 0 <= k <= {c - 1})")
-    drop_order = sorted(range(c), key=lambda i: (scores[i], -i))
-    dropped = set(drop_order[:k])
-    return [i for i in range(c) if i not in dropped]
+    drop_order = np.lexsort((-np.arange(c), scores))  # by score, then by index descending
+    return np.sort(drop_order[k:]).tolist()
 
 
 def _check_entry(model: ModelGraph, entry: PlanEntry) -> None:

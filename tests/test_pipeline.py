@@ -13,6 +13,7 @@ from nnwm.model_store import (
     channel_counts,
     clone_graph,
     conv_layer_indices,
+    layer_arrays,
 )
 from nnwm.pipeline import (
     attack_finetune,
@@ -24,7 +25,7 @@ from nnwm.pipeline import (
     extract,
     verify,
 )
-from nnwm.toy_trainer import synth_dataset
+from nnwm.toy_trainer import synth_dataset, to_precision
 from nnwm.wm_codec import EmbedParams, WatermarkPayload, min_channels, round_half_up
 
 
@@ -255,6 +256,53 @@ def test_attack_zero_weights_matches_stable_sort(seed, levels, fraction):
     zeroed = np.concatenate([(ly.weights == 0).ravel() for ly in out.layers
                              if isinstance(ly, (ConvLayer, LinearLayer))])
     assert np.array_equal(zeroed, expected)
+
+
+def zero_weights_reference(model, fraction):
+    """attack_zero_weights by a stable argsort: the first k magnitudes become +0.0."""
+    out = clone_graph(model)
+    tensors = [ly.weights for ly in out.layers if isinstance(ly, (ConvLayer, LinearLayer))]
+    magnitudes = np.concatenate([np.abs(t).ravel() for t in tensors])
+    k = min(round_half_up(fraction * magnitudes.size), magnitudes.size)
+    kill = np.zeros(magnitudes.size, dtype=bool)
+    kill[np.argsort(magnitudes, kind="stable")[:k]] = True
+    off = 0
+    for t in tensors:
+        t.reshape(-1)[np.flatnonzero(kill[off:off + t.size])] = 0.0  # a view of the clone
+        off += t.size
+    return out
+
+
+def raw_arrays(model):
+    return [(arr.dtype.str, arr.shape, arr.tobytes())
+            for ly in model.layers for _, arr in layer_arrays(ly)]
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=4),
+       st.floats(min_value=0.0, max_value=1.0), st.sampled_from(["f32", "f64", "mixed"]))
+@settings(max_examples=200, deadline=None)
+def test_attack_zero_weights_matches_the_reference_bit_for_bit(seed, levels, fraction,
+                                                               precision):
+    # many ties on a small grid, with -0.0 and subnormals of the tensor's own dtype mixed in;
+    # survivors keep their exact bits and zeroed weights become +0.0
+    model = to_precision(SMALL_NET, "f64" if precision == "f64" else "f32")
+    tensors = [ly for ly in model.layers if isinstance(ly, (ConvLayer, LinearLayer))]
+    if precision == "mixed":
+        for ly in tensors[::2]:
+            ly.weights = ly.weights.astype(np.float64)
+    rng = np.random.default_rng(seed)
+    for ly in tensors:
+        t = ly.weights
+        tiny = np.finfo(t.dtype).smallest_subnormal
+        grid = rng.integers(1, levels + 1, t.shape) * rng.choice([-1.0, 1.0], t.shape)
+        kind = rng.integers(0, 4, t.shape)  # 0, 1: grid; 2: signed zero; 3: subnormal
+        t[...] = np.where(kind < 2, grid, 0.0)
+        t[kind == 2] = np.copysign(0.0, grid[kind == 2])
+        t[kind == 3] = (grid[kind == 3] * tiny).astype(t.dtype)
+    before = raw_arrays(model)
+    out = attack_zero_weights(model, fraction)
+    assert raw_arrays(out) == raw_arrays(zero_weights_reference(model, fraction))
+    assert raw_arrays(model) == before
 
 
 def test_attack_finetune_preserves_watermark():

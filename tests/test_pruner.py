@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nnwm import importance
 from nnwm.errors import PlanError
 from nnwm.fixtures import random_conv_net, vgg16_style, vgg_tiny
 from nnwm.model_store import (
@@ -67,6 +68,18 @@ def test_plan_layer_nesting(scores, data):
     larger = set(plan_layer(m, 0, k, "l1"))
     smaller = set(plan_layer(m, 0, k + 1, "l1"))
     assert smaller <= larger
+
+
+@given(st.lists(st.floats(min_value=0, max_value=10, allow_nan=False)
+                | st.integers(min_value=0, max_value=3).map(float), min_size=1, max_size=40),
+       st.data())
+def test_plan_layer_matches_the_sorted_reference(scores, data):
+    # drop the k smallest scores, ties by the higher index; the grid draws make ties common
+    m = scored_model(scores)
+    k = data.draw(st.integers(min_value=0, max_value=len(scores) - 1))
+    s = importance.score(m, 0, "l1")
+    drop_order = sorted(range(len(s)), key=lambda i: (s[i], -i))
+    assert plan_layer(m, 0, k, "l1") == sorted(drop_order[k:])
 
 
 def test_apply_prune_k0_is_identity(tiny_model):

@@ -33,3 +33,11 @@ def test_fidelity_experiment(capsys, tmp_path):
          "--n-train", "16", "--n-test", "16", "--out", str(csv)])
     assert rc == 0
     assert len(csv.read_text().strip().splitlines()) == 1 + 3  # header, baseline, l1, bn
+
+
+def test_output_hashes_prints_one_line_per_named_output(capsys):
+    names = ["attack_noise_blob", "inspect_scores_l1", "inspect_scores_bn"]  # the cheap ones
+    assert load("output_hashes").main(names) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [name for name, _ in rows] == names
+    assert all(len(digest) == 64 and int(digest, 16) >= 0 for _, digest in rows)
