@@ -411,6 +411,23 @@ def layer_input_shapes(model: ModelGraph) -> list[tuple]:
     return shapes
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    """True if every value of arr is finite.
+
+    One pass decides almost every tensor: a NaN or inf makes the sum of
+    squares NaN or inf, so a finite self-dot means every value is finite.
+    A dot that overflows, or a tensor that is not C-contiguous, falls back
+    to min and max: NaN propagates through both, so both are finite only
+    if every value is.
+    """
+    if arr.flags.c_contiguous:
+        flat = arr.reshape(-1)
+        with np.errstate(all="ignore"):
+            if np.isfinite(np.dot(flat, flat)):
+                return True
+    return bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
+
+
 def check_values(model: ModelGraph) -> None:
     """Check that every array holds finite values and no running_var is negative.
 
@@ -419,9 +436,7 @@ def check_values(model: ModelGraph) -> None:
     for pos, ly in enumerate(model.layers):
         where = _Where(pos, ly)
         for attr, arr in layer_arrays(ly):
-            # NaN propagates through min and max, so both are finite only if every value is
-            _check(bool(np.isfinite(arr.min()) and np.isfinite(arr.max())),
-                   "{}: non-finite {}", where, attr)
+            _check(_all_finite(arr), "{}: non-finite {}", where, attr)
         if isinstance(ly, BatchNormLayer):
             _check(bool((ly.running_var >= 0).all()), "{}: negative running_var", where)
 

@@ -12,6 +12,15 @@ train-mode ``forward`` returns the per-layer kernel contexts (eval keeps
 none), and ``loss_softmax_ce`` returns the loss with its gradient w.r.t.
 the logits; ``backward`` takes those contexts and that gradient.
 
+No temporary is larger than one training batch needs.  ``evaluate`` runs
+eval-mode ``forward`` over BATCH_SIZE samples at a time; every eval kernel
+treats each sample on its own, so the chunking changes no prediction.  The
+contexts of a train-mode step live until ``backward`` returns.  Freeing
+each one as ``backward`` consumes it lowers a fine-tune's peak by about a
+quarter, but glibc then trims the freed top of the heap and faults it back
+in on every step: some 20 times the minor page faults, and a slower
+fine-tune.
+
 A conv pads its input once into a zeroed channel-major (Ci, N, Hp, Wp)
 grid.  Each of the kh*kw window offsets is one strided slice of that grid,
 and the slices are copied into a (Ci*kh*kw, N*Ho*Wo) patch matrix that
@@ -21,10 +30,14 @@ memory; batchnorm, relu and maxpool keep that channel-major order.
 
 The conv backward pass places the output gradient on a zeroed grid of the
 same (N, Hp, Wp) shape, at each window's top-left corner (s*y, s*x), and
-takes the patch gradient over every grid column.  In the flat grid, the
-input position for window offset (i, j) is the corner plus i*Wp + j, so
-the input gradient is kh*kw shifted adds of whole (Ci, N*Hp*Wp) rows into
-one flat buffer, in (i, j) order; the padding border is cut off at the end.
+takes the patch gradient over every grid column, one kernel row i at a
+time: the (Ci*kw, Co) slice of the transposed weights for row i times the
+(Co, N*Hp*Wp) grid, into one reused buffer a kh-th the size of the whole
+patch gradient.  Each element is the same sum over Co as in one product
+over all rows.  In the flat grid, the input position for window offset
+(i, j) is the corner plus i*Wp + j, so the input gradient is kh*kw shifted
+adds of whole (Ci, N*Hp*Wp) rows into one flat buffer, in (i, j) order;
+the padding border is cut off at the end.
 
 Maxpool is a running maximum over its k*k strided window views.  Its
 backward pass walks the same views in row-major order and gives each
@@ -65,8 +78,7 @@ from .model_store import (
 )
 
 BN_MOMENTUM = 0.1
-EVAL_CHUNK = 256  # samples per eval-mode forward in evaluate
-BATCH_SIZE = 32  # samples per SGD step
+BATCH_SIZE = 32  # samples per SGD step and per eval-mode forward in evaluate
 WEIGHT_DECAY = 1e-4
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
@@ -159,11 +171,14 @@ def _conv_backward(ly: ConvLayer, ctx, dout: np.ndarray):
     grid = np.zeros((co, n, hp, wp), dtype=dout.dtype)
     grid[:, :, :sy * ho:sy, :sx * wo:sx] = dout.transpose(1, 0, 2, 3)
     size = n * hp * wp
-    dcols = (ly.weights.reshape(co, -1).T @ grid.reshape(co, size)).reshape(ci, kh, kw, size)
+    flat = grid.reshape(co, size)
     dxp = np.zeros((ci, size + (kh - 1) * wp + kw - 1), dtype=dout.dtype)
+    drow = np.empty((ci, kw, size), dtype=dout.dtype)  # patch gradient of one kernel row
     for i in range(kh):
+        np.matmul(ly.weights[:, :, i].reshape(co, ci * kw).T, flat,
+                  out=drow.reshape(ci * kw, size))
         for j in range(kw):
-            dxp[:, i * wp + j:i * wp + j + size] += dcols[:, i, j]
+            dxp[:, i * wp + j:i * wp + j + size] += drow[:, j]
     dx = dxp[:, :size].reshape(ci, n, hp, wp).transpose(1, 0, 2, 3)
     return dx[:, :, py:py + in_shape[2], px:px + in_shape[3]], dw, db
 
@@ -328,9 +343,9 @@ def sgd_step(model: ModelGraph, grads: dict, config: TrainConfig) -> None:
 def evaluate(model: ModelGraph, batch: Batch) -> float:
     """Top-1 accuracy in eval mode."""
     hits = 0
-    for i in range(0, batch.size, EVAL_CHUNK):
-        logits, _ = forward(model, batch.inputs[i:i + EVAL_CHUNK], mode="eval")
-        hits += int((logits.argmax(axis=1) == batch.labels[i:i + EVAL_CHUNK]).sum())
+    for i in range(0, batch.size, BATCH_SIZE):
+        logits, _ = forward(model, batch.inputs[i:i + BATCH_SIZE], mode="eval")
+        hits += int((logits.argmax(axis=1) == batch.labels[i:i + BATCH_SIZE]).sum())
     return hits / batch.size
 
 

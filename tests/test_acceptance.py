@@ -2,14 +2,19 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see one PASS/FAIL line per
 criterion.  The fidelity experiments (criteria 7 and 9) share a session
-fixture and dominate the runtime (a few minutes).
+fixture that runs its 5 seeds in 2 worker processes; it dominates the
+runtime (about half a minute).
 """
 
+import multiprocessing
+import os
 import statistics
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from _fidelity import fidelity_seed, random_bits
 
 from nnwm.fixtures import random_conv_net, vgg16_style, vgg_tiny
 from nnwm.model_store import channel_counts, conv_layer_indices, iter_named_params
@@ -23,10 +28,7 @@ from nnwm.pipeline import (
 )
 from nnwm.pruner import PlanEntry, apply_prune
 from nnwm.toy_trainer import (
-    TrainConfig,
     backward,
-    evaluate,
-    finetune,
     forward,
     loss_softmax_ce,
     synth_dataset,
@@ -46,10 +48,6 @@ from nnwm.wm_codec import (
 def criterion(number: int, name: str, ok: bool, detail: str) -> None:
     print(f"\n[ACCEPTANCE {number}] {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {number} ({name}): {detail}"
-
-
-def random_bits(rng, n):
-    return "".join(rng.choice(["0", "1"], size=n))
 
 
 def test_criterion_1_capacity_reproduction():
@@ -191,32 +189,25 @@ def test_criterion_6_gradient_correctness():
 
 @pytest.fixture(scope="session")
 def fidelity_runs():
-    """Baseline and marked+fine-tuned accuracy for 5 seeds.
+    """Each arm's accuracies over 5 seeds (see ``_fidelity.fidelity_seed``).
 
-    Arms: baseline, marked at full coverage for both criteria, and marked at
-    quarter coverage (one of five layers) for the trend check.  Returns the
-    arms and the wall time the runs took, which criterion 7 bounds.
+    The seeds run in 2 worker processes with one BLAS thread each.  Returns
+    the arms and the wall time the runs took, which criterion 7 bounds.
     """
     t0 = time.perf_counter()
-    results = {"baseline": [], "l1": [], "bn": [], "quarter": []}
-    for seed in range(5):
-        train, test = synth_dataset(1000 + seed, 512, 256)
-        base = finetune(vgg_tiny(seed), train,
-                        TrainConfig(epochs=5, lr=0.01, seed=seed))
-        results["baseline"].append(evaluate(base, test))
-        rng = np.random.default_rng(seed)
-        params = EmbedParams(segment_length=3, key=f"owner-{seed}".encode())
-        full_bits = random_bits(rng, 15)      # r_cov = 1.0: all 5 conv layers
-        quarter_bits = random_bits(rng, 3)    # r_cov = 0.25: 1 of 5 layers
-        for crit in ("l1", "bn"):
-            marked, _ = embed(base, WatermarkPayload(full_bits, 3), params, crit)
-            tuned = finetune(marked, train,
-                             TrainConfig(epochs=5, lr=0.001, seed=seed + 100))
-            results[crit].append(evaluate(tuned, test))
-        marked, _ = embed(base, WatermarkPayload(quarter_bits, 3), params, "l1")
-        tuned = finetune(marked, train,
-                         TrainConfig(epochs=5, lr=0.001, seed=seed + 200))
-        results["quarter"].append(evaluate(tuned, test))
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(2, mp_context=spawn) as pool:  # joins its workers on exit
+        threads = os.environ.get("OPENBLAS_NUM_THREADS")
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read by each worker as submit starts it
+        try:
+            runs = [pool.submit(fidelity_seed, seed) for seed in range(5)]
+        finally:
+            if threads is None:
+                del os.environ["OPENBLAS_NUM_THREADS"]
+            else:
+                os.environ["OPENBLAS_NUM_THREADS"] = threads
+        per_seed = [run.result() for run in runs]
+    results = {arm: [acc[arm] for acc in per_seed] for arm in per_seed[0]}
     return results, time.perf_counter() - t0
 
 

@@ -35,7 +35,7 @@ from nnwm.model_store import (
     save_model,
     validate,
 )
-from nnwm.toy_trainer import KERNELS
+from nnwm.toy_trainer import KERNELS, to_precision
 
 
 def saved(tmp_path, model, stem="m"):
@@ -481,6 +481,46 @@ def test_every_check_raises_its_exact_message(mutate, message):
     with pytest.raises(ShapeConsistencyError) as err:
         validate(model)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("precision,big", [("f32", 1e20), ("f64", 1e200)])
+def test_a_weight_whose_square_overflows_still_validates(precision, big):
+    model = to_precision(vgg_tiny(0), precision)
+    w = model.layers[0].weights
+    w[0, 0, 0, 0] = big
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.dot(w.ravel(), w.ravel()))  # the one-pass test gives up
+    validate(model)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])  # an F-order 2-D+ tensor goes to min/max
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("place", ["first", "last"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_a_non_finite_end_value_raises_the_exact_message(value, place, precision, layout):
+    model = to_precision(vgg_tiny(0), precision)
+    for pos, ly in enumerate(model.layers):
+        for attr, arr in list(layer_arrays(ly)):
+            bad = np.array(arr, order=layout)
+            bad.flat[0 if place == "first" else -1] = value
+            setattr(ly, attr, bad)
+            with pytest.raises(ShapeConsistencyError) as err:
+                validate(model)
+            assert str(err.value) == f"layer {pos} ({type(ly).__name__}): non-finite {attr}"
+            setattr(ly, attr, arr)
+    validate(model)
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_a_negative_running_var_raises_the_exact_message(precision):
+    model = to_precision(vgg_tiny(0), precision)
+    for pos, ly in enumerate(model.layers):
+        if isinstance(ly, BatchNormLayer):
+            ly.running_var[-1] = -1e-30
+            with pytest.raises(ShapeConsistencyError) as err:
+                validate(model)
+            assert str(err.value) == f"layer {pos} (BatchNormLayer): negative running_var"
+            ly.running_var[-1] = 1.0
 
 
 DELETE_FIELD = object()

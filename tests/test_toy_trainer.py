@@ -2,13 +2,13 @@
 
 import math
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from nnwm.errors import ShapeConsistencyError, TrainConfigError
-from nnwm.fixtures import vgg_tiny
+from nnwm.fixtures import vgg16_style, vgg_tiny
 from nnwm.model_store import (
     BatchNormLayer,
     ConvLayer,
@@ -17,8 +17,10 @@ from nnwm.model_store import (
     ModelGraph,
     channel_counts,
     iter_named_params,
+    layer_input_shapes,
 )
 from nnwm.toy_trainer import (
+    BATCH_SIZE,
     WEIGHT_DECAY,
     Batch,
     TrainConfig,
@@ -87,6 +89,50 @@ def test_conv_kernels_vs_naive_reference(kernel, stride, padding):
         assert float(np.vdot(dx, x)) == pytest.approx(lin, rel=1e-12)
         assert float(np.vdot(dw, w)) == pytest.approx(lin, rel=1e-12)
         np.testing.assert_allclose(db, dout.sum(axis=(0, 2, 3)), rtol=1e-12)
+
+
+def one_gemm_conv_dx(ly, ctx, dout):
+    """Input gradient with the whole (Ci*kh*kw, N*Hp*Wp) patch gradient from one
+    product, then the kh*kw shifted adds in (i, j) order."""
+    cols, (hp, wp), in_shape = ctx
+    (sy, sx), (py, px) = ly.stride, ly.padding
+    co, ci, kh, kw = ly.weights.shape
+    n, _, ho, wo = dout.shape
+    grid = np.zeros((co, n, hp, wp), dtype=dout.dtype)
+    grid[:, :, :sy * ho:sy, :sx * wo:sx] = dout.transpose(1, 0, 2, 3)
+    size = n * hp * wp
+    dcols = (ly.weights.reshape(co, -1).T @ grid.reshape(co, size)).reshape(ci, kh, kw, size)
+    dxp = np.zeros((ci, size + (kh - 1) * wp + kw - 1), dtype=dout.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, i * wp + j:i * wp + j + size] += dcols[:, i, j]
+    dx = dxp[:, :size].reshape(ci, n, hp, wp).transpose(1, 0, 2, 3)
+    return dx[:, :, py:py + in_shape[2], px:px + in_shape[3]]
+
+
+def fixture_conv_cases():
+    """(conv layer, input shape) for each distinct conv of the fixture models."""
+    cases = {}
+    for model in (vgg_tiny(0), vgg16_style(0)):
+        for pos, (ly, shape) in enumerate(zip(model.layers, layer_input_shapes(model))):
+            if isinstance(ly, ConvLayer):
+                key = (ly.weights.shape, ly.stride, ly.padding, shape)
+                cases.setdefault(key, pytest.param(ly, shape[1:], id=f"{model.name}-{pos}"))
+    return list(cases.values())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("conv,in_shape", fixture_conv_cases())
+def test_conv_backward_by_kernel_row_matches_one_gemm(conv, in_shape, dtype):
+    rng = np.random.default_rng(29)
+    ly = replace(conv, weights=conv.weights.astype(dtype))
+    x = rng.normal(size=(BATCH_SIZE, *in_shape)).astype(dtype)
+    out, ctx = _conv_forward(ly, x, "train")
+    dout = rng.normal(size=out.shape).astype(dtype)
+    dx = _conv_backward(ly, ctx, dout)[0]
+    ref = one_gemm_conv_dx(ly, ctx, dout)
+    assert dx.dtype == ref.dtype and dx.shape == ref.shape
+    assert dx.tobytes() == ref.tobytes()
 
 
 def naive_maxpool(x, dout, k, s):
@@ -312,19 +358,39 @@ def test_bn_train_eval_consistency():
     assert np.max(np.abs(train_out - eval_out)) < 1e-2
 
 
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that numpy and Python allocate while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_eval_forward_keeps_no_contexts(tiny_model):
     x = np.zeros((2, 1, 16, 16), dtype=np.float32)
     assert forward(tiny_model, x, mode="eval")[1] is None
     assert len(forward(tiny_model, x, mode="train")[1]) == len(tiny_model.layers)
     model, test = vgg_tiny(0), synth_dataset(0, 16, 256)[1]
-    tracemalloc.start()
-    try:
-        evaluate(model, test)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(forward, model, test.inputs, "eval")
     # no conv patch matrix outlives its layer (about 135 MiB when all were kept)
     assert peak < 120 * 2**20
+
+
+def test_evaluate_peak_stays_within_one_batch():
+    model, test = vgg_tiny(0), synth_dataset(0, 16, 256)[1]
+    # about 12 MiB in BATCH_SIZE chunks; 98 MiB when all 256 samples ran at once
+    assert traced_peak(evaluate, model, test) < 24 * 2**20
+
+
+def test_evaluate_counts_the_hits_of_one_full_batch_forward():
+    train, test = synth_dataset(2, 64, 100)  # 100 is not a multiple of BATCH_SIZE
+    model = finetune(vgg_tiny(0), train, TrainConfig(epochs=1, lr=0.01))
+    logits, _ = forward(model, test.inputs, mode="eval")
+    hits = int((logits.argmax(axis=1) == test.labels).sum())
+    assert 0 < hits < test.size  # neither bound, so a miscount shows
+    assert evaluate(model, test) == hits / test.size
 
 
 def test_forward_mode_and_shape_validation(tiny_model):
