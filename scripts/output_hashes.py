@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """SHA-256 of the outputs that tests/test_golden.py leaves out on purpose.
 
-Trained weights, ``attack_noise`` and ``inspect --scores`` go through BLAS
-and SIMD reductions, so their bytes may differ between hosts and no test
-pins them.  On one host a change that keeps behaviour must keep them: run
-this on both sides of a change and compare the lines.
+Trained weights (also the blob ``embed --finetune-epochs`` writes),
+``attack_noise`` and ``inspect --scores`` go through BLAS and SIMD
+reductions, so their bytes may differ between hosts and no test pins
+them.  On one host a change that keeps behaviour must keep them: run this
+on both sides of a change and compare the lines.
 
     PYTHONPATH=src python scripts/output_hashes.py [NAME ...]
 
 Prints one ``name sha256`` line per output, all of them by default or the
-named ones in the given order.  The two trained-weight entries and the
+named ones in the given order.  The trained-weight entries and the
 ``train-demo`` pair take a few seconds each; the rest are cheap.
 """
 
@@ -61,6 +62,16 @@ def _noise_blob(tmp: Path) -> bytes:
     return (tmp / "noise.bin").read_bytes()
 
 
+def _embed_finetune_blob(tmp: Path) -> bytes:
+    """The blob ``nnwm embed --finetune-epochs 1`` writes for vgg_tiny(0)."""
+    save_model(vgg_tiny(0), tmp / "tiny.json", tmp / "tiny.bin")
+    _stdout(["embed", "--arch", str(tmp / "tiny.json"), "--weights", str(tmp / "tiny.bin"),
+             "--payload", "101100111", "--key", "owner", "--l", "3",
+             "--finetune-epochs", "1", "--seed", "0",
+             "--out-prefix", str(tmp / "embedded"), "--receipt", str(tmp / "embedded-r.json")])
+    return (tmp / "embedded.bin").read_bytes()
+
+
 def _scores(tmp: Path, criterion: str) -> bytes:
     arch, weights = tmp / "vgg16_style.json", tmp / "vgg16_style.bin"
     if not weights.exists():
@@ -76,6 +87,7 @@ OUTPUTS = {
     "train_demo_stdout": lambda tmp: _train_demo(tmp)[0],
     "train_demo_csv": lambda tmp: _train_demo(tmp)[1],
     "attack_noise_blob": _noise_blob,
+    "embed_cli_finetune": _embed_finetune_blob,
     "inspect_scores_l1": lambda tmp: _scores(tmp, "l1"),
     "inspect_scores_bn": lambda tmp: _scores(tmp, "bn"),
 }

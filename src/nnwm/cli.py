@@ -15,6 +15,9 @@ eligible conv layers.  attack takes the extraction flags (--original,
 --scores and the other flags only without it; a flag the command would
 ignore exits 2.
 
+embed prunes the host it loaded in place (``pipeline.embed_in_place``) and
+writes that, so it holds one copy of the weights, not two.
+
 embed's model and receipt and attack's model appear whole or not at all:
 each is written to a new file beside its target and moved into place only
 after every write has succeeded (``model_store.staged_outputs``).  An
@@ -135,18 +138,20 @@ def cmd_embed(args) -> int:
         if tune_cfg.epochs > 0:
             train, _ = synth_dataset(args.seed, 512, 256)
             check_fit(model, train)  # before the embed work; finetune checks the marked model
-        marked, receipt = pipeline.embed(model, payload, params,
-                                         criterion=args.criterion, decoy=args.decoy)
+        # the host's counts, taken before pruning narrows any carrier
+        eligible = pipeline.eligible_layers(model, params, args.criterion)
+        t = len(channel_counts(model))
+        receipt = pipeline.embed_in_place(model, payload, params,
+                                          criterion=args.criterion, decoy=args.decoy)
         if tune_cfg.epochs > 0:
-            marked = finetune(marked, train, tune_cfg)
-        save_model(marked, tmp_arch, tmp_weights)
+            model = finetune(model, train, tune_cfg)
+        save_model(model, tmp_arch, tmp_weights)
         pruner.save_receipt(receipt, tmp_receipt)
-    eligible = pipeline.eligible_layers(model, params, args.criterion)
     n_max = wm_codec.capacity(len(eligible), args.l, 1.0)
     lines = [
         f"payload: n={payload.n} bits, m={payload.num_segments} segments (l={args.l})",
         f"selected layers: {payload.num_segments} of {len(eligible)} eligible "
-        f"({len(channel_counts(model))} conv layers total)",
+        f"({t} conv layers total)",
         f"capacity: N={n_max} bits at full coverage of the eligible set",
         f"{'index':>5} {'c':>5} {'c_pruned':>8} {'target':>9} {'realized':>9}",
     ]

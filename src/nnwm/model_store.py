@@ -22,7 +22,8 @@ A parsed manifest holds each declared tensor as a read-only zero
 placeholder: an ``np.ndarray`` of the declared shape whose strides are all
 zero, a view of one immutable 4-byte buffer.  Its shape and size give the
 blob layout, but it allocates nothing, so a manifest that declares a huge
-tensor costs no memory.
+tensor costs no memory.  ``placeholder_graph`` builds the same from a
+loaded model: its structure, holding none of its arrays.
 
 The checks come in two parts, run where each is needed.  The structural
 part, ``layer_input_shapes``, needs only the manifest; the value part,
@@ -35,8 +36,9 @@ its check fails and a passing check builds no text.
   compares its size with the placeholder sizes before it reads any tensor,
   reads each tensor with one ``readinto`` call into a new owned, writable
   array of its own, then runs the value checks.
-- ``pruner.apply_prune`` reruns only the structural checks: slicing loaded
-  arrays cannot create a bad value.
+- ``pruner.prune`` runs the structural checks before it replaces any
+  array and reruns them after; ``pruner.apply_prune`` runs them through
+  it.  Slicing loaded arrays cannot create a bad value.
 - ``save_model`` runs the full ``validate`` before it writes anything.
 
 Writers create their files with ``open_new`` and never truncate or write
@@ -447,11 +449,24 @@ def validate(model: ModelGraph) -> None:
     check_values(model)
 
 
+def _map_arrays(model: ModelGraph, make) -> ModelGraph:
+    """A new graph whose layers hold make(position, array) in place of each array."""
+    layers = [replace(ly, **{attr: make(pos, arr) for attr, arr in layer_arrays(ly)})
+              for pos, ly in enumerate(model.layers)]
+    return ModelGraph(layers, tuple(model.input_shape), model.name)
+
+
 def clone_graph(model: ModelGraph) -> ModelGraph:
     """Deep copy; all weight arrays are owned by the copy."""
-    layers = [replace(ly, **{attr: arr.copy() for attr, arr in layer_arrays(ly)})
-              for ly in model.layers]
-    return ModelGraph(layers, tuple(model.input_shape), model.name)
+    return _map_arrays(model, lambda pos, arr: arr.copy())
+
+
+def placeholder_graph(model: ModelGraph) -> ModelGraph:
+    """The model's structure alone, as ``load_arch`` builds it: every array a placeholder.
+
+    It keeps no reference to the model's arrays and allocates nothing for them.
+    """
+    return _map_arrays(model, lambda pos, arr: _placeholder(arr.shape, pos))
 
 
 def iter_named_params(model: ModelGraph) -> Iterator[tuple[int, str, np.ndarray]]:

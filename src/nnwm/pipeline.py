@@ -1,9 +1,11 @@
 """End-to-end embed / extract / verify plus the attack harness.
 
 Embedding prunes one key-selected conv layer per payload segment, at the
-rate encoding that segment.  Extraction names the carriers as (conv
-ordinal, original width) pairs, from a receipt or by key from the original
-model; ``decode_segments`` decodes each rate from the suspect's width.
+rate encoding that segment: ``embed`` prunes a copy of the host,
+``embed_in_place`` the host itself.  Extraction names the carriers as
+(conv ordinal, original width) pairs, from a receipt or by key from the
+original model; ``decode_segments`` decodes each rate from the suspect's
+width.
 Attacks either perturb parameters (which provably cannot change the
 extracted bits) or re-prune the structure (which degrades them measurably).
 """
@@ -31,8 +33,9 @@ from .model_store import (
     clone_graph,
     conv_layer_indices,
     iter_named_params,
+    placeholder_graph,
 )
-from .pruner import PlanEntry, Receipt, ReceiptLayer, apply_prune, plan_layer
+from .pruner import PlanEntry, Receipt, ReceiptLayer, apply_prune, plan_layer, prune
 from .toy_trainer import Batch, TrainConfig, finetune
 from .wm_codec import EmbedParams, KeyStream, WatermarkPayload
 
@@ -88,14 +91,9 @@ def eligible_layers(model: ModelGraph, params: EmbedParams, criterion: str,
     return eligible
 
 
-def embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
-          criterion: str = "l1_norm", decoy: bool = False) -> tuple[ModelGraph, Receipt]:
-    """Prune the payload into the model; returns (marked model, receipt).
-
-    With decoy=True, every non-selected conv layer is additionally pruned
-    at a key-stream rate from [p_min, p_max), so carriers do not stand out.
-    """
-    crit = normalize_criterion(criterion)
+def _plan_embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
+                crit: str, decoy: bool) -> tuple[tuple[PlanEntry, ...], Receipt]:
+    """The pruning plan that embeds the payload into the model, and its receipt."""
     if payload.segment_length != params.segment_length:
         raise CodecError(
             f"payload segment length {payload.segment_length} != params "
@@ -119,7 +117,6 @@ def embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
         if k and criterion_applicable(model, positions[ordinal], crit):
             retained = plan_layer(model, positions[ordinal], k, crit)
             entries.append(PlanEntry(positions[ordinal], tuple(retained)))
-    marked = apply_prune(model, tuple(entries))
     receipt = Receipt(
         segment_length=params.segment_length,
         p_min=params.p_min,
@@ -132,10 +129,48 @@ def embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
         payload_bits=payload.n,
         key_fingerprint=wm_codec.key_fingerprint(params.key),
     )
-    check = extract(model, marked, params=params, n=payload.n, criterion=crit)
+    return tuple(entries), receipt
+
+
+def _check_embedded(host: ModelGraph, marked: ModelGraph, payload: WatermarkPayload,
+                    params: EmbedParams, crit: str) -> None:
+    """Extract from the marked model by key, against the host's structure."""
+    check = extract(host, marked, params=params, n=payload.n, criterion=crit)
     if check.bits != payload.bits:
         raise NnwmError("internal error: freshly embedded payload failed to extract")
+
+
+def embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
+          criterion: str = "l1_norm", decoy: bool = False) -> tuple[ModelGraph, Receipt]:
+    """Prune the payload into a copy of the model; returns (marked model, receipt).
+
+    The model is left as it was.  With decoy=True, every non-selected conv
+    layer is additionally pruned at a key-stream rate from [p_min, p_max),
+    so carriers do not stand out.
+    """
+    crit = normalize_criterion(criterion)
+    entries, receipt = _plan_embed(model, payload, params, crit, decoy)
+    marked = apply_prune(model, entries)
+    _check_embedded(model, marked, payload, params, crit)
     return marked, receipt
+
+
+def embed_in_place(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
+                   criterion: str = "l1_norm", decoy: bool = False) -> Receipt:
+    """Prune the payload into the model itself, as ``embed`` would into a copy.
+
+    For a caller that no longer needs the unmarked host: no second copy of
+    its weights is made.  The self-check reads the host's structure from a
+    placeholder snapshot taken before pruning.  An error raised before
+    pruning (the payload does not fit, the plan fails a check) leaves the
+    model as it was; after a failed self-check it is left pruned.
+    """
+    crit = normalize_criterion(criterion)
+    entries, receipt = _plan_embed(model, payload, params, crit, decoy)
+    host = placeholder_graph(model)
+    prune(model, entries)
+    _check_embedded(host, model, payload, params, crit)
+    return receipt
 
 
 def one_value_warnings(values: list[int], what: str) -> list[str]:

@@ -5,8 +5,9 @@ layers after it and asks each to ``keep_inputs`` the retained channels:
 a batchnorm slices its vectors and relu and the pools pass the channels
 on unchanged, until the next conv (input channels) or a linear head (the
 matching columns, per channel of a flattened map) absorbs them.  The
-per-type rules live on the layer classes in ``model_store``.  The result
-is a new graph that owns every array it holds; inputs are never mutated.
+per-type rules live on the layer classes in ``model_store``.  ``prune``
+does this to the graph it is given, in place; ``apply_prune`` leaves its
+input as it was and returns a new graph that owns every array it holds.
 
 ``save_receipt`` writes a receipt as a new file, like ``save_model``.
 ``nnwm embed`` stages it with the marked model's two files through
@@ -80,25 +81,35 @@ def _rewire_consumers(layers: list, pos: int, retained: list[int],
             return
 
 
-def apply_prune(model: ModelGraph, entries: tuple[PlanEntry, ...]) -> ModelGraph:
-    """Apply the plan entries, returning a new graph that satisfies all invariants."""
+def prune(model: ModelGraph, entries: tuple[PlanEntry, ...]) -> None:
+    """Apply the plan entries to the model in place.
+
+    Every check runs before the first array is replaced, so a plan that
+    fails leaves the model exactly as it was.  Each pruned array is a new
+    one sliced from the old; every other array stays the one it was.
+    """
     positions = [e.conv_index for e in entries]
     if len(set(positions)) != len(positions):
         raise PlanError("plan contains duplicate conv positions")
     for entry in entries:
         _check_entry(model, entry)
     input_shapes = layer_input_shapes(model)  # also proves every consumer's width
-    out = ModelGraph([replace(ly) for ly in model.layers], tuple(model.input_shape), model.name)
     for entry in entries:
         retained = list(entry.retained)
-        keep_channels(out.layers[entry.conv_index], retained)
-        _rewire_consumers(out.layers, entry.conv_index, retained, input_shapes)
+        keep_channels(model.layers[entry.conv_index], retained)
+        _rewire_consumers(model.layers, entry.conv_index, retained, input_shapes)
+    layer_input_shapes(model)  # slicing creates no value; save_model checks the values
+
+
+def apply_prune(model: ModelGraph, entries: tuple[PlanEntry, ...]) -> ModelGraph:
+    """Apply the plan entries, returning a new graph that satisfies all invariants."""
+    out = ModelGraph([replace(ly) for ly in model.layers], tuple(model.input_shape), model.name)
+    prune(out, entries)
     # slicing made new arrays; copy only the ones no entry touched
     for src, ly in zip(model.layers, out.layers):
         for attr, arr in list(layer_arrays(ly)):
             if np.may_share_memory(arr, getattr(src, attr)):
                 setattr(ly, attr, arr.copy())
-    layer_input_shapes(out)  # slicing creates no value; save_model checks the values
     return out
 
 
@@ -123,6 +134,9 @@ class Receipt:
     every carrier's conv index and original width, so publishing it shows
     anyone which layers carry the mark, and re-pruning those layers past
     their decode cells erases it: a published receipt weakens the watermark.
+    It also states the payload: each ``target_rate`` is the midpoint of the
+    cell that encodes its segment, and ``c`` with ``c_pruned`` (the width
+    after pruning) give a realized rate that decodes to the same value.
     """
 
     segment_length: int

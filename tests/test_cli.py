@@ -1,15 +1,18 @@
 """CLI tests: flows, exit codes, JSON output."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from nnwm import cli, pipeline
+from nnwm import cli, pipeline, wm_codec
 from nnwm.cli import main
 from nnwm.errors import NnwmError
 from nnwm.fixtures import random_conv_net, vgg16_style, vgg_tiny
-from nnwm.model_store import load_model, save_model
+from nnwm.model_store import layer_arrays, load_arch, load_model, save_model
+from nnwm.toy_trainer import TrainConfig, finetune, synth_dataset
+from nnwm.wm_codec import EmbedParams, WatermarkPayload
 
 BITS48 = "110100101011110000101001101111000010100110111100"
 
@@ -417,7 +420,7 @@ def test_finetune_unfit_model_exit_two(unfit_hosts, capsys, tmp_path, monkeypatc
     def embed_runs(*args, **kwargs):
         raise AssertionError("embed ran before the fit check")
 
-    monkeypatch.setattr(pipeline, "embed", embed_runs)
+    monkeypatch.setattr(pipeline, "embed_in_place", embed_runs)
     host = ["--arch", str(unfit_hosts / f"{model}.json"),
             "--weights", str(unfit_hosts / f"{model}.bin"),
             "--out-prefix", str(tmp_path / "m")]
@@ -684,3 +687,82 @@ def test_uniformly_repruned_unmarked_host_warns(tiny_host, capsys, tmp_path):
                "--expect", "010010010"])
     assert rc == 0
     assert "warning: all 3 carriers decode to value 2" in capsys.readouterr().err
+
+
+# --- embed prunes the loaded host in place ----------------------------------
+
+def _embed_files(tmp_path, arch, weights, payload, *flags):
+    """Run nnwm embed into tmp_path; the bytes of its manifest, blob and receipt."""
+    assert main(["embed", "--arch", str(arch), "--weights", str(weights),
+                 "--payload", payload, "--key", "owner", "--l", "3", *flags,
+                 "--out-prefix", str(tmp_path / "cli"),
+                 "--receipt", str(tmp_path / "cli-r.json")]) == 0
+    return tuple((tmp_path / name).read_bytes()
+                 for name in ("cli.json", "cli.bin", "cli-r.json"))
+
+
+def _library_files(tmp_path, marked, receipt):
+    """The bytes save_model and the receipt give for the model embed returned."""
+    save_model(marked, tmp_path / "lib.json", tmp_path / "lib.bin")
+    return ((tmp_path / "lib.json").read_bytes(), (tmp_path / "lib.bin").read_bytes(),
+            receipt.to_json().encode("utf-8"))
+
+
+@pytest.mark.parametrize("make_host", [lambda: vgg16_style(0), lambda: random_conv_net(3)],
+                         ids=["vgg16_style", "random_conv_net_3"])
+@pytest.mark.parametrize("criterion", ["l1", "bn"])
+@pytest.mark.parametrize("decoy", [False, True])
+def test_embed_cli_writes_the_bytes_of_the_pure_embed(tmp_path, capsys, make_host,
+                                                      criterion, decoy):
+    save_model(make_host(), tmp_path / "host.json", tmp_path / "host.bin")
+    bits = BITS48[:24]  # 8 carriers: both hosts keep convs for the decoys
+    got = _embed_files(tmp_path, tmp_path / "host.json", tmp_path / "host.bin", bits,
+                       "--criterion", criterion, *(["--decoy"] if decoy else []))
+    marked, receipt = pipeline.embed(make_host(), WatermarkPayload(bits, 3),
+                                     EmbedParams(3, b"owner"), criterion=criterion,
+                                     decoy=decoy)
+    assert got == _library_files(tmp_path, marked, receipt)
+
+
+def test_embed_cli_finetune_writes_the_bytes_of_embed_then_finetune(tiny_host, tmp_path,
+                                                                    capsys):
+    bits = "101100111"
+    got = _embed_files(tmp_path, tiny_host / "tiny.json", tiny_host / "tiny.bin", bits,
+                       "--finetune-epochs", "1", "--seed", "0")
+    marked, receipt = pipeline.embed(vgg_tiny(0), WatermarkPayload(bits, 3),
+                                     EmbedParams(3, b"owner"))
+    train, _ = synth_dataset(0, 512, 256)
+    tuned = finetune(marked, train, TrainConfig(epochs=1, lr=0.001, seed=0))
+    assert got == _library_files(tmp_path, tuned, receipt)
+
+
+@pytest.mark.parametrize("segments, flags", [(1, []), (8, []), (8, ["--decoy"]), (16, [])])
+def test_embed_holds_one_copy_of_the_host(host, tmp_path, capsys, segments, flags):
+    # numpy reports its buffers to tracemalloc; a second copy of the host would not fit
+    sizes = [4 * arr.size for ly in load_arch(host / "host.json").layers
+             for _, arr in layer_arrays(ly)]
+    bound = sum(sizes) + 2 * max(sizes) + 256 * 1024
+    tracemalloc.start()
+    try:
+        rc = main(["embed", "--arch", str(host / "host.json"),
+                   "--weights", str(host / "host.bin"), "--payload", BITS48[:3 * segments],
+                   "--key", "owner", "--l", "3", *flags, "--out-prefix", str(tmp_path / "m"),
+                   "--receipt", str(tmp_path / "r.json"), "--json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak <= bound, f"peak {peak / 2**20:.2f} MiB > bound {bound / 2**20:.2f} MiB"
+
+
+def test_embed_json_counts_come_from_the_host_before_pruning(tiny_host, tmp_path, capsys):
+    # value 7 prunes each 32-wide carrier to 11 channels, below min_channels 12
+    assert wm_codec.min_channels(EmbedParams(3, b"")) == 12
+    rc = main(["embed", "--arch", str(tiny_host / "tiny.json"),
+               "--weights", str(tiny_host / "tiny.bin"), "--payload", "1" * 15,
+               "--key", "k", "--l", "3", "--out-prefix", str(tmp_path / "m"),
+               "--receipt", str(tmp_path / "r.json"), "--json"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [e["c_pruned"] for e in doc["layers"]][:2] == [11, 11]
+    assert doc["eligible"] == 5 and doc["capacity_bits"] == wm_codec.capacity(5, 3, 1.0)

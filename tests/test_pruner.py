@@ -13,6 +13,7 @@ from nnwm.model_store import (
     ConvLayer,
     ModelGraph,
     channel_counts,
+    clone_graph,
     conv_layer_indices,
     layer_arrays,
     validate,
@@ -25,6 +26,7 @@ from nnwm.pruner import (
     apply_prune,
     load_receipt,
     plan_layer,
+    prune,
     save_receipt,
 )
 from nnwm.toy_trainer import forward
@@ -154,6 +156,42 @@ def test_apply_prune_output_aliases_nothing(plan):
         assert not any(np.shares_memory(arr, src) for src in inputs), (pos, attr)
         arr[...] = 7.0
     assert [arr.tobytes() for arr in inputs] == before
+
+
+@pytest.mark.parametrize("bad", ["duplicate", "not_conv", "out_of_range"])
+def test_prune_failing_in_its_last_entry_leaves_the_model_as_it_was(bad):
+    model = vgg16_style(0)
+    positions = conv_layer_indices(model)
+    good = tuple(PlanEntry(pos, tuple(plan_layer(model, pos, 3, "l1")))
+                 for pos in positions[:3])
+    c = model.layers[positions[3]].c_out
+    last = {"duplicate": PlanEntry(positions[0], (0, 1)),
+            "not_conv": PlanEntry(positions[3] + 1, (0, 1)),
+            "out_of_range": PlanEntry(positions[3], tuple(range(1, c + 1)))}[bad]
+    before = all_arrays(model)
+    raw = [(arr.shape, arr.tobytes()) for _, _, arr in before]
+    with pytest.raises(PlanError):
+        prune(model, good + (last,))
+    after = all_arrays(model)
+    assert [(arr.shape, arr.tobytes()) for _, _, arr in after] == raw
+    assert all(a is b for (_, _, a), (_, _, b) in zip(before, after))
+
+
+@pytest.mark.parametrize("make", [lambda: vgg16_style(0), lambda: random_conv_net(3)],
+                         ids=["vgg16_style", "random_conv_net_3"])
+def test_prune_on_a_clone_gives_the_arrays_of_apply_prune(make):
+    model = make()
+    rng = np.random.default_rng(11)
+    entries = tuple(  # about half the convs, so some consumers are pruned convs themselves
+        PlanEntry(pos, tuple(plan_layer(model, pos, int(rng.integers(model.layers[pos].c_out)),
+                                        "l1")))
+        for pos in conv_layer_indices(model) if rng.random() < 0.5)
+    expected = apply_prune(model, entries)
+    copy = clone_graph(model)
+    assert prune(copy, entries) is None
+    assert channel_counts(copy) != channel_counts(model)
+    assert [(pos, attr, arr.shape, arr.tobytes()) for pos, attr, arr in all_arrays(copy)] == \
+        [(pos, attr, arr.shape, arr.tobytes()) for pos, attr, arr in all_arrays(expected)]
 
 
 def test_apply_prune_rejects_bad_plans(tiny_model):
