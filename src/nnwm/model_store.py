@@ -36,9 +36,9 @@ its check fails and a passing check builds no text.
   compares its size with the placeholder sizes before it reads any tensor,
   reads each tensor with one ``readinto`` call into a new owned, writable
   array of its own, then runs the value checks.
-- ``pruner.prune`` runs the structural checks before it replaces any
-  array and reruns them after; ``pruner.apply_prune`` runs them through
-  it.  Slicing loaded arrays cannot create a bad value.
+- ``pruner.apply_prune`` runs the structural checks before it replaces
+  any array and reruns them after.  Slicing loaded arrays cannot create a
+  bad value.
 - ``save_model`` runs the full ``validate`` before it writes anything.
 
 Writers create their files with ``open_new`` and never truncate or write

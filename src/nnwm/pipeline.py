@@ -35,7 +35,7 @@ from .model_store import (
     iter_named_params,
     placeholder_graph,
 )
-from .pruner import PlanEntry, Receipt, ReceiptLayer, apply_prune, plan_layer, prune
+from .pruner import PlanEntry, Receipt, ReceiptLayer, apply_prune, plan_layer
 from .toy_trainer import Batch, TrainConfig, finetune
 from .wm_codec import EmbedParams, KeyStream, WatermarkPayload
 
@@ -91,9 +91,30 @@ def eligible_layers(model: ModelGraph, params: EmbedParams, criterion: str,
     return eligible
 
 
-def _plan_embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
-                crit: str, decoy: bool) -> tuple[tuple[PlanEntry, ...], Receipt]:
-    """The pruning plan that embeds the payload into the model, and its receipt."""
+def embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
+          criterion: str = "l1_norm", decoy: bool = False) -> tuple[ModelGraph, Receipt]:
+    """Prune the payload into a copy of the model; returns (marked model, receipt).
+
+    The model is left as it was; see ``embed_in_place``.
+    """
+    marked = clone_graph(model)
+    return marked, embed_in_place(marked, payload, params, criterion, decoy)
+
+
+def embed_in_place(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
+                   criterion: str = "l1_norm", decoy: bool = False) -> Receipt:
+    """Prune the payload into the model itself; returns the receipt.
+
+    For a caller that no longer needs the unmarked host: no second copy of
+    its weights is made.  With decoy=True, every non-selected conv layer is
+    additionally pruned at a key-stream rate from [p_min, p_max), so
+    carriers do not stand out.  The self-check extracts by key against a
+    placeholder snapshot of the host's structure, taken before pruning.
+    An error raised before pruning (the payload does not fit, the plan
+    fails a check) leaves the model as it was; after a failed self-check
+    it is left pruned.
+    """
+    crit = normalize_criterion(criterion)
     if payload.segment_length != params.segment_length:
         raise CodecError(
             f"payload segment length {payload.segment_length} != params "
@@ -129,47 +150,11 @@ def _plan_embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParam
         payload_bits=payload.n,
         key_fingerprint=wm_codec.key_fingerprint(params.key),
     )
-    return tuple(entries), receipt
-
-
-def _check_embedded(host: ModelGraph, marked: ModelGraph, payload: WatermarkPayload,
-                    params: EmbedParams, crit: str) -> None:
-    """Extract from the marked model by key, against the host's structure."""
-    check = extract(host, marked, params=params, n=payload.n, criterion=crit)
+    host = placeholder_graph(model)
+    apply_prune(model, tuple(entries), in_place=True)
+    check = extract(host, model, params=params, n=payload.n, criterion=crit)
     if check.bits != payload.bits:
         raise NnwmError("internal error: freshly embedded payload failed to extract")
-
-
-def embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
-          criterion: str = "l1_norm", decoy: bool = False) -> tuple[ModelGraph, Receipt]:
-    """Prune the payload into a copy of the model; returns (marked model, receipt).
-
-    The model is left as it was.  With decoy=True, every non-selected conv
-    layer is additionally pruned at a key-stream rate from [p_min, p_max),
-    so carriers do not stand out.
-    """
-    crit = normalize_criterion(criterion)
-    entries, receipt = _plan_embed(model, payload, params, crit, decoy)
-    marked = apply_prune(model, entries)
-    _check_embedded(model, marked, payload, params, crit)
-    return marked, receipt
-
-
-def embed_in_place(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
-                   criterion: str = "l1_norm", decoy: bool = False) -> Receipt:
-    """Prune the payload into the model itself, as ``embed`` would into a copy.
-
-    For a caller that no longer needs the unmarked host: no second copy of
-    its weights is made.  The self-check reads the host's structure from a
-    placeholder snapshot taken before pruning.  An error raised before
-    pruning (the payload does not fit, the plan fails a check) leaves the
-    model as it was; after a failed self-check it is left pruned.
-    """
-    crit = normalize_criterion(criterion)
-    entries, receipt = _plan_embed(model, payload, params, crit, decoy)
-    host = placeholder_graph(model)
-    prune(model, entries)
-    _check_embedded(host, model, payload, params, crit)
     return receipt
 
 

@@ -5,9 +5,10 @@ layers after it and asks each to ``keep_inputs`` the retained channels:
 a batchnorm slices its vectors and relu and the pools pass the channels
 on unchanged, until the next conv (input channels) or a linear head (the
 matching columns, per channel of a flattened map) absorbs them.  The
-per-type rules live on the layer classes in ``model_store``.  ``prune``
-does this to the graph it is given, in place; ``apply_prune`` leaves its
-input as it was and returns a new graph that owns every array it holds.
+per-type rules live on the layer classes in ``model_store``.
+``apply_prune`` leaves its input as it was and returns a new graph that
+owns every array it holds; with ``in_place=True`` it prunes the graph it
+is given.
 
 ``save_receipt`` writes a receipt as a new file, like ``save_model``.
 ``nnwm embed`` stages it with the marked model's two files through
@@ -81,12 +82,16 @@ def _rewire_consumers(layers: list, pos: int, retained: list[int],
             return
 
 
-def prune(model: ModelGraph, entries: tuple[PlanEntry, ...]) -> None:
-    """Apply the plan entries to the model in place.
+def apply_prune(model: ModelGraph, entries: tuple[PlanEntry, ...], *,
+                in_place: bool = False) -> ModelGraph:
+    """Apply the plan entries; returns the pruned graph, which satisfies all invariants.
 
-    Every check runs before the first array is replaced, so a plan that
-    fails leaves the model exactly as it was.  Each pruned array is a new
-    one sliced from the old; every other array stays the one it was.
+    By default the model is left as it was and the result is a new graph
+    that owns every array it holds.  With in_place=True the model itself
+    is pruned and returned: each pruned array is a new one sliced from the
+    old, every other array stays the one it was.  Either way every check
+    runs before the first array is replaced, so a plan that fails leaves
+    the model exactly as it was.
     """
     positions = [e.conv_index for e in entries]
     if len(set(positions)) != len(positions):
@@ -94,22 +99,19 @@ def prune(model: ModelGraph, entries: tuple[PlanEntry, ...]) -> None:
     for entry in entries:
         _check_entry(model, entry)
     input_shapes = layer_input_shapes(model)  # also proves every consumer's width
+    out = model if in_place else ModelGraph([replace(ly) for ly in model.layers],
+                                            tuple(model.input_shape), model.name)
     for entry in entries:
         retained = list(entry.retained)
-        keep_channels(model.layers[entry.conv_index], retained)
-        _rewire_consumers(model.layers, entry.conv_index, retained, input_shapes)
-    layer_input_shapes(model)  # slicing creates no value; save_model checks the values
-
-
-def apply_prune(model: ModelGraph, entries: tuple[PlanEntry, ...]) -> ModelGraph:
-    """Apply the plan entries, returning a new graph that satisfies all invariants."""
-    out = ModelGraph([replace(ly) for ly in model.layers], tuple(model.input_shape), model.name)
-    prune(out, entries)
-    # slicing made new arrays; copy only the ones no entry touched
-    for src, ly in zip(model.layers, out.layers):
-        for attr, arr in list(layer_arrays(ly)):
-            if np.may_share_memory(arr, getattr(src, attr)):
-                setattr(ly, attr, arr.copy())
+        keep_channels(out.layers[entry.conv_index], retained)
+        _rewire_consumers(out.layers, entry.conv_index, retained, input_shapes)
+    if not in_place:
+        # slicing made new arrays; copy only the ones no entry touched
+        for src, ly in zip(model.layers, out.layers):
+            for attr, arr in list(layer_arrays(ly)):
+                if np.may_share_memory(arr, getattr(src, attr)):
+                    setattr(ly, attr, arr.copy())
+    layer_input_shapes(out)  # slicing creates no value; save_model checks the values
     return out
 
 

@@ -26,7 +26,6 @@ from nnwm.pruner import (
     apply_prune,
     load_receipt,
     plan_layer,
-    prune,
     save_receipt,
 )
 from nnwm.toy_trainer import forward
@@ -159,7 +158,7 @@ def test_apply_prune_output_aliases_nothing(plan):
 
 
 @pytest.mark.parametrize("bad", ["duplicate", "not_conv", "out_of_range"])
-def test_prune_failing_in_its_last_entry_leaves_the_model_as_it_was(bad):
+def test_in_place_prune_failing_in_its_last_entry_leaves_the_model_as_it_was(bad):
     model = vgg16_style(0)
     positions = conv_layer_indices(model)
     good = tuple(PlanEntry(pos, tuple(plan_layer(model, pos, 3, "l1")))
@@ -171,7 +170,7 @@ def test_prune_failing_in_its_last_entry_leaves_the_model_as_it_was(bad):
     before = all_arrays(model)
     raw = [(arr.shape, arr.tobytes()) for _, _, arr in before]
     with pytest.raises(PlanError):
-        prune(model, good + (last,))
+        apply_prune(model, good + (last,), in_place=True)
     after = all_arrays(model)
     assert [(arr.shape, arr.tobytes()) for _, _, arr in after] == raw
     assert all(a is b for (_, _, a), (_, _, b) in zip(before, after))
@@ -179,7 +178,7 @@ def test_prune_failing_in_its_last_entry_leaves_the_model_as_it_was(bad):
 
 @pytest.mark.parametrize("make", [lambda: vgg16_style(0), lambda: random_conv_net(3)],
                          ids=["vgg16_style", "random_conv_net_3"])
-def test_prune_on_a_clone_gives_the_arrays_of_apply_prune(make):
+def test_in_place_prune_of_a_clone_gives_the_arrays_of_apply_prune(make):
     model = make()
     rng = np.random.default_rng(11)
     entries = tuple(  # about half the convs, so some consumers are pruned convs themselves
@@ -188,7 +187,7 @@ def test_prune_on_a_clone_gives_the_arrays_of_apply_prune(make):
         for pos in conv_layer_indices(model) if rng.random() < 0.5)
     expected = apply_prune(model, entries)
     copy = clone_graph(model)
-    assert prune(copy, entries) is None
+    assert apply_prune(copy, entries, in_place=True) is copy
     assert channel_counts(copy) != channel_counts(model)
     assert [(pos, attr, arr.shape, arr.tobytes()) for pos, attr, arr in all_arrays(copy)] == \
         [(pos, attr, arr.shape, arr.tobytes()) for pos, attr, arr in all_arrays(expected)]
