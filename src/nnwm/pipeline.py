@@ -1,11 +1,11 @@
 """End-to-end embed / extract / verify plus the attack harness.
 
 Embedding prunes one key-selected conv layer per payload segment, at the
-rate encoding that segment: ``embed`` prunes a copy of the host,
-``embed_in_place`` the host itself.  Extraction names the carriers as
-(conv ordinal, original width) pairs, from a receipt or by key from the
-original model; ``decode_segments`` decodes each rate from the suspect's
-width.
+rate encoding that segment: ``embed`` prunes a copy of the host and
+``embed_in_place`` the host itself, through one planner and one
+self-check.  Extraction names the carriers as (conv ordinal, original
+width) pairs, from a receipt or by key from the original model;
+``decode_segments`` decodes each rate from the suspect's width.
 Attacks either perturb parameters (which provably cannot change the
 extracted bits) or re-prune the structure (which degrades them measurably).
 """
@@ -95,24 +95,31 @@ def embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
           criterion: str = "l1_norm", decoy: bool = False) -> tuple[ModelGraph, Receipt]:
     """Prune the payload into a copy of the model; returns (marked model, receipt).
 
-    The model is left as it was; see ``embed_in_place``.
+    The model is left as it was.  With decoy=True, every non-selected conv
+    layer is additionally pruned at a key-stream rate from [p_min, p_max),
+    so carriers do not stand out.
     """
-    marked = clone_graph(model)
-    return marked, embed_in_place(marked, payload, params, criterion, decoy)
+    return _embed(model, payload, params, criterion, decoy, in_place=False)
 
 
 def embed_in_place(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
                    criterion: str = "l1_norm", decoy: bool = False) -> Receipt:
-    """Prune the payload into the model itself; returns the receipt.
+    """Prune the payload into the model itself, as ``embed`` would into a copy.
 
     For a caller that no longer needs the unmarked host: no second copy of
-    its weights is made.  With decoy=True, every non-selected conv layer is
-    additionally pruned at a key-stream rate from [p_min, p_max), so
-    carriers do not stand out.  The self-check extracts by key against a
-    placeholder snapshot of the host's structure, taken before pruning.
-    An error raised before pruning (the payload does not fit, the plan
-    fails a check) leaves the model as it was; after a failed self-check
-    it is left pruned.
+    its weights is made.  An error raised before pruning (the payload does
+    not fit, the plan fails a check) leaves the model as it was; after a
+    failed self-check it is left pruned.
+    """
+    return _embed(model, payload, params, criterion, decoy, in_place=True)[1]
+
+
+def _embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
+           criterion: str, decoy: bool, in_place: bool) -> tuple[ModelGraph, Receipt]:
+    """Plan, prune (``apply_prune`` with ``in_place``) and self-check one embed.
+
+    The self-check extracts by key against a placeholder snapshot of the
+    host's structure, taken before pruning, so it holds none of its arrays.
     """
     crit = normalize_criterion(criterion)
     if payload.segment_length != params.segment_length:
@@ -138,6 +145,8 @@ def embed_in_place(model: ModelGraph, payload: WatermarkPayload, params: EmbedPa
         if k and criterion_applicable(model, positions[ordinal], crit):
             retained = plan_layer(model, positions[ordinal], k, crit)
             entries.append(PlanEntry(positions[ordinal], tuple(retained)))
+    host = placeholder_graph(model)
+    marked = apply_prune(model, tuple(entries), in_place=in_place)
     receipt = Receipt(
         segment_length=params.segment_length,
         p_min=params.p_min,
@@ -150,12 +159,10 @@ def embed_in_place(model: ModelGraph, payload: WatermarkPayload, params: EmbedPa
         payload_bits=payload.n,
         key_fingerprint=wm_codec.key_fingerprint(params.key),
     )
-    host = placeholder_graph(model)
-    apply_prune(model, tuple(entries), in_place=True)
-    check = extract(host, model, params=params, n=payload.n, criterion=crit)
+    check = extract(host, marked, params=params, n=payload.n, criterion=crit)
     if check.bits != payload.bits:
         raise NnwmError("internal error: freshly embedded payload failed to extract")
-    return receipt
+    return marked, receipt
 
 
 def one_value_warnings(values: list[int], what: str) -> list[str]:
