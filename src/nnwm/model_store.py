@@ -7,8 +7,9 @@ it follows a pruning of its input channels, and the arrays it owns, in
 blob order, in ``ARRAYS`` (conv: weights (c_out, c_in, kh, kw) then the
 optional bias; batchnorm: gamma, beta, running_mean, running_var; linear:
 weights then bias) and the ones SGD updates in ``TRAINABLE``.
-``LAYER_TYPES`` maps each manifest type back to its class.  Copies, blob
-I/O, casts and channel slicing all walk ``layer_arrays``.
+``LAYER_TYPES`` maps each manifest type back to its class.  Copies and
+casts (``map_arrays``), blob I/O and channel slicing all walk
+``layer_arrays``.
 
 On disk a model is a pair of files: an architecture manifest, JSON with
 top level ``{"format": "nnwm-v1", "input": [C, H, W], "layers": [...]}``,
@@ -22,8 +23,7 @@ A parsed manifest holds each declared tensor as a read-only zero
 placeholder: an ``np.ndarray`` of the declared shape whose strides are all
 zero, a view of one immutable 4-byte buffer.  Its shape and size give the
 blob layout, but it allocates nothing, so a manifest that declares a huge
-tensor costs no memory.  ``placeholder_graph`` builds the same from a
-loaded model: its structure, holding none of its arrays.
+tensor costs no memory.
 
 The checks come in two parts, run where each is needed.  The structural
 part, ``layer_input_shapes``, needs only the manifest; the value part,
@@ -449,24 +449,16 @@ def validate(model: ModelGraph) -> None:
     check_values(model)
 
 
-def _map_arrays(model: ModelGraph, make) -> ModelGraph:
-    """A new graph whose layers hold make(position, array) in place of each array."""
-    layers = [replace(ly, **{attr: make(pos, arr) for attr, arr in layer_arrays(ly)})
-              for pos, ly in enumerate(model.layers)]
+def map_arrays(model: ModelGraph, make) -> ModelGraph:
+    """A new graph whose layers hold make(array) in place of each array."""
+    layers = [replace(ly, **{attr: make(arr) for attr, arr in layer_arrays(ly)})
+              for ly in model.layers]
     return ModelGraph(layers, tuple(model.input_shape), model.name)
 
 
 def clone_graph(model: ModelGraph) -> ModelGraph:
     """Deep copy; all weight arrays are owned by the copy."""
-    return _map_arrays(model, lambda pos, arr: arr.copy())
-
-
-def placeholder_graph(model: ModelGraph) -> ModelGraph:
-    """The model's structure alone, as ``load_arch`` builds it: every array a placeholder.
-
-    It keeps no reference to the model's arrays and allocates nothing for them.
-    """
-    return _map_arrays(model, lambda pos, arr: _placeholder(arr.shape, pos))
+    return map_arrays(model, lambda arr: arr.copy())
 
 
 def iter_named_params(model: ModelGraph) -> Iterator[tuple[int, str, np.ndarray]]:

@@ -3,8 +3,9 @@
 Embedding prunes one key-selected conv layer per payload segment, at the
 rate encoding that segment: ``embed`` prunes a copy of the host and
 ``embed_in_place`` the host itself, through one planner and one
-self-check.  Extraction names the carriers as (conv ordinal, original
-width) pairs, from a receipt or by key from the original model;
+self-check, which decodes the carriers the key selects from the widths
+the plan started from.  Extraction names the carriers as (conv ordinal,
+original width) pairs, from a receipt or by key from the original model;
 ``decode_segments`` decodes each rate from the suspect's width.
 Attacks either perturb parameters (which provably cannot change the
 extracted bits) or re-prune the structure (which degrades them measurably).
@@ -33,7 +34,6 @@ from .model_store import (
     clone_graph,
     conv_layer_indices,
     iter_named_params,
-    placeholder_graph,
 )
 from .pruner import PlanEntry, Receipt, ReceiptLayer, apply_prune, plan_layer
 from .toy_trainer import Batch, TrainConfig, finetune
@@ -118,8 +118,9 @@ def _embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
            criterion: str, decoy: bool, in_place: bool) -> tuple[ModelGraph, Receipt]:
     """Plan, prune (``apply_prune`` with ``in_place``) and self-check one embed.
 
-    The self-check extracts by key against a placeholder snapshot of the
-    host's structure, taken before pruning, so it holds none of its arrays.
+    The self-check selects the carriers by key, as extraction does, and
+    decodes them from the host's widths, taken before pruning, against the
+    marked model's: each must give back its segment value, padding included.
     """
     crit = normalize_criterion(criterion)
     if payload.segment_length != params.segment_length:
@@ -145,7 +146,6 @@ def _embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
         if k and criterion_applicable(model, positions[ordinal], crit):
             retained = plan_layer(model, positions[ordinal], k, crit)
             entries.append(PlanEntry(positions[ordinal], tuple(retained)))
-    host = placeholder_graph(model)
     marked = apply_prune(model, tuple(entries), in_place=in_place)
     receipt = Receipt(
         segment_length=params.segment_length,
@@ -159,8 +159,9 @@ def _embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
         payload_bits=payload.n,
         key_fingerprint=wm_codec.key_fingerprint(params.key),
     )
-    check = extract(host, marked, params=params, n=payload.n, criterion=crit)
-    if check.bits != payload.bits:
+    carriers = [(o, counts[o]) for o in wm_codec.select_layers(eligible, m, params.key)]
+    decoded = decode_segments(carriers, channel_counts(marked), params)
+    if [s.value for s in decoded] != values:
         raise NnwmError("internal error: freshly embedded payload failed to extract")
     return marked, receipt
 
@@ -201,13 +202,17 @@ def extract(original: ModelGraph | Receipt, suspect: ModelGraph,
     """Recover payload bits by comparing channel counts.
 
     `original` may be the unmarked model (selection is then recomputed from
-    the key, `params.key` unless `key` is given) or a receipt (selection is
-    pinned by the receipt itself; `key` is only checked against it).
+    the key, `params.key` unless `key` is given) or a receipt (selection,
+    params and length are pinned by the receipt itself, so neither `params`
+    nor `n` may be given; `key` is only checked against it).
     Out-of-range rates decode by clamping and are reported as warnings.
     """
     counts_susp = channel_counts(suspect)
     warnings = []
     if isinstance(original, Receipt):
+        if params is not None or n is not None:
+            raise CodecError("extraction from a receipt takes params and the payload "
+                             "length from the receipt")
         if key is not None and wm_codec.key_fingerprint(key) != original.key_fingerprint:
             warnings.append("key does not match the receipt fingerprint")
         carriers = [(e.index, e.c) for e in original.layers]

@@ -17,7 +17,7 @@ is given.
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,7 @@ from .model_store import (
     keep_channels,
     layer_arrays,
     layer_input_shapes,
+    map_arrays,
     open_new,
 )
 # Not called here: bound only because perfbench/tests/test_perfbench.py patches them here.
@@ -99,8 +100,7 @@ def apply_prune(model: ModelGraph, entries: tuple[PlanEntry, ...], *,
     for entry in entries:
         _check_entry(model, entry)
     input_shapes = layer_input_shapes(model)  # also proves every consumer's width
-    out = model if in_place else ModelGraph([replace(ly) for ly in model.layers],
-                                            tuple(model.input_shape), model.name)
+    out = model if in_place else map_arrays(model, lambda arr: arr)
     for entry in entries:
         retained = list(entry.retained)
         keep_channels(out.layers[entry.conv_index], retained)

@@ -58,7 +58,7 @@ model's own dtype.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,6 +75,7 @@ from .model_store import (
     clone_graph,
     layer_arrays,
     layer_input_shapes,
+    map_arrays,
 )
 
 BN_MOMENTUM = 0.1
@@ -120,9 +121,7 @@ class TrainConfig:
 def to_precision(model: ModelGraph, precision: str) -> ModelGraph:
     """Copy of the model with all arrays cast to the requested dtype."""
     dtype = _DTYPES[precision]
-    layers = [replace(ly, **{attr: arr.astype(dtype) for attr, arr in layer_arrays(ly)})
-              for ly in model.layers]
-    return ModelGraph(layers, tuple(model.input_shape), model.name)
+    return map_arrays(model, lambda arr: arr.astype(dtype))
 
 
 def _model_dtype(model: ModelGraph) -> np.dtype:

@@ -650,6 +650,14 @@ def _embed_tiny(tiny_host, tmp_path, payload):
                  "--receipt", str(tmp_path / "r.json")])
 
 
+def test_embed_that_fails_its_self_check_exit_two_and_writes_nothing(
+        misselected_carriers, tiny_host, capsys, tmp_path):
+    assert _embed_tiny(tiny_host, tmp_path, "101110011") == 2  # segments 5, 6, 3
+    err = capsys.readouterr().err
+    assert err == "error: internal error: freshly embedded payload failed to extract\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("payload, warned", [("000000000", True), ("010010010", True),
                                              ("101100111", False), ("101", False)])
 def test_embed_warns_when_all_segments_share_one_value(tiny_host, capsys, tmp_path,

@@ -32,7 +32,6 @@ from nnwm.model_store import (
     layer_arrays,
     load_arch,
     load_model,
-    placeholder_graph,
     save_model,
     validate,
 )
@@ -594,21 +593,3 @@ def test_placeholders_are_zero_views_that_cannot_be_made_writable(tmp_path):
             assert arr.dtype == np.float32 and not any(arr.strides), attr
             with pytest.raises(ValueError):
                 arr.flags.writeable = True
-
-
-def structure(model: ModelGraph) -> tuple:
-    """Each layer's type, record and array shapes, with the input shape and name."""
-    return ([(ly.TYPE, ly.record(), [(attr, arr.shape) for attr, arr in layer_arrays(ly)])
-             for ly in model.layers], model.input_shape, model.name)
-
-
-def test_placeholder_graph_is_what_load_arch_builds_and_holds_no_array(tmp_path):
-    model = vgg_tiny(0)
-    arch, _ = saved(tmp_path, model)
-    snap = placeholder_graph(model)
-    assert structure(snap) == structure(load_arch(arch))
-    inputs = [arr for ly in model.layers for _, arr in layer_arrays(ly)]
-    for ly in snap.layers:
-        for attr, arr in layer_arrays(ly):
-            assert not any(arr.strides) and not arr.flags.writeable, attr
-            assert not any(np.shares_memory(arr, src) for src in inputs), attr

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nnwm.errors import ArchitectureMismatchError, CapacityError, CodecError
+from nnwm.errors import ArchitectureMismatchError, CapacityError, CodecError, NnwmError
 from nnwm.fixtures import random_conv_net, vgg16_style, vgg_tiny
 from nnwm.model_store import (
     ConvLayer,
@@ -151,6 +151,13 @@ def test_extract_needs_params_for_model_path(marked_deep):
         extract(model, marked)
 
 
+@pytest.mark.parametrize("given", [{"params": EmbedParams(3, b"owner-key")}, {"n": 48}])
+def test_extract_from_a_receipt_refuses_params_and_length(marked_deep, given):
+    _, marked, receipt, _, _ = marked_deep
+    with pytest.raises(CodecError, match="takes params and the payload length"):
+        extract(receipt, marked, **given)
+
+
 def test_receipt_key_fingerprint_warning(marked_deep):
     _, marked, receipt, bits, _ = marked_deep
     res = extract(receipt, marked, key=b"not-the-key")
@@ -177,6 +184,15 @@ def test_embed_in_place_that_cannot_fit_leaves_the_host_as_it_was():
     before = raw_arrays(host)
     with pytest.raises(CapacityError):
         embed_in_place(host, WatermarkPayload("1" * 51, 3), EmbedParams(3, b"owner"))
+    assert raw_arrays(host) == before
+
+
+def test_embed_that_fails_its_self_check_raises_and_leaves_the_host(misselected_carriers):
+    host = vgg16_style(0)
+    before = raw_arrays(host)
+    payload = WatermarkPayload("101110011111", 3)  # segments 5, 6, 3, 7: none decodes as 0
+    with pytest.raises(NnwmError, match="^internal error: freshly embedded payload failed"):
+        embed(host, payload, EmbedParams(3, b"owner"))
     assert raw_arrays(host) == before
 
 
