@@ -5,7 +5,10 @@ Trained weights (also the blob ``embed --finetune-epochs`` writes),
 ``attack_noise`` and ``inspect --scores`` go through BLAS and SIMD
 reductions, so their bytes may differ between hosts and no test pins
 them.  On one host a change that keeps behaviour must keep them: run this
-on both sides of a change and compare the lines.
+on both sides of a change and compare the lines.  ``attack_noise_blob``
+moved once on purpose, when ``attack_noise`` changed from
+``Generator.normal`` in float64 to a Box–Muller draw in the tensor's dtype
+(``abf87db505f7…`` to ``18cf14d85048…``; see CHANGES.md).
 
     PYTHONPATH=src python scripts/output_hashes.py [NAME ...]
 

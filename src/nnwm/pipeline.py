@@ -34,6 +34,7 @@ from .model_store import (
     clone_graph,
     conv_layer_indices,
     iter_named_params,
+    map_arrays,
 )
 from .pruner import PlanEntry, Receipt, ReceiptLayer, apply_prune, plan_layer
 from .toy_trainer import Batch, TrainConfig, finetune
@@ -269,24 +270,65 @@ def verify(expected: str, extracted: str | ExtractionResult,
 
 # --- attacks ----------------------------------------------------------------
 
+def _standard_normal(rng: np.random.Generator, n: int, dtype: np.dtype) -> np.ndarray:
+    """n standard normal values of the given float dtype, by the Box–Muller transform.
+
+    One draw of 2⌈n/2⌉ uniforms u in [0, 1): the first half gives the radii
+    r = sqrt(−2·log1p(−u₁)), the second the angles θ = 2π·u₂, and the
+    result is r·cos θ followed by r·sin θ, cut to n values.
+    """
+    m = -(-n // 2)
+    u = rng.random(2 * m, dtype=dtype)
+    r, theta = u[:m], u[m:]
+    np.negative(r, out=r)
+    np.log1p(r, out=r)
+    r *= -2
+    np.sqrt(r, out=r)
+    theta *= 2 * np.pi
+    cos = np.cos(theta)
+    np.sin(theta, out=theta)
+    theta *= r
+    r *= cos
+    return u[:n]
+
+
+def _copy_with(model: ModelGraph, new: dict[int, np.ndarray]) -> ModelGraph:
+    """A deep copy of the model in which each array whose id is a key of `new` is its value."""
+    return map_arrays(model, lambda arr: new[id(arr)] if id(arr) in new else arr.copy())
+
+
 def attack_noise(model: ModelGraph, sigma_rel: float, seed: int = 0) -> ModelGraph:
-    """Add zero-mean Gaussian noise, std = sigma_rel * per-tensor weight std."""
+    """Add zero-mean Gaussian noise, std = sigma_rel * per-tensor weight std.
+
+    Each trainable tensor gets its own draw, in ``iter_named_params`` order
+    and in the tensor's dtype, by the Box–Muller transform; its std is
+    computed in float64, where the square of a finite float32 cannot
+    overflow.  Float32 uniforms lie on a 2⁻²⁴ grid, so a float32 draw
+    never exceeds sqrt(48·ln 2) ≈ 5.77 standard deviations (a normal does
+    with probability about 8·10⁻⁹).  A tensor of zero std is copied, and
+    sigma_rel = 0 copies the model.  An overflow anywhere raises
+    AttackConfigError.  The model is left as it was.
+    """
     if not 0.0 <= sigma_rel < np.inf:
         raise AttackConfigError(f"noise sigma must be finite and >= 0, got {sigma_rel}")
     if seed < 0:
         raise AttackConfigError(f"seed must be >= 0, got {seed}")
-    out = clone_graph(model)
+    if sigma_rel == 0:
+        return clone_graph(model)
     rng = np.random.default_rng(seed)
+    noisy = {}
     try:
         with np.errstate(over="raise"):
-            for _, _, arr in iter_named_params(out):
+            for _, _, arr in iter_named_params(model):
                 # a numpy product, unlike a float one, reports overflow to errstate
-                scale = np.float64(sigma_rel) * float(arr.std())
+                scale = np.float64(sigma_rel) * arr.std(dtype=np.float64)
                 if scale > 0:
-                    arr += rng.normal(0.0, scale, size=arr.shape).astype(arr.dtype)
+                    z = _standard_normal(rng, arr.size, arr.dtype)
+                    z *= arr.dtype.type(scale)  # the cast, too, reports overflow
+                    noisy[id(arr)] = arr + z.reshape(arr.shape)
     except FloatingPointError:
         raise AttackConfigError(f"noise sigma {sigma_rel} overflows the weights") from None
-    return out
+    return _copy_with(model, noisy)
 
 
 def attack_zero_weights(model: ModelGraph, fraction: float) -> ModelGraph:
@@ -294,33 +336,37 @@ def attack_zero_weights(model: ModelGraph, fraction: float) -> ModelGraph:
 
     Ties at the cut go to the earlier weights in blob order, as in a stable
     ascending sort of the (finite, validated) magnitudes.  A zeroed weight
-    becomes +0.0 and every other weight keeps its exact bits.
+    becomes +0.0 and every other weight keeps its exact bits.  The model is
+    left as it was.
     """
     if not (0.0 <= fraction <= 1.0):
         raise AttackConfigError(f"zeroed fraction must lie in [0, 1], got {fraction}")
-    out = clone_graph(model)
-    tensors = [ly.weights for ly in out.layers if isinstance(ly, (ConvLayer, LinearLayer))]
+    tensors = [ly.weights for ly in model.layers if isinstance(ly, (ConvLayer, LinearLayer))]
     total = sum(t.size for t in tensors)
     k = min(wm_codec.round_half_up(fraction * total), total)
     if k == 0:
-        return out
-    # the clone's arrays are C-contiguous, so every reshape below is a view
+        return clone_graph(model)
     magnitudes = np.empty(total, np.result_type(*tensors))
     off = 0
     for t in tensors:
         np.abs(t, out=magnitudes[off:off + t.size].reshape(t.shape))
         off += t.size
-    cut = np.partition(magnitudes, k - 1)[k - 1]  # the k-th smallest magnitude
-    kill = magnitudes < cut
-    kill[np.flatnonzero(magnitudes == cut)[:k - np.count_nonzero(kill)]] = True
+    # a non-negative float orders as its bit pattern, and integers partition faster
+    bits = magnitudes.view(f"u{magnitudes.itemsize}")
+    cut = np.partition(bits, k - 1)[k - 1]  # the k-th smallest magnitude
+    kill = bits < cut
+    kill[np.flatnonzero(bits == cut)[:k - np.count_nonzero(kill)]] = True
+    cleared = {}
     off = 0
     for t in tensors:
         # AND with all ones (kill 0 - 1 wraps) keeps a weight, with zeros clears it
-        bits = t.reshape(-1).view(f"u{t.itemsize}")
-        np.bitwise_and(bits, np.subtract(kill[off:off + t.size], 1, dtype=bits.dtype),
-                       out=bits)
+        uint = f"u{t.itemsize}"
+        out = cleared[id(t)] = np.empty(t.shape, t.dtype)
+        np.bitwise_and(t.reshape(-1).view(uint),
+                       np.subtract(kill[off:off + t.size], 1, dtype=uint),
+                       out=out.reshape(-1).view(uint))
         off += t.size
-    return out
+    return _copy_with(model, cleared)
 
 
 def attack_finetune(model: ModelGraph, train: Batch,

@@ -1,10 +1,14 @@
 """CLI tests: flows, exit codes, JSON output."""
 
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nnwm import cli, pipeline, wm_codec
 from nnwm.cli import main
@@ -442,6 +446,63 @@ def test_attack_overflowing_noise_exit_two(tiny_host, capsys, recwarn, tmp_path)
     assert capsys.readouterr().err.startswith("error: noise sigma 1e+300 overflows")
     assert not recwarn.list, [str(w.message) for w in recwarn]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def huge_host(tmp_path_factory):
+    """vgg_tiny(0) with one weight of 1e20: valid, though its float32 self-dot overflows."""
+    d = tmp_path_factory.mktemp("huge")
+    model = vgg_tiny(0)
+    model.layers[0].weights[0, 0, 0, 0] = 1e20
+    save_model(model, d / "huge.json", d / "huge.bin")
+    return d
+
+
+def test_attack_noise_on_huge_weights(huge_host, capsys, tmp_path):
+    host = ["--arch", str(huge_host / "huge.json"), "--weights", str(huge_host / "huge.bin")]
+    assert main(["attack", "--type", "noise", "--sigma", "0", *host,
+                 "--out-prefix", str(tmp_path / "a")]) == 0
+    assert (tmp_path / "a.bin").read_bytes() == (huge_host / "huge.bin").read_bytes()
+    assert main(["attack", "--type", "noise", "--sigma", "0.1", *host,
+                 "--out-prefix", str(tmp_path / "b")]) == 0
+    noisy = load_model(tmp_path / "b.json", tmp_path / "b.bin")
+    assert all(np.isfinite(arr).all() for ly in noisy.layers for _, arr in layer_arrays(ly))
+    assert capsys.readouterr().err == ""
+
+
+FUZZ_FLOATS = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -1.0, -0.0, 0.0, 5e-324,
+                     1e-310, 1e308, 0.5, 1.0]),
+    st.floats(0.0, 1.0), st.floats())
+FUZZ_INTS = st.one_of(st.sampled_from([-1, 0, 2**63, 2**64 + 1, -2**63 - 1]),
+                      st.integers(-2**128, 2**128))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(["noise", "zero", "structural"]),
+       values=st.fixed_dictionaries({}, optional={
+           "--sigma": FUZZ_FLOATS, "--fraction": FUZZ_FLOATS, "--extra-rate": FUZZ_FLOATS,
+           "--seed": FUZZ_INTS}),
+       theta=st.none() | FUZZ_FLOATS)
+def test_fuzz_attack_flags(tiny_host, capsys, kind, values, theta):
+    # --theta comes with a chained verify, without which it exits 2 on its own
+    capsys.readouterr()
+    inputs = {p: p.read_bytes() for p in (tiny_host / "tiny.json", tiny_host / "tiny.bin")}
+    flags = [f"{flag}={value}" for flag, value in values.items()]  # "=" passes "-inf"
+    if theta is not None:
+        flags += [f"--theta={theta}", "--expect", "000",
+                  "--original", str(tiny_host / "tiny.json"), "--key", "k", "--n", "3"]
+    with tempfile.TemporaryDirectory() as out:
+        rc = main(["attack", "--type", kind, "--arch", str(tiny_host / "tiny.json"),
+                   "--weights", str(tiny_host / "tiny.bin"),
+                   "--out-prefix", str(Path(out) / "a"), *flags])
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: "), err
+            assert list(Path(out).iterdir()) == []
+    assert {p: p.read_bytes() for p in inputs} == inputs
 
 
 def test_attack_diverging_finetune_exit_two(tiny_host, capsys, recwarn, tmp_path):

@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nnwm.errors import ArchitectureMismatchError, CapacityError, CodecError, NnwmError
-from nnwm.fixtures import random_conv_net, vgg16_style, vgg_tiny
+from nnwm.fixtures import _bn, _conv, _linear, random_conv_net, vgg16_style, vgg_tiny
 from nnwm.model_store import (
     ConvLayer,
+    GlobalAvgPoolLayer,
     LinearLayer,
+    ModelGraph,
+    ReluLayer,
     channel_counts,
     clone_graph,
     conv_layer_indices,
@@ -298,6 +301,11 @@ def zero_weights_reference(model, fraction):
     return out
 
 
+# the four largest float32 values, one ulp apart
+F32_TOP = (np.array(np.finfo(np.float32).max).view(np.uint32)
+           - np.arange(4, dtype=np.uint32)).view(np.float32)
+
+
 def raw_arrays(model):
     return [(arr.dtype.str, arr.shape, arr.tobytes())
             for ly in model.layers for _, arr in layer_arrays(ly)]
@@ -308,8 +316,9 @@ def raw_arrays(model):
 @settings(max_examples=200, deadline=None)
 def test_attack_zero_weights_matches_the_reference_bit_for_bit(seed, levels, fraction,
                                                                precision):
-    # many ties on a small grid, with -0.0 and subnormals of the tensor's own dtype mixed in;
-    # survivors keep their exact bits and zeroed weights become +0.0
+    # many ties on a small grid, with -0.0, subnormals of the tensor's own dtype and values
+    # near the float32 maximum mixed in; survivors keep their exact bits and zeroed
+    # weights become +0.0
     model = to_precision(SMALL_NET, "f64" if precision == "f64" else "f32")
     tensors = [ly for ly in model.layers if isinstance(ly, (ConvLayer, LinearLayer))]
     if precision == "mixed":
@@ -320,14 +329,53 @@ def test_attack_zero_weights_matches_the_reference_bit_for_bit(seed, levels, fra
         t = ly.weights
         tiny = np.finfo(t.dtype).smallest_subnormal
         grid = rng.integers(1, levels + 1, t.shape) * rng.choice([-1.0, 1.0], t.shape)
-        kind = rng.integers(0, 4, t.shape)  # 0, 1: grid; 2: signed zero; 3: subnormal
+        kind = rng.integers(0, 5, t.shape)  # 0, 1: grid; 2: signed zero; 3: subnormal; 4: huge
         t[...] = np.where(kind < 2, grid, 0.0)
         t[kind == 2] = np.copysign(0.0, grid[kind == 2])
         t[kind == 3] = (grid[kind == 3] * tiny).astype(t.dtype)
+        t[kind == 4] = np.sign(grid[kind == 4]) * F32_TOP[np.abs(grid[kind == 4]).astype(int) - 1]
     before = raw_arrays(model)
     out = attack_zero_weights(model, fraction)
     assert raw_arrays(out) == raw_arrays(zero_weights_reference(model, fraction))
     assert raw_arrays(model) == before
+
+
+def arrays(model):
+    return [arr for ly in model.layers for _, arr in layer_arrays(ly)]
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("attack", [
+    lambda m: attack_noise(m, 0.0), lambda m: attack_noise(m, 0.5, seed=1),
+    lambda m: attack_zero_weights(m, 0.0), lambda m: attack_zero_weights(m, 0.3)],
+    ids=["noise_0", "noise_0.5", "zero_0", "zero_0.3"])
+def test_weight_attacks_are_pure_and_keep_dtypes(deep_model, precision, attack):
+    model = to_precision(deep_model, precision)
+    before = raw_arrays(model)
+    out = attack(model)
+    assert raw_arrays(model) == before
+    ins, outs = arrays(model), arrays(out)
+    assert [(a.dtype, a.shape) for a in outs] == [(a.dtype, a.shape) for a in ins]
+    assert all(a.flags.owndata for a in outs)
+    assert not any(np.may_share_memory(a, b) for a in outs for b in ins)
+
+
+def test_attack_noise_is_gaussian_at_the_stated_scale():
+    rng = np.random.default_rng(5)
+    conv = _conv(rng, 256, 512)  # 1.18M values, more than any fixture tensor
+    model = ModelGraph([conv, _bn(256), ReluLayer(), GlobalAvgPoolLayer(),
+                        _linear(rng, 2, 256)], (512, 4, 4), "wide")
+    before = conv.weights.astype(np.float64)
+    out = attack_noise(model, 0.5, seed=11)
+    z = (out.layers[0].weights - before) / (0.5 * before.std())
+    assert abs(z.mean()) < 0.005
+    assert abs(z.std() - 1.0) < 0.01
+    # two-sided normal tails beyond 1, 2 and 3 standard deviations
+    for k, share, tol in [(1, 0.3173, 0.005), (2, 0.0455, 0.002), (3, 0.0027, 0.0003)]:
+        assert abs(np.mean(np.abs(z) > k) - share) < tol, k
+    assert np.abs(z).max() <= 5.78  # float32 uniforms bound the draw at 5.77
+    assert raw_arrays(attack_noise(model, 0.5, seed=11)) == raw_arrays(out)
+    assert raw_arrays(attack_noise(model, 0.5, seed=12)) != raw_arrays(out)
 
 
 def test_attack_finetune_preserves_watermark():
