@@ -15,12 +15,15 @@ eligible conv layers.  attack takes the extraction flags (--original,
 --scores and the other flags only without it; a flag the command would
 ignore exits 2.
 
-embed prunes the host it loaded in place (``pipeline.embed_in_place``) and
-writes that, so it holds one copy of the weights, not two.
+embed parses --payload and the scheme flags before it reads the host, and
+prunes the host in place (``pipeline.embed_in_place``), so it holds one
+copy of the weights, not two.  extract, verify and attack --expect read the
+receipt or the --original manifest before any other work.
 
 embed's model and receipt and attack's model appear whole or not at all:
 each is written to a new file beside its target and moved into place only
-after every write has succeeded (``model_store.staged_outputs``).  An
+after every write has succeeded (``model_store.staged_outputs``);
+attack --expect verifies the attacked graph before that move.  An
 existing output is removed first, so a symlinked target is replaced, not
 written through.  A target that is a directory or lies in a missing
 directory exits 2 before any work; two outputs that name one file exit 2
@@ -41,10 +44,11 @@ from pathlib import Path
 import numpy as np
 
 from . import pipeline, pruner, wm_codec
-from .errors import ArchitectureMismatchError, NnwmError
+from .errors import NnwmError
 from .fixtures import vgg_tiny
 from .importance import normalize_criterion, score
 from .model_store import (
+    ModelGraph,
     channel_counts,
     conv_layer_indices,
     load_arch,
@@ -128,11 +132,11 @@ def cmd_embed(args) -> int:
     out_arch = f"{args.out_prefix}.json"
     out_weights = f"{args.out_prefix}.bin"
     tune_cfg = TrainConfig(epochs=args.finetune_epochs, lr=0.001, seed=args.seed)
+    params = _params_from(args)
+    payload = WatermarkPayload(_parse_payload("--payload", args.payload), args.l)
     with staged_outputs(out_arch, out_weights, args.receipt) as (tmp_arch, tmp_weights,
                                                                  tmp_receipt):
         model = load_model(args.arch, args.weights)
-        params = _params_from(args)
-        payload = WatermarkPayload(_parse_payload("--payload", args.payload), args.l)
         for w in pipeline.one_value_warnings(wm_codec.segment(payload), "segments have"):
             print(f"warning: {w}", file=sys.stderr)
         if tune_cfg.epochs > 0:
@@ -169,38 +173,32 @@ def cmd_embed(args) -> int:
     return 0
 
 
-# Where extraction takes its carriers from: the receipt (None with --original) and the params.
-Source = tuple[pruner.Receipt | None, EmbedParams]
-
-
-def _resolve_source(args) -> Source:
-    """Check the extraction flags and read the receipt, if any, before any model is read."""
+def _resolve_source(args) -> tuple[pruner.Receipt | ModelGraph, dict]:
+    """Check the extraction flags, then read the receipt or the --original manifest;
+    return it with the keyword arguments ``pipeline.extract`` takes for it."""
     if args.receipt:
         receipt = pruner.load_receipt(args.receipt)
-        return receipt, _params_from(args, receipt)
+        params = _params_from(args, receipt)
+        return receipt, {"key": None if args.key is None else params.key}
     missing = [f"--{f}" for f in ("original", "key", "n") if getattr(args, f) is None]
     if missing:
         raise NnwmError(f"extraction needs --receipt, or --original with --key and --n "
                         f"(missing {', '.join(missing)})")
-    return None, _params_from(args)
+    params = _params_from(args)  # the flags before the manifest
+    return load_arch(args.original), {"params": params, "n": args.n, "criterion": args.criterion}
 
 
-def _run_extract(args, suspect_arch: str, source: Source) -> pipeline.ExtractionResult:
-    """Extract from suspect_arch by the resolved source; warnings go to stderr."""
-    receipt, params = source
-    suspect = load_arch(suspect_arch)
-    if receipt is not None:
-        result = pipeline.extract(receipt, suspect, key=None if args.key is None else params.key)
-    else:
-        result = pipeline.extract(load_arch(args.original), suspect, params=params,
-                                  n=args.n, criterion=args.criterion)
+def _run_extract(suspect: ModelGraph, source, kwargs: dict) -> pipeline.ExtractionResult:
+    """Extract from the suspect by the resolved source; warnings go to stderr."""
+    result = pipeline.extract(source, suspect, **kwargs)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return result
 
 
 def cmd_extract(args) -> int:
-    result = _run_extract(args, args.suspect, _resolve_source(args))
+    source = _resolve_source(args)
+    result = _run_extract(load_arch(args.suspect), *source)
     _emit(args, {
         "command": "extract", "bits": result.bits,
         "segments": [vars(s) for s in result.segments],
@@ -209,20 +207,27 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _verify_inputs(args) -> tuple[str, Source]:
+def _verify_inputs(args) -> tuple[str, tuple]:
     """The expected bits and the resolved extraction source, checked before any work.
 
-    Also fills an omitted --theta with 0.0 and checks its range.
+    Also fills an omitted --theta with 0.0 and checks its range, and checks
+    that --expect is as long as the payload.
     """
     args.theta = pipeline.check_theta(0.0 if args.theta is None else args.theta)
-    return _parse_payload("--expect", args.expect), _resolve_source(args)
+    expected, source = _parse_payload("--expect", args.expect), _resolve_source(args)
+    if len(expected) != args.n:  # --n, or the receipt's
+        raise NnwmError(f"--expect has {len(expected)} bits, but the payload has {args.n}")
+    return expected, source
 
 
-def _verify(args, suspect_arch: str, inputs: tuple[str, Source]) -> int:
-    """Extract from suspect_arch and compare with the expected bits; 0 match, 1 mismatch."""
+def _verify(args, suspect: ModelGraph, inputs: tuple[str, tuple]) -> pipeline.VerifyReport:
+    """Extract from the suspect and compare with the expected bits."""
     expected, source = inputs
-    result = _run_extract(args, suspect_arch, source)
-    report = pipeline.verify(expected, result, theta=args.theta)
+    return pipeline.verify(expected, _run_extract(suspect, *source), theta=args.theta)
+
+
+def _emit_verdict(args, report: pipeline.VerifyReport) -> int:
+    """Print the verify report; 0 match, 1 mismatch."""
     verdict = "match" if report.matched else "mismatch"
     _emit(args, {
         "command": "verify", "ber": report.ber, "theta": report.theta,
@@ -232,7 +237,8 @@ def _verify(args, suspect_arch: str, inputs: tuple[str, Source]) -> int:
 
 
 def cmd_verify(args) -> int:
-    return _verify(args, args.suspect, _verify_inputs(args))
+    inputs = _verify_inputs(args)
+    return _emit_verdict(args, _verify(args, load_arch(args.suspect), inputs))
 
 
 def cmd_capacity(args) -> int:
@@ -281,13 +287,8 @@ def cmd_inspect(args) -> int:
         return 0
     if not (args.original and args.suspect):
         raise NnwmError("inspect needs --original and --suspect (or --scores)")
-    original = load_arch(args.original)
-    suspect = load_arch(args.suspect)
-    c_orig = channel_counts(original)
-    c_susp = channel_counts(suspect)
-    if len(c_orig) != len(c_susp):
-        raise ArchitectureMismatchError(
-            f"original has {len(c_orig)} conv layers, suspect has {len(c_susp)}")
+    c_orig, c_susp = pipeline.matched_channel_counts(load_arch(args.original),
+                                                     load_arch(args.suspect))
     segments = pipeline.decode_segments(list(enumerate(c_orig)), c_susp, params)
     rows = [{"index": s.layer_index, "c": s.c, "c_suspect": s.c_suspect, "rate": s.rate,
              "value": s.value, "in_range": not s.clamped} for s in segments]
@@ -320,11 +321,13 @@ def cmd_attack(args) -> int:
         else:
             attacked = pipeline.attack_structural(model, args.extra_rate, seed=args.seed)
         save_model(attacked, tmp_arch, tmp_weights)
+        # before the move, so that an extraction error leaves no output
+        report = _verify(args, attacked, inputs) if args.expect else None
     doc = {"command": "attack", "type": args.type,
            "out_arch": out_arch, "out_weights": out_weights,
            "channel_counts": channel_counts(attacked)}
     _emit(args, doc, f"applied {args.type}; wrote {out_arch}, {out_weights}")
-    return _verify(args, out_arch, inputs) if args.expect else 0
+    return 0 if report is None else _emit_verdict(args, report)
 
 
 def cmd_train_demo(args) -> int:

@@ -16,13 +16,11 @@ from .model_store import (
 )
 
 
-def _conv(rng: np.random.Generator, c_out: int, c_in: int, k: int = 3,
-          pad: int | None = None) -> ConvLayer:
+def _conv(rng: np.random.Generator, c_out: int, c_in: int, k: int = 3) -> ConvLayer:
     # He-normal init, bias-free (batchnorm follows every conv)
     std = np.sqrt(2.0 / (c_in * k * k))
     w = rng.normal(0.0, std, size=(c_out, c_in, k, k)).astype(np.float32)
-    p = k // 2 if pad is None else pad
-    return ConvLayer(w, None, (1, 1), (p, p))
+    return ConvLayer(w, None, (1, 1), (k // 2, k // 2))
 
 
 def _bn(channels: int) -> BatchNormLayer:
@@ -83,7 +81,7 @@ def random_conv_net(seed: int, n_convs: int | None = None,
     layers = []
     c_in = 3
     for w in widths:
-        layers += [_conv(rng, w, c_in, k=1, pad=0), _bn(w), ReluLayer()]
+        layers += [_conv(rng, w, c_in, k=1), _bn(w), ReluLayer()]
         c_in = w
     layers += [GlobalAvgPoolLayer(), _linear(rng, 2, c_in)]
     model = ModelGraph(layers, (3, 4, 4), f"random-{seed}")

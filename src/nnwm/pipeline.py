@@ -197,23 +197,33 @@ def decode_segments(carriers: list[tuple[int, int]], suspect_counts: list[int],
     return segments
 
 
+def matched_channel_counts(original: ModelGraph, suspect: ModelGraph) -> tuple[list, list]:
+    """Both models' conv widths; ArchitectureMismatchError unless they have as many convs."""
+    c_orig, c_susp = channel_counts(original), channel_counts(suspect)
+    if len(c_orig) != len(c_susp):
+        raise ArchitectureMismatchError(
+            f"original has {len(c_orig)} conv layers, suspect has {len(c_susp)}")
+    return c_orig, c_susp
+
+
 def extract(original: ModelGraph | Receipt, suspect: ModelGraph,
             key: bytes | None = None, params: EmbedParams | None = None,
-            n: int | None = None, criterion: str = "l1_norm") -> ExtractionResult:
+            n: int | None = None, criterion: str | None = None) -> ExtractionResult:
     """Recover payload bits by comparing channel counts.
 
     `original` may be the unmarked model (selection is then recomputed from
-    the key, `params.key` unless `key` is given) or a receipt (selection,
-    params and length are pinned by the receipt itself, so neither `params`
-    nor `n` may be given; `key` is only checked against it).
+    the key, `params.key` unless `key` is given, over the layers eligible
+    under `criterion`, l1_norm when None) or a receipt (selection, params
+    and length are pinned by the receipt itself, so none of `params`, `n`
+    and `criterion` may be given; `key` is only checked against it).
     Out-of-range rates decode by clamping and are reported as warnings.
     """
-    counts_susp = channel_counts(suspect)
     warnings = []
     if isinstance(original, Receipt):
-        if params is not None or n is not None:
+        if params is not None or n is not None or criterion is not None:
             raise CodecError("extraction from a receipt takes params and the payload "
-                             "length from the receipt")
+                             "length from the receipt, and needs no criterion")
+        counts_susp = channel_counts(suspect)
         if key is not None and wm_codec.key_fingerprint(key) != original.key_fingerprint:
             warnings.append("key does not match the receipt fingerprint")
         carriers = [(e.index, e.c) for e in original.layers]
@@ -225,12 +235,9 @@ def extract(original: ModelGraph | Receipt, suspect: ModelGraph,
             raise CodecError("extraction from a model needs params and the payload length")
         if n < 1:
             raise CodecError("payload length must be >= 1")
-        counts_orig = channel_counts(original)
-        if len(counts_orig) != len(counts_susp):
-            raise ArchitectureMismatchError(
-                f"original has {len(counts_orig)} conv layers, suspect has {len(counts_susp)}")
+        counts_orig, counts_susp = matched_channel_counts(original, suspect)
         m = -(-n // params.segment_length)
-        eligible = eligible_layers(original, params, criterion)
+        eligible = eligible_layers(original, params, criterion or "l1_norm")
         selected = wm_codec.select_layers(eligible, m, params.key if key is None else key)
         carriers = [(i, counts_orig[i]) for i in selected]
     segments = decode_segments(carriers, counts_susp, params)

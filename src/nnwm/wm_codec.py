@@ -82,6 +82,9 @@ class EmbedParams:
             raise CodecError("key must be bytes")
         if not (0.0 <= self.p_min < self.p_max <= 1.0):
             raise CodecError(f"need 0 <= p_min < p_max <= 1, got [{self.p_min}, {self.p_max})")
+        if self.delta == 0:  # decoding divides by it; min_channels asks for more
+            raise CodecError(f"cell width of [{self.p_min}, {self.p_max}) at l = "
+                             f"{self.segment_length} underflows to 0")
 
     @property
     def num_levels(self) -> int:

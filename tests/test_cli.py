@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nnwm import cli, pipeline, wm_codec
+from nnwm import cli, pipeline, pruner, wm_codec
 from nnwm.cli import main
 from nnwm.errors import NnwmError
 from nnwm.fixtures import random_conv_net, vgg16_style, vgg_tiny
@@ -835,3 +835,111 @@ def test_embed_json_counts_come_from_the_host_before_pruning(tiny_host, tmp_path
     doc = json.loads(capsys.readouterr().out)
     assert [e["c_pruned"] for e in doc["layers"]][:2] == [11, 11]
     assert doc["eligible"] == 5 and doc["capacity_bits"] == wm_codec.capacity(5, 3, 1.0)
+
+
+# --- extraction reads its source before any work ----------------------------
+
+@pytest.fixture(scope="module")
+def tiny_marked(tmp_path_factory):
+    """Directory holding vgg_tiny(0) marked with 101100 under key "k": m.json/.bin, r.json."""
+    d = tmp_path_factory.mktemp("tiny-marked")
+    marked, receipt = pipeline.embed(vgg_tiny(0), WatermarkPayload("101100", 3),
+                                     EmbedParams(3, b"k"))
+    save_model(marked, d / "m.json", d / "m.bin")
+    pruner.save_receipt(receipt, d / "r.json")
+    return d
+
+
+@pytest.mark.parametrize("case", ["missing", "malformed", "other_arch", "expect_length"])
+def test_attack_expect_bad_source_exit_two_and_writes_nothing(tiny_host, capsys, tmp_path,
+                                                              case):
+    original = tmp_path / "original.json"
+    if case == "malformed":
+        original.write_text("{")
+    elif case == "other_arch":  # 6 convs against the attacked model's 5, seen only in extract
+        save_model(random_conv_net(3, n_convs=6), original, tmp_path / "original.bin")
+    elif case == "expect_length":
+        original = tiny_host / "tiny.json"
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["attack", "--type", "zero", "--arch", str(tiny_host / "tiny.json"),
+               "--weights", str(tiny_host / "tiny.bin"), "--out-prefix", str(out / "a"),
+               "--expect", "101", "--original", str(original), "--key", "k",
+               "--n", "4" if case == "expect_length" else "3"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags", [
+    ["--payload", "102"], ["--payload", "hex:zz"], ["--payload", "101", "--l", "0"],
+    ["--payload", "101", "--l", "33"], ["--payload", "101", "--pmax", "5e-324"]],
+    ids=["bits", "hex", "l0", "l33", "pmax"])
+def test_embed_checks_payload_and_scheme_flags_before_reading_the_host(
+        tiny_host, capsys, tmp_path, monkeypatch, flags):
+    def refuse(*args):
+        raise AssertionError("embed read the host before checking its flags")
+
+    monkeypatch.setattr("nnwm.cli.load_model", refuse)
+    rc = main(["embed", "--arch", str(tiny_host / "tiny.json"),
+               "--weights", str(tiny_host / "tiny.bin"), "--key", "k", *flags,
+               "--out-prefix", str(tmp_path / "m"), "--receipt", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_inspect_underflowing_cell_width_exit_two(tiny_host, tiny_marked, capsys):
+    rc = main(["inspect", "--original", str(tiny_host / "tiny.json"),
+               "--suspect", str(tiny_marked / "m.json"), "--pmax", "5e-324"])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: cell width of [0.0, 5e-324) at l = 3 "
+                                       "underflows to 0\n")
+
+
+def test_verify_receipt_with_underflowing_cell_width_exit_two(tiny_marked, capsys, tmp_path):
+    doc = json.loads((tiny_marked / "r.json").read_text())
+    doc["params"]["p_max"] = 5e-324
+    (tmp_path / "r.json").write_text(json.dumps(doc))
+    rc = main(["verify", "--receipt", str(tmp_path / "r.json"),
+               "--suspect", str(tiny_marked / "m.json"), "--expect", "101100"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: cell width of [0.0, 5e-324)")
+
+
+FUZZ_SMALL_INTS = st.integers(1, 8) | FUZZ_INTS  # lengths that reach the decode, and others
+FUZZ_KEYS = st.one_of(st.text(max_size=8),
+                      st.text("0123456789abcdefABCDEF xg", max_size=8).map("hex:".__add__))
+# the flags each command takes; inspect has no --receipt, --key, --n or --theta
+FUZZ_EXTRACT_FLAGS = {"extract": ("--n", "--l", "--pmin", "--pmax", "--key"),
+                      "verify": ("--n", "--l", "--pmin", "--pmax", "--key", "--theta"),
+                      "inspect": ("--l", "--pmin", "--pmax")}
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(sorted(FUZZ_EXTRACT_FLAGS)), by_receipt=st.booleans(),
+       values=st.fixed_dictionaries({}, optional={
+           "--n": FUZZ_SMALL_INTS, "--l": FUZZ_SMALL_INTS, "--pmin": FUZZ_FLOATS,
+           "--pmax": FUZZ_FLOATS, "--theta": FUZZ_FLOATS, "--key": FUZZ_KEYS}))
+def test_fuzz_extraction_flags(tiny_host, tiny_marked, capsys, command, by_receipt, values):
+    capsys.readouterr()
+    paths = [tiny_host / "tiny.json", *(tiny_marked / f for f in ("m.json", "r.json"))]
+    inputs = {p: p.read_bytes() for p in paths}
+    if by_receipt and command != "inspect":
+        source = ["--receipt", str(tiny_marked / "r.json")]
+    else:  # the original path gets a key and a length unless the fuzz gives its own
+        source = ["--original", str(tiny_host / "tiny.json")]
+        if command != "inspect":
+            values = {"--key": "k", "--n": 6, **values}
+    flags = [f"{flag}={value}" for flag, value in values.items()  # "=" passes "-inf"
+             if flag in FUZZ_EXTRACT_FLAGS[command]]
+    expect = ["--expect", "101100"] if command == "verify" else []
+    rc = main([command, "--suspect", str(tiny_marked / "m.json"), *source, *expect, *flags])
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+    assert {p: p.read_bytes() for p in inputs} == inputs

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nnwm.errors import CriterionError
-from nnwm.fixtures import vgg_tiny
 from nnwm.importance import (
     CRITERION_BN,
     CRITERION_L1,

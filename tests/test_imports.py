@@ -1,11 +1,15 @@
-"""Every name a library module imports is used there, unless marked ``# noqa: F401``."""
+"""Every name a module, script or test imports is used there, unless marked ``# noqa: F401``."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "nnwm"
+ROOT = Path(__file__).resolve().parents[1]
+# library modules by file name, scripts and tests by their path from the repository root
+CHECKED = {p.name: p for p in (ROOT / "src" / "nnwm").glob("*.py") if p.name != "__init__.py"}
+CHECKED |= {p.relative_to(ROOT).as_posix(): p
+            for d in ("scripts", "tests") for p in (ROOT / d).glob("*.py")}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,7 +39,6 @@ def test_the_check_sees_an_unused_import_and_honours_noqa():
     assert unused_imports(source) == ["2: json", "3: replace"]
 
 
-@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")
-                                        if p.name != "__init__.py"))
+@pytest.mark.parametrize("path", sorted(CHECKED))
 def test_module_imports_nothing_it_does_not_use(path):
-    assert unused_imports((SRC / path).read_text()) == []
+    assert unused_imports(CHECKED[path].read_text()) == []

@@ -154,7 +154,8 @@ def test_extract_needs_params_for_model_path(marked_deep):
         extract(model, marked)
 
 
-@pytest.mark.parametrize("given", [{"params": EmbedParams(3, b"owner-key")}, {"n": 48}])
+@pytest.mark.parametrize("given", [{"params": EmbedParams(3, b"owner-key")}, {"n": 48},
+                                   {"criterion": "l1_norm"}])
 def test_extract_from_a_receipt_refuses_params_and_length(marked_deep, given):
     _, marked, receipt, _, _ = marked_deep
     with pytest.raises(CodecError, match="takes params and the payload length"):

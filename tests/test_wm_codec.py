@@ -278,3 +278,12 @@ def test_embed_params_validation():
         EmbedParams(segment_length=33, key=b"k")  # 2^33 levels: no layer is that wide
     p = EmbedParams(segment_length=2, key=b"k")
     assert (p.p_min, p.p_max) == (0.0, 0.7)
+
+
+def test_embed_params_refuse_a_cell_width_that_underflows_to_zero():
+    with pytest.raises(CodecError, match="underflows to 0"):
+        EmbedParams(segment_length=3, key=b"k", p_max=5e-324)
+    p = EmbedParams(segment_length=1, key=b"k", p_max=1e-323)  # cell width 5e-324
+    assert decode_rate_clamped(0.0, p) == (0, False)
+    with pytest.raises(CodecError, match="below float resolution"):
+        min_channels(p)  # stricter: no layer is wide enough to carry it
