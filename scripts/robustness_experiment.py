@@ -6,6 +6,12 @@ extracted bits untouched; the structural re-pruning attack is swept over
 increasing extra rates to chart how fast the bits decay without the key.
 The watermark reads only channel counts, which the extra rate alone fixes,
 so one re-pruning per rate gives the BER of every seed.
+
+Last, ``carrier_survey`` asks whether decoys hide the carriers from an
+adversary who knows the original widths but not the key.  A carrier is
+pruned to the width nearest its cell midpoint, so its realized rate lies
+within 0.5/c of that midpoint, while a decoy's rate is uniform over the
+range; ``flag_carriers`` flags every conv that sits that close.
 """
 
 import argparse
@@ -13,7 +19,8 @@ import sys
 
 import numpy as np
 
-from nnwm.fixtures import vgg_tiny
+from nnwm.fixtures import vgg16_style, vgg_tiny
+from nnwm.model_store import channel_counts
 from nnwm.pipeline import (
     attack_finetune,
     attack_noise,
@@ -24,7 +31,40 @@ from nnwm.pipeline import (
     verify,
 )
 from nnwm.toy_trainer import synth_dataset
-from nnwm.wm_codec import EmbedParams, WatermarkPayload
+from nnwm.wm_codec import EmbedParams, WatermarkPayload, decode_rate_clamped, encode_rate
+
+
+def flag_carriers(original: list[int], suspect: list[int], params: EmbedParams) -> list[int]:
+    """Conv ordinals whose realized rate (c - c') / c lies within 0.5 / c of its
+    cell's midpoint, as every carrier's does."""
+    flagged = []
+    for ordinal, (c, c_susp) in enumerate(zip(original, suspect)):
+        rate = (c - c_susp) / c
+        if abs(rate - encode_rate(decode_rate_clamped(rate, params)[0], params)) <= 0.5 / c:
+            flagged.append(ordinal)
+    return flagged
+
+
+def carrier_survey(keys: int = 40) -> dict[str, int]:
+    """Run ``flag_carriers`` on vgg16_style(0) marked with decoys (l = 3, fixed
+    24-bit payloads) under each of ``keys`` fixed keys."""
+    host = vgg16_style(0)
+    widths = channel_counts(host)
+    rng = np.random.default_rng(0)
+    counts = dict.fromkeys(["carriers", "carriers_flagged", "decoys", "decoys_flagged",
+                            "exact"], 0)
+    for i in range(keys):
+        params = EmbedParams(segment_length=3, key=f"survey-{i}".encode())
+        bits = "".join(rng.choice(["0", "1"], size=24))
+        marked, receipt = embed(host, WatermarkPayload(bits, 3), params, decoy=True)
+        carriers = {e.index for e in receipt.layers}
+        flagged = set(flag_carriers(widths, channel_counts(marked), params))
+        counts["carriers"] += len(carriers)
+        counts["carriers_flagged"] += len(carriers & flagged)
+        counts["decoys"] += len(widths) - len(carriers)
+        counts["decoys_flagged"] += len(flagged - carriers)
+        counts["exact"] += flagged == carriers
+    return counts
 
 
 def main(argv=None) -> int:
@@ -33,6 +73,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--rates", type=float, nargs="+",
                         default=[0.01, 0.02, 0.05, 0.0875, 0.15, 0.3])
+    parser.add_argument("--keys", type=int, default=40, help="keys in the carrier survey")
     args = parser.parse_args(argv)
 
     rng = np.random.default_rng(args.seed)
@@ -60,6 +101,12 @@ def main(argv=None) -> int:
     for rate in args.rates:
         ber = verify(bits, extract(receipt, attack_structural(marked, rate, seed=1000))).ber
         print(f"  {rate:>10.4f} {ber:>9.4f}")
+
+    survey = carrier_survey(args.keys)
+    print(f"\ncarrier detector on vgg16_style ({args.keys} keys, decoys, l=3, 24 bits):")
+    print(f"  carriers flagged {survey['carriers_flagged']}/{survey['carriers']}, "
+          f"decoys flagged {survey['decoys_flagged']}/{survey['decoys']}, "
+          f"exact carrier set for {survey['exact']} of {args.keys} keys")
     return 0
 
 

@@ -18,7 +18,9 @@ ignore exits 2.
 embed parses --payload and the scheme flags before it reads the host, and
 prunes the host in place (``pipeline.embed_in_place``), so it holds one
 copy of the weights, not two.  extract, verify and attack --expect read the
-receipt or the --original manifest before any other work.
+receipt or the --original manifest before any other work; attack --expect
+also selects the carriers on the loaded model before attacking it, since
+no attack changes the conv count.
 
 embed's model and receipt and attack's model appear whole or not at all:
 each is written to a new file beside its target and moved into place only
@@ -90,6 +92,8 @@ def _parse_payload(flag: str, text: str) -> str:
             text = Path(text[1:]).read_text(encoding="utf-8").strip()
         except UnicodeDecodeError as e:
             raise NnwmError(f"{flag} file {text[1:]} is not UTF-8 text: {e}") from None
+        except ValueError as e:  # a NUL in the path, which only an in-process caller passes
+            raise NnwmError(f"{flag} file {text[1:]!r}: {e}") from None
     if text.startswith("hex:"):
         return "".join(format(b, "08b") for b in _hex(flag, text[4:]))
     if not text or set(text) - {"0", "1"}:
@@ -310,6 +314,9 @@ def cmd_attack(args) -> int:
     out_weights = f"{args.out_prefix}.bin"
     with staged_outputs(out_arch, out_weights) as (tmp_arch, tmp_weights):
         model = load_model(args.arch, args.weights)
+        if args.expect:  # no attack changes the conv count: fail now, not after the attack
+            source, kwargs = inputs[1]
+            pipeline.select_carriers(source, model, **kwargs)
         if args.type == "noise":
             attacked = pipeline.attack_noise(model, args.sigma, seed=args.seed)
         elif args.type == "zero":

@@ -26,7 +26,9 @@ grid.  Each of the kh*kw window offsets is one strided slice of that grid,
 and the slices are copied into a (Ci*kh*kw, N*Ho*Wo) patch matrix that
 is multiplied once by the (Co, Ci*kh*kw) weight matrix.  The (Co, N*Ho*Wo)
 product is returned as an (N, Co, Ho, Wo) view, not copied back to NCHW
-memory; batchnorm, relu and maxpool keep that channel-major order.
+memory; batchnorm, relu and maxpool keep that channel-major order, and so
+do the map gradients of the backward pass, so the (C, N*H*W) rows of every
+map and gradient that batchnorm and the conv backward pass read are views.
 
 The conv backward pass places the output gradient on a zeroed grid of the
 same (N, Hp, Wp) shape, at each window's top-left corner (s*y, s*x), and
@@ -40,19 +42,28 @@ adds of whole (Ci, N*Hp*Wp) rows into one flat buffer, in (i, j) order;
 the padding border is cut off at the end.
 
 Maxpool is a running maximum over its k*k strided window views.  Its
-backward pass walks the same views in row-major order and gives each
-window's gradient to the first view equal to the max, keeping a mask of
-the windows still unrouted, so ties go where argmax would send them.
+backward pass walks the same views of a zeroed channel-major gradient in
+row-major order and gives each window's gradient to the first view equal
+to the max, keeping a mask of the windows still unrouted, so ties go where
+argmax would send them.
 With non-overlapping windows (k <= s) every result is bit for bit that
 of the argmax scatter; with overlapping windows an input's gradient is
 summed in view order, so it may differ in the last bits.
 
-Batchnorm normalizes with the biased (1/N) batch variance in train mode
+Batchnorm normalizes with the biased (1/n) batch variance in train mode
 and updates running statistics with momentum 0.1 (running variance uses
-the unbiased estimate).  Train-mode forward updates the running buffers of
-the graph it is given, and ``sgd_step`` updates its parameters: finetune
-clones the model once and trains that private copy in place, in the
-model's own dtype.
+the unbiased estimate).  It works on the map's (C, n = N*H*W) rows: the
+mean is one matrix-vector product with a ones vector, the centred rows
+are the one copy of the map and become xhat in place, and the variance is
+one row dot of the centred rows.  The backward pass needs two sums per
+channel, dbeta = sum(dout) (a matrix-vector product) and dgamma =
+sum(dout * xhat) (a row dot), and forms dx = (gamma * inv_std / n) *
+(n * dout - dbeta - xhat * dgamma) in one buffer.  BLAS need not report
+an overflow to ``np.errstate``, so a non-finite batch variance raises
+TrainConfigError itself.  Train-mode forward updates the running buffers
+of the graph it is given, and ``sgd_step`` updates its parameters:
+finetune clones the model once and trains that private copy in place, in
+the model's own dtype.
 """
 
 from __future__ import annotations
@@ -182,34 +193,56 @@ def _conv_backward(ly: ConvLayer, ctx, dout: np.ndarray):
     return dx[:, :, py:py + in_shape[2], px:px + in_shape[3]], dw, db
 
 
+def _channel_rows(x: np.ndarray) -> np.ndarray:
+    """The (C, N*H*W) rows of an (N, C, H, W) map: a view when the map is
+    channel-major, a copy in the same element order otherwise."""
+    return x.transpose(1, 0, 2, 3).reshape(x.shape[1], -1)
+
+
+def _as_map(rows: np.ndarray, shape: tuple) -> np.ndarray:
+    """(C, N*H*W) rows back as an (N, C, H, W) view of their memory."""
+    n, c, h, w = shape
+    return rows.reshape(c, n, h, w).transpose(1, 0, 2, 3)
+
+
 def _bn_forward(ly: BatchNormLayer, x: np.ndarray, mode: str):
-    g = ly.gamma.reshape(1, -1, 1, 1)
-    b = ly.beta.reshape(1, -1, 1, 1)
     if mode == "eval":
+        g = ly.gamma.reshape(1, -1, 1, 1)
+        b = ly.beta.reshape(1, -1, 1, 1)
         inv_std = 1.0 / np.sqrt(ly.running_var + ly.eps)
         out = (x - ly.running_mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1) * g + b
         return out, None
-    n = x.shape[0] * x.shape[2] * x.shape[3]
-    mu = x.mean(axis=(0, 2, 3))
-    var = x.var(axis=(0, 2, 3))  # biased, used for normalization
+    rows = _channel_rows(x)
+    n = rows.shape[1]
+    mu = rows @ np.ones(n, dtype=rows.dtype)
+    mu /= n
+    xhat = rows - mu[:, None]
+    var = np.einsum("ij,ij->i", xhat, xhat)  # biased, used for normalization
+    var /= n
+    if not np.isfinite(var).all():  # BLAS need not raise under np.errstate
+        raise TrainConfigError("training diverged (non-finite batchnorm statistic); lower lr")
     inv_std = 1.0 / np.sqrt(var + ly.eps)
-    xhat = (x - mu.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
-    out = xhat * g + b
+    xhat *= inv_std[:, None]
+    out = xhat * ly.gamma[:, None]
+    out += ly.beta[:, None]
     var_running = var * n / (n - 1) if n > 1 else var
     ly.running_mean[...] = (1 - BN_MOMENTUM) * ly.running_mean + BN_MOMENTUM * mu
     ly.running_var[...] = (1 - BN_MOMENTUM) * ly.running_var + BN_MOMENTUM * var_running
-    return out, (xhat, inv_std, n)
+    return _as_map(out, x.shape), (xhat, inv_std, x.shape)
 
 
 def _bn_backward(ly: BatchNormLayer, ctx, dout: np.ndarray):
-    xhat, inv_std, n = ctx
-    dgamma = (dout * xhat).sum(axis=(0, 2, 3))
-    dbeta = dout.sum(axis=(0, 2, 3))
-    dxhat = dout * ly.gamma.reshape(1, -1, 1, 1)
-    s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-    s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-    dx = (inv_std.reshape(1, -1, 1, 1) / n) * (n * dxhat - s1 - xhat * s2)
-    return dx, dgamma, dbeta
+    xhat, inv_std, shape = ctx
+    d = _channel_rows(dout)
+    n = d.shape[1]
+    dbeta = d @ np.ones(n, dtype=d.dtype)
+    dgamma = np.einsum("ij,ij->i", d, xhat)
+    # (gamma * inv_std / n) * (n * dout - dbeta - xhat * dgamma), in one buffer
+    dx = xhat * (dgamma / n)[:, None]
+    dx += (dbeta / n)[:, None]
+    np.subtract(d, dx, out=dx)
+    dx *= (ly.gamma * inv_std)[:, None]
+    return _as_map(dx, shape), dgamma, dbeta
 
 
 def _maxpool_forward(ly: MaxPoolLayer, x: np.ndarray, mode: str):
@@ -226,7 +259,7 @@ def _maxpool_backward(ly: MaxPoolLayer, ctx, dout: np.ndarray):
     holds the max, as argmax would pick it."""
     x, out = ctx
     k, s = ly.kernel, ly.stride
-    dx = np.zeros(x.shape, dtype=dout.dtype)  # NCHW, as batchnorm's sums expect
+    dx = _as_map(np.zeros((x.shape[1], x.size // x.shape[1]), dtype=dout.dtype), x.shape)
     free = np.ones_like(out, dtype=bool)  # windows not yet routed
     for v, dv in zip(_window_views(x, (k, k), (s, s)), _window_views(dx, (k, k), (s, s))):
         hit = v == out
@@ -268,8 +301,9 @@ KERNELS = {
                 lambda ly, positive, dout: (dout * positive,)),
     MaxPoolLayer: (_maxpool_forward, _maxpool_backward),
     GlobalAvgPoolLayer: (lambda ly, x, mode: (x.mean(axis=(2, 3)), x.shape),
-                         lambda ly, shape, dout: (np.broadcast_to(
-                             (dout / (shape[2] * shape[3]))[:, :, None, None], shape).copy(),)),
+                         lambda ly, shape, dout: (_as_map(np.repeat(
+                             (dout / (shape[2] * shape[3])).T, shape[2] * shape[3], axis=1),
+                             shape),)),
     LinearLayer: (_linear_forward, _linear_backward),
 }
 

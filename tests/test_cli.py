@@ -589,6 +589,17 @@ def test_payload_file_not_utf8_exit_two(tiny_host, capsys, tmp_path):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_payload_file_path_with_nul_exit_two(tiny_host, capsys, tmp_path):
+    # argv from a shell cannot hold a NUL, but an in-process caller of main can pass one
+    rc = main(["embed", "--arch", str(tiny_host / "tiny.json"),
+               "--weights", str(tiny_host / "tiny.bin"), "--payload", "@a\x00b",
+               "--key", "k", "--out-prefix", str(tmp_path / "m"),
+               "--receipt", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --payload file 'a\\x00b': embedded null byte\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["embed", "extract", "verify", "attack"])
 def test_key_not_utf8_exit_two(tiny_host, capsys, tmp_path, command):
     # "\udcff" is how Python hands over the argv byte 0xff that is not UTF-8
@@ -873,6 +884,36 @@ def test_attack_expect_bad_source_exit_two_and_writes_nothing(tiny_host, capsys,
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("attack", ["zero", "finetune"])
+@pytest.mark.parametrize("case, n, message", [
+    ("capacity", 18, "error: capacity exceeded: 6 segment(s) required, "
+                     "5 eligible layer(s) available\n"),
+    ("other_arch", 3, "error: original has 6 conv layers, suspect has 5\n")],
+    ids=["capacity", "other_arch"])
+def test_attack_expect_selects_carriers_before_attacking(tiny_host, capsys, tmp_path,
+                                                         monkeypatch, attack, case, n,
+                                                         message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the attack ran before the carriers were selected")
+
+    monkeypatch.setattr(pipeline, "attack_zero_weights", refuse)
+    monkeypatch.setattr(pipeline, "attack_finetune", refuse)
+    original = tiny_host / "tiny.json"
+    if case == "other_arch":
+        original = tmp_path / "original.json"
+        save_model(random_conv_net(3, n_convs=6), original, tmp_path / "original.bin")
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["attack", "--type", attack, "--arch", str(tiny_host / "tiny.json"),
+               "--weights", str(tiny_host / "tiny.bin"), "--out-prefix", str(out / "a"),
+               "--expect", "0" * n, "--original", str(original), "--key", "k",
+               "--n", str(n)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("flags", [
     ["--payload", "102"], ["--payload", "hex:zz"], ["--payload", "101", "--l", "0"],
     ["--payload", "101", "--l", "33"], ["--payload", "101", "--pmax", "5e-324"]],
@@ -943,3 +984,77 @@ def test_fuzz_extraction_flags(tiny_host, tiny_marked, capsys, command, by_recei
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
     assert {p: p.read_bytes() for p in inputs} == inputs
+
+
+FUZZ_EPOCHS = st.integers(-1, 1)  # each trained epoch costs about half a second
+FUZZ_PAYLOADS = st.one_of(
+    st.text("01", min_size=1, max_size=15), st.text(max_size=8),
+    st.text("0123456789abcdefABCDEF xg", max_size=4).map("hex:".__add__),
+    st.sampled_from(["@", "@.", "@missing.txt", "@/dev/null", "@a\x00b"]),
+    st.binary(max_size=16).map(lambda b: ("@file", b)),  # "@" + a file of these bytes
+    st.text("01", min_size=1, max_size=15).map(lambda t: ("@file", t.encode())))
+# each scheme flag valid for vgg_tiny about half the time, so that runs get past the checks
+FUZZ_SCHEME = {"--l": st.integers(1, 4) | FUZZ_SMALL_INTS,
+               "--pmin": st.floats(0.0, 0.3) | FUZZ_FLOATS,
+               "--pmax": st.floats(0.5, 1.0) | FUZZ_FLOATS,
+               "--criterion": st.sampled_from(["l1", "bn"])}
+
+
+def _run_fuzzed(capsys, argv: list, inputs: list, out: Path) -> None:
+    """main(argv) must exit 0, 1 or 2, print one error line and write nothing in
+    ``out`` when it exits 2, and leave every input file as it was."""
+    capsys.readouterr()
+    before = {p: p.read_bytes() for p in inputs}
+    rc = main([str(a) for a in argv])
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert list(out.iterdir()) == []
+    assert {p: p.read_bytes() for p in inputs} == before
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=FUZZ_PAYLOADS, decoy=st.booleans(), values=st.fixed_dictionaries({}, optional={
+    "--key": FUZZ_KEYS, "--finetune-epochs": FUZZ_EPOCHS, "--seed": FUZZ_INTS,
+    **FUZZ_SCHEME}))
+def test_fuzz_embed_flags(tiny_host, capsys, payload, decoy, values):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        out.mkdir()
+        if isinstance(payload, tuple):
+            (Path(tmp) / "payload").write_bytes(payload[1])
+            payload = f"@{Path(tmp) / 'payload'}"
+        values = {"--key": "k", **values}
+        flags = [f"{flag}={value}" for flag, value in values.items()]  # "=" passes "-inf"
+        _run_fuzzed(capsys, ["embed", "--arch", tiny_host / "tiny.json",
+                             "--weights", tiny_host / "tiny.bin", f"--payload={payload}",
+                             *flags, *(["--decoy"] if decoy else []),
+                             "--out-prefix", out / "m", "--receipt", out / "r.json"],
+                    [tiny_host / "tiny.json", tiny_host / "tiny.bin"], out)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(by_arch=st.booleans(), t=st.integers(1, 100) | FUZZ_INTS, l=FUZZ_SCHEME["--l"],
+       rcov=FUZZ_FLOATS,
+       values=st.fixed_dictionaries({}, optional=FUZZ_SCHEME))
+def test_fuzz_capacity_flags(tiny_host, capsys, tmp_path, by_arch, t, l, rcov, values):
+    layers = ["--arch", tiny_host / "tiny.json"] if by_arch else [f"--t={t}"]
+    values = {**values, "--l": l, "--rcov": rcov}
+    _run_fuzzed(capsys, ["capacity", *layers,
+                         *(f"{flag}={value}" for flag, value in values.items())],
+                [tiny_host / "tiny.json"], tmp_path)
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.fixed_dictionaries({}, optional={
+    "--epochs": FUZZ_EPOCHS, "--finetune-epochs": FUZZ_EPOCHS, "--seed": FUZZ_INTS,
+    "--key": FUZZ_KEYS, **FUZZ_SCHEME}))
+def test_fuzz_train_demo_flags(capsys, tmp_path, values):
+    # an omitted epoch flag would train 5 epochs
+    values = {"--epochs": 0, "--finetune-epochs": 0, **values}
+    _run_fuzzed(capsys, ["train-demo", *(f"{flag}={value}" for flag, value in values.items())],
+                [], tmp_path)

@@ -3,6 +3,10 @@
 import importlib.util
 from pathlib import Path
 
+from nnwm.fixtures import vgg16_style
+from nnwm.model_store import channel_counts
+from nnwm.wm_codec import EmbedParams
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -24,6 +28,20 @@ def test_robustness_experiment(capsys):
     parameter_space = out.split("structural re-pruning sweep")[0].strip().splitlines()[1:]
     assert len(parameter_space) == 6
     assert all(line.endswith("(intact)") for line in parameter_space)
+
+
+def test_carrier_detector_flags_every_carrier():
+    # decoys do not hide the carriers from one who knows the original widths
+    survey = load("robustness_experiment").carrier_survey(40)
+    assert survey["carriers"] == survey["decoys"] == 40 * 8  # 8 of 16 convs carry
+    assert survey["carriers_flagged"] == survey["carriers"]
+    assert survey["decoys_flagged"] < survey["decoys"]
+
+
+def test_carrier_detector_flags_no_unpruned_conv():
+    widths = channel_counts(vgg16_style(0))
+    flag = load("robustness_experiment").flag_carriers
+    assert flag(widths, widths, EmbedParams(segment_length=3, key=b"")) == []
 
 
 def test_fidelity_experiment(capsys, tmp_path):

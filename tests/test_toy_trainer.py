@@ -12,6 +12,7 @@ from nnwm.fixtures import vgg16_style, vgg_tiny
 from nnwm.model_store import (
     BatchNormLayer,
     ConvLayer,
+    GlobalAvgPoolLayer,
     LinearLayer,
     MaxPoolLayer,
     ModelGraph,
@@ -23,7 +24,11 @@ from nnwm.toy_trainer import (
     BATCH_SIZE,
     WEIGHT_DECAY,
     Batch,
+    KERNELS,
     TrainConfig,
+    _bn_backward,
+    _bn_forward,
+    _channel_rows,
     _conv_backward,
     _conv_forward,
     _maxpool_backward,
@@ -200,6 +205,113 @@ def test_bn_eval_hand_value():
     model = bn_only_model(gamma=3.0, beta=1.0, mean=0.0, var=1.0)
     out, _ = forward(model, np.full((1, 1, 1, 1), 2.0), mode="eval")
     assert out[0, 0, 0, 0] == pytest.approx(6.99997, abs=1e-4)
+
+
+def channel_major(x):
+    """x as an (N, C, H, W) view of (C, N, H, W) memory, as a conv returns its output."""
+    return np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+
+
+def textbook_bn(x, dout, gamma, beta, eps):
+    """Float64 train-mode batchnorm: np.mean/np.var over (0, 2, 3), then the
+    backward pass with the two sums s1 = sum(dxhat) and s2 = sum(dxhat * xhat)."""
+    x, dout = x.astype(np.float64), dout.astype(np.float64)
+    g = gamma.astype(np.float64).reshape(1, -1, 1, 1)
+    n = x.size // x.shape[1]
+    mu, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+    inv_std = (1.0 / np.sqrt(var + eps)).reshape(1, -1, 1, 1)
+    xhat = (x - mu.reshape(1, -1, 1, 1)) * inv_std
+    out = xhat * g + beta.astype(np.float64).reshape(1, -1, 1, 1)
+    dxhat = dout * g
+    s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
+    s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
+    dx = (inv_std / n) * (n * dxhat - s1 - xhat * s2)
+    return (out, xhat, mu, var * n / (n - 1), dx,
+            (dout * xhat).sum(axis=(0, 2, 3)), dout.sum(axis=(0, 2, 3)))
+
+
+def bn_case(dtype, seed=31, shape=(8, 6, 5, 7)):
+    """A batchnorm layer with random parameters and a map and gradient for it;
+    channels differ in mean and scale."""
+    rng = np.random.default_rng(seed)
+    c = shape[1]
+    ly = BatchNormLayer(*(a.astype(dtype) for a in (
+        rng.normal(size=c), rng.normal(size=c), rng.normal(size=c), rng.uniform(0.5, 2, c))))
+    x = rng.normal(size=shape) * rng.uniform(0.5, 3, (1, c, 1, 1)) + rng.normal(size=(1, c, 1, 1))
+    return ly, x.astype(dtype), rng.normal(size=shape).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bn_train_kernels_match_textbook_reference(dtype):
+    ly, x, dout = bn_case(dtype)
+    ref_out, ref_xhat, mu, var_unbiased, ref_dx, ref_dgamma, ref_dbeta = textbook_bn(
+        x, dout, ly.gamma, ly.beta, ly.eps)
+    running = [ly.running_mean.astype(np.float64), ly.running_var.astype(np.float64)]
+    out, ctx = _bn_forward(ly, channel_major(x), "train")
+    dx, dgamma, dbeta = _bn_backward(ly, ctx, channel_major(dout))
+    tol = {"rtol": 1e-4, "atol": 1e-5} if dtype == np.float32 else {"rtol": 1e-10, "atol": 1e-12}
+    for got, want in [(out, ref_out), (ctx[0], _channel_rows(ref_xhat)), (dx, ref_dx),
+                      (dgamma, ref_dgamma), (dbeta, ref_dbeta),
+                      (ly.running_mean, 0.9 * running[0] + 0.1 * mu),
+                      (ly.running_var, 0.9 * running[1] + 0.1 * var_unbiased)]:
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, want, **tol)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bn_train_kernels_give_the_same_bytes_for_either_memory_order(dtype):
+    results = []
+    for layout in (np.ascontiguousarray, channel_major):
+        ly, x, dout = bn_case(dtype)
+        out, ctx = _bn_forward(ly, layout(x), "train")
+        grads = _bn_backward(ly, ctx, layout(dout))
+        results.append([a.tobytes() for a in (out, *grads, ly.running_mean, ly.running_var)])
+    assert results[0] == results[1]
+
+
+def test_bn_rows_share_memory_with_a_channel_major_map():
+    ly, x, dout = bn_case(np.float32)
+    x, nchw = channel_major(x), x
+    assert np.shares_memory(_channel_rows(x), x)
+    assert not np.shares_memory(_channel_rows(nchw), nchw)
+    out, ctx = _bn_forward(ly, x, "train")
+    (dx, *_) = _bn_backward(ly, ctx, channel_major(dout))
+    for m in (out, dx):  # both come back channel-major
+        assert np.shares_memory(_channel_rows(m), m)
+
+
+def test_every_map_gradient_reaches_bn_and_conv_backward_as_channel_rows(tiny_model,
+                                                                         monkeypatch):
+    seen = []
+    for cls in (BatchNormLayer, ConvLayer):
+        fwd, bwd = KERNELS[cls]
+
+        def recording(ly, ctx, dout, bwd=bwd):
+            seen.append((type(ly).__name__, np.shares_memory(_channel_rows(dout), dout)))
+            return bwd(ly, ctx, dout)
+
+        monkeypatch.setitem(KERNELS, cls, (fwd, recording))
+    x = np.random.default_rng(0).normal(size=(4, 1, 16, 16)).astype(np.float32)
+    gradients(tiny_model, x, np.array([0, 1, 0, 1]))
+    assert len(seen) == 10 and all(view for _, view in seen), seen
+
+
+@pytest.mark.parametrize("where", ["kernel", "finetune"])
+def test_bn_non_finite_batch_statistic_is_train_config_error(where):
+    # the per-channel sum of 3e38s overflows float32; a BLAS product need not
+    # report that to np.errstate, so the forward pass checks the statistics itself
+    if where == "kernel":
+        ly = BatchNormLayer(*(np.full(2, v, dtype=np.float32) for v in (1, 0, 0, 1)))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainConfigError, match="non-finite batchnorm statistic"):
+            _bn_forward(ly, np.full((4, 2, 3, 3), 3e38, dtype=np.float32), "train")
+        return
+    model = bn_only_model(gamma=1.0, beta=0.0, mean=0.0, var=1.0)
+    model = ModelGraph([*model.layers, GlobalAvgPoolLayer(),
+                        LinearLayer(np.ones((2, 1), dtype=np.float32), None)], (1, 1, 1))
+    train = Batch(np.full((8, 1, 1, 1), 3e38, dtype=np.float32), np.arange(8) % 2)
+    with pytest.raises(TrainConfigError, match="training diverged"):
+        finetune(model, train, TrainConfig(epochs=1))
 
 
 def test_loss_examples():
