@@ -141,8 +141,6 @@ def cmd_embed(args) -> int:
     with staged_outputs(out_arch, out_weights, args.receipt) as (tmp_arch, tmp_weights,
                                                                  tmp_receipt):
         model = load_model(args.arch, args.weights)
-        for w in pipeline.one_value_warnings(wm_codec.segment(payload), "segments have"):
-            print(f"warning: {w}", file=sys.stderr)
         if tune_cfg.epochs > 0:
             train, _ = synth_dataset(args.seed, 512, 256)
             check_fit(model, train)  # before the embed work; finetune checks the marked model
@@ -155,6 +153,9 @@ def cmd_embed(args) -> int:
             model = finetune(model, train, tune_cfg)
         save_model(model, tmp_arch, tmp_weights)
         pruner.save_receipt(receipt, tmp_receipt)
+    # only for a written mark, so that an exit 2 prints its error line alone
+    for w in pipeline.one_value_warnings(wm_codec.segment(payload), "segments have"):
+        print(f"warning: {w}", file=sys.stderr)
     n_max = wm_codec.capacity(len(eligible), args.l, 1.0)
     lines = [
         f"payload: n={payload.n} bits, m={payload.num_segments} segments (l={args.l})",

@@ -739,6 +739,18 @@ def test_embed_warns_when_all_segments_share_one_value(tiny_host, capsys, tmp_pa
     assert ("warning: all 3 segments have value" in err) == warned, err
 
 
+def test_embed_that_exits_two_prints_no_payload_warning(tiny_host, capsys, tmp_path):
+    # six one-value segments at l = 1 need six carriers; vgg_tiny has five
+    rc = main(["embed", "--arch", str(tiny_host / "tiny.json"),
+               "--weights", str(tiny_host / "tiny.bin"), "--payload", "000000",
+               "--key", "k", "--l", "1", "--out-prefix", str(tmp_path / "m"),
+               "--receipt", str(tmp_path / "r.json")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: capacity exceeded"), err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("by_receipt", [True, False])
 def test_unmarked_host_extracts_only_with_warnings(tiny_host, capsys, tmp_path, by_receipt):
     # an unpruned carrier reads as rate 0, cell 0: the unmarked host "carries" 000000000
@@ -990,7 +1002,7 @@ FUZZ_EPOCHS = st.integers(-1, 1)  # each trained epoch costs about half a second
 FUZZ_PAYLOADS = st.one_of(
     st.text("01", min_size=1, max_size=15), st.text(max_size=8),
     st.text("0123456789abcdefABCDEF xg", max_size=4).map("hex:".__add__),
-    st.sampled_from(["@", "@.", "@missing.txt", "@/dev/null", "@a\x00b"]),
+    st.sampled_from(["@", "@.", "@missing.txt", "@/dev/null", "@a\x00b", "0" * 15]),
     st.binary(max_size=16).map(lambda b: ("@file", b)),  # "@" + a file of these bytes
     st.text("01", min_size=1, max_size=15).map(lambda t: ("@file", t.encode())))
 # each scheme flag valid for vgg_tiny about half the time, so that runs get past the checks
