@@ -8,7 +8,14 @@ them.  On one host a change that keeps behaviour must keep them: run this
 on both sides of a change and compare the lines.  ``attack_noise_blob``
 moved once on purpose, when ``attack_noise`` changed from
 ``Generator.normal`` in float64 to a Box–Muller draw in the tensor's dtype
-(``abf87db505f7…`` to ``18cf14d85048…``; see CHANGES.md).
+(``abf87db505f7…`` to ``18cf14d85048…``; see CHANGES.md).  The four
+trained-weight lines moved once on purpose, when train-mode batchnorm
+moved to channel-major rows and sums its statistics by a BLAS product and
+a row dot: ``finetune_f32_5`` ``576e98abc78c…`` to ``98d086b8dc33…``,
+``finetune_f64_2`` ``cb4d574ff940…`` to ``b978feac4b8a…``,
+``train_demo_csv`` ``fb3dc07dcdab…`` to ``f6b4db25aba2…`` and
+``embed_cli_finetune`` ``ece6038de733…`` to ``b2916a105df0…``;
+``train_demo_stdout`` held.
 
     PYTHONPATH=src python scripts/output_hashes.py [NAME ...]
 

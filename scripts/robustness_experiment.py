@@ -45,15 +45,15 @@ def flag_carriers(original: list[int], suspect: list[int], params: EmbedParams) 
     return flagged
 
 
-def carrier_survey(keys: int = 40) -> dict[str, int]:
+def carrier_survey() -> dict[str, int]:
     """Run ``flag_carriers`` on vgg16_style(0) marked with decoys (l = 3, fixed
-    24-bit payloads) under each of ``keys`` fixed keys."""
+    24-bit payloads) under each of 40 fixed keys."""
     host = vgg16_style(0)
     widths = channel_counts(host)
     rng = np.random.default_rng(0)
     counts = dict.fromkeys(["carriers", "carriers_flagged", "decoys", "decoys_flagged",
                             "exact"], 0)
-    for i in range(keys):
+    for i in range(40):
         params = EmbedParams(segment_length=3, key=f"survey-{i}".encode())
         bits = "".join(rng.choice(["0", "1"], size=24))
         marked, receipt = embed(host, WatermarkPayload(bits, 3), params, decoy=True)
@@ -73,7 +73,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--rates", type=float, nargs="+",
                         default=[0.01, 0.02, 0.05, 0.0875, 0.15, 0.3])
-    parser.add_argument("--keys", type=int, default=40, help="keys in the carrier survey")
     args = parser.parse_args(argv)
 
     rng = np.random.default_rng(args.seed)
@@ -102,11 +101,11 @@ def main(argv=None) -> int:
         ber = verify(bits, extract(receipt, attack_structural(marked, rate, seed=1000))).ber
         print(f"  {rate:>10.4f} {ber:>9.4f}")
 
-    survey = carrier_survey(args.keys)
-    print(f"\ncarrier detector on vgg16_style ({args.keys} keys, decoys, l=3, 24 bits):")
+    survey = carrier_survey()
+    print("\ncarrier detector on vgg16_style (40 keys, decoys, l=3, 24 bits):")
     print(f"  carriers flagged {survey['carriers_flagged']}/{survey['carriers']}, "
           f"decoys flagged {survey['decoys_flagged']}/{survey['decoys']}, "
-          f"exact carrier set for {survey['exact']} of {args.keys} keys")
+          f"exact carrier set for {survey['exact']} of 40 keys")
     return 0
 
 

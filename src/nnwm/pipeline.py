@@ -231,8 +231,7 @@ def select_carriers(original: ModelGraph | Receipt, suspect: ModelGraph,
             if e.index >= t:
                 raise ArchitectureMismatchError(f"receipt refers to conv layer {e.index}, "
                                                 f"suspect has only {t}")
-        carriers = [(e.index, e.c) for e in original.layers]
-        return carriers, params, original.payload_bits, warnings
+        return [(e.index, e.c) for e in original.layers], params, original.payload_bits, warnings
     if params is None or n is None:
         raise CodecError("extraction from a model needs params and the payload length")
     if n < 1:

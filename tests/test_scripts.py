@@ -32,7 +32,7 @@ def test_robustness_experiment(capsys):
 
 def test_carrier_detector_flags_every_carrier():
     # decoys do not hide the carriers from one who knows the original widths
-    survey = load("robustness_experiment").carrier_survey(40)
+    survey = load("robustness_experiment").carrier_survey()
     assert survey["carriers"] == survey["decoys"] == 40 * 8  # 8 of 16 convs carry
     assert survey["carriers_flagged"] == survey["carriers"]
     assert survey["decoys_flagged"] < survey["decoys"]

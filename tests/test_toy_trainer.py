@@ -296,16 +296,16 @@ def test_every_map_gradient_reaches_bn_and_conv_backward_as_channel_rows(tiny_mo
     assert len(seen) == 10 and all(view for _, view in seen), seen
 
 
-@pytest.mark.parametrize("where", ["kernel", "finetune"])
-def test_bn_non_finite_batch_statistic_is_train_config_error(where):
+def test_bn_non_finite_batch_statistic_is_train_config_error():
     # the per-channel sum of 3e38s overflows float32; a BLAS product need not
     # report that to np.errstate, so the forward pass checks the statistics itself
-    if where == "kernel":
-        ly = BatchNormLayer(*(np.full(2, v, dtype=np.float32) for v in (1, 0, 0, 1)))
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(TrainConfigError, match="non-finite batchnorm statistic"):
-            _bn_forward(ly, np.full((4, 2, 3, 3), 3e38, dtype=np.float32), "train")
-        return
+    ly = BatchNormLayer(*(np.full(2, v, dtype=np.float32) for v in (1, 0, 0, 1)))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(TrainConfigError, match="non-finite batchnorm statistic"):
+        _bn_forward(ly, np.full((4, 2, 3, 3), 3e38, dtype=np.float32), "train")
+
+
+def test_finetune_with_overflowing_batch_statistics_is_train_config_error():
     model = bn_only_model(gamma=1.0, beta=0.0, mean=0.0, var=1.0)
     model = ModelGraph([*model.layers, GlobalAvgPoolLayer(),
                         LinearLayer(np.ones((2, 1), dtype=np.float32), None)], (1, 1, 1))
