@@ -19,8 +19,9 @@ embed parses --payload and the scheme flags before it reads the host, and
 prunes the host in place (``pipeline.embed_in_place``), so it holds one
 copy of the weights, not two.  extract, verify and attack --expect read the
 receipt or the --original manifest before any other work; attack --expect
-also selects the carriers on the loaded model before attacking it, since
-no attack changes the conv count.
+also runs the whole extraction on the loaded model before attacking it,
+since no attack changes the conv count and every extraction error depends
+on that count alone.  A path flag that holds a NUL byte fails to parse.
 
 embed's model and receipt and attack's model appear whole or not at all:
 each is written to a new file beside its target and moved into place only
@@ -98,6 +99,13 @@ def _parse_payload(flag: str, text: str) -> str:
         return "".join(format(b, "08b") for b in _hex(flag, text[4:]))
     if not text or set(text) - {"0", "1"}:
         raise NnwmError(f"{flag} must be a '0'/'1' string, hex:<digits>, or @file")
+    return text
+
+
+def _path(text: str) -> str:
+    """A path flag's text; one holding a NUL, which no file name can, fails to parse."""
+    if "\0" in text:
+        raise argparse.ArgumentTypeError(f"path {text!r} holds a NUL byte")
     return text
 
 
@@ -317,7 +325,7 @@ def cmd_attack(args) -> int:
         model = load_model(args.arch, args.weights)
         if args.expect:  # no attack changes the conv count: fail now, not after the attack
             source, kwargs = inputs[1]
-            pipeline.select_carriers(source, model, **kwargs)
+            pipeline.extract(source, model, **kwargs)  # its warnings print after the attack
         if args.type == "noise":
             attacked = pipeline.attack_noise(model, args.sigma, seed=args.seed)
         elif args.type == "zero":
@@ -404,8 +412,9 @@ EXTRACT_FLAGS = ("original", "receipt", "key", "n", *SCHEME_DEFAULTS)
 
 def _add_extract_flags(p: argparse.ArgumentParser) -> None:
     source = p.add_mutually_exclusive_group()
-    source.add_argument("--original", help="manifest of the unmarked model")
-    source.add_argument("--receipt", help="embedding receipt; supplies the scheme flags and --n")
+    source.add_argument("--original", type=_path, help="manifest of the unmarked model")
+    source.add_argument("--receipt", type=_path,
+                        help="embedding receipt; supplies the scheme flags and --n")
     p.add_argument("--key")
     p.add_argument("--n", type=int, help="payload length in bits")
     _add_scheme_flags(p)
@@ -421,13 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("embed", help="prune a payload into a model")
-    p.add_argument("--arch", required=True)
-    p.add_argument("--weights", required=True)
+    p.add_argument("--arch", type=_path, required=True)
+    p.add_argument("--weights", type=_path, required=True)
     p.add_argument("--payload", required=True, help="bits, hex:<digits>, or @file")
     p.add_argument("--key", required=True)
     _add_scheme_flags(p)
-    p.add_argument("--out-prefix", required=True)
-    p.add_argument("--receipt", required=True)
+    p.add_argument("--out-prefix", type=_path, required=True)
+    p.add_argument("--receipt", type=_path, required=True)
     p.add_argument("--finetune-epochs", type=int, default=0)
     p.add_argument("--decoy", action="store_true",
                    help="also prune non-carrier layers at key-stream rates")
@@ -435,12 +444,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("extract", help="read the payload back from a suspect model")
-    p.add_argument("--suspect", required=True, help="manifest of the suspect model")
+    p.add_argument("--suspect", type=_path, required=True, help="manifest of the suspect model")
     _add_extract_flags(p)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("verify", help="extract and compare against expected bits")
-    p.add_argument("--suspect", required=True, help="manifest of the suspect model")
+    p.add_argument("--suspect", type=_path, required=True, help="manifest of the suspect model")
     _add_extract_flags(p)
     p.add_argument("--expect", required=True)
     _add_theta_flag(p)
@@ -449,16 +458,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("capacity", help="embeddable bits for a layer count")
     layers = p.add_mutually_exclusive_group(required=True)
     layers.add_argument("--t", type=int, help="number of eligible conv layers")
-    layers.add_argument("--arch", help="manifest whose eligible conv layers are counted")
+    layers.add_argument("--arch", type=_path,
+                        help="manifest whose eligible conv layers are counted")
     _add_scheme_flags(p, l_required=True)
     p.add_argument("--rcov", type=float, required=True)
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("inspect", help="per-layer rates or importance scores")
-    p.add_argument("--original")
-    p.add_argument("--suspect")
-    p.add_argument("--arch")
-    p.add_argument("--weights")
+    p.add_argument("--original", type=_path)
+    p.add_argument("--suspect", type=_path)
+    p.add_argument("--arch", type=_path)
+    p.add_argument("--weights", type=_path)
     p.add_argument("--scores", action="store_true")
     _add_scheme_flags(p)
     p.set_defaults(func=cmd_inspect)
@@ -466,9 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="apply a removal attack, optionally verify after")
     p.add_argument("--type", required=True,
                    choices=["noise", "zero", "finetune", "structural"])
-    p.add_argument("--arch", required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--out-prefix", required=True)
+    p.add_argument("--arch", type=_path, required=True)
+    p.add_argument("--weights", type=_path, required=True)
+    p.add_argument("--out-prefix", type=_path, required=True)
     p.add_argument("--sigma", type=float, default=0.1)
     p.add_argument("--fraction", type=float, default=0.3)
     p.add_argument("--epochs", type=int, default=5)
@@ -487,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--finetune-epochs", type=int, default=5)
     p.add_argument("--key", default="demo-key")
     _add_scheme_flags(p)
-    p.add_argument("--metrics-csv")
+    p.add_argument("--metrics-csv", type=_path)
     p.set_defaults(func=cmd_train_demo)
 
     for sp in sub.choices.values():

@@ -6,7 +6,7 @@ rate encoding that segment: ``embed`` prunes a copy of the host and
 self-check, which decodes the carriers the key selects from the widths
 the plan started from.  Extraction names the carriers as (conv ordinal,
 original width) pairs, from a receipt or by key from the original model
-(``select_carriers``, which needs only the suspect's conv count);
+(``extract``, whose every check needs only the suspect's conv count);
 ``decode_segments`` decodes each rate from the suspect's width.
 Attacks either perturb parameters (which provably cannot change the
 extracted bits) or re-prune the structure (which degrades them measurably).
@@ -184,8 +184,8 @@ def decode_segments(carriers: list[tuple[int, int]], suspect_counts: list[int],
                     params: EmbedParams) -> list[SegmentDecode]:
     """Decode each (conv ordinal, original width) carrier against the suspect's widths.
 
-    Every ordinal must index ``suspect_counts`` (``select_carriers`` checks
-    a receipt's).  An out-of-range rate decodes by clamping and is flagged
+    Every ordinal must index ``suspect_counts`` (``extract`` checks a
+    receipt's).  An out-of-range rate decodes by clamping and is flagged
     in the result.
     """
     segments = []
@@ -206,43 +206,6 @@ def matched_channel_counts(original: ModelGraph, suspect: ModelGraph) -> tuple[l
     return c_orig, c_susp
 
 
-def select_carriers(original: ModelGraph | Receipt, suspect: ModelGraph,
-                    key: bytes | None = None, params: EmbedParams | None = None,
-                    n: int | None = None, criterion: str | None = None
-                    ) -> tuple[list[tuple[int, int]], EmbedParams, int, list[str]]:
-    """The (conv ordinal, original width) carriers ``extract`` decodes, with the
-    parameters and payload length to decode them by and the warnings so far.
-
-    Takes ``extract``'s arguments and makes every check that depends on the
-    suspect's conv count alone, not on its widths, so a caller can run it
-    before work that keeps that count, such as an attack.
-    """
-    warnings = []
-    if isinstance(original, Receipt):
-        if params is not None or n is not None or criterion is not None:
-            raise CodecError("extraction from a receipt takes params and the payload "
-                             "length from the receipt, and needs no criterion")
-        if key is not None and wm_codec.key_fingerprint(key) != original.key_fingerprint:
-            warnings.append("key does not match the receipt fingerprint")
-        params = EmbedParams(segment_length=original.segment_length, key=b"",
-                             p_min=original.p_min, p_max=original.p_max)
-        t = len(channel_counts(suspect))
-        for e in original.layers:
-            if e.index >= t:
-                raise ArchitectureMismatchError(f"receipt refers to conv layer {e.index}, "
-                                                f"suspect has only {t}")
-        return [(e.index, e.c) for e in original.layers], params, original.payload_bits, warnings
-    if params is None or n is None:
-        raise CodecError("extraction from a model needs params and the payload length")
-    if n < 1:
-        raise CodecError("payload length must be >= 1")
-    counts_orig, _ = matched_channel_counts(original, suspect)
-    m = -(-n // params.segment_length)
-    eligible = eligible_layers(original, params, criterion or "l1_norm")
-    selected = wm_codec.select_layers(eligible, m, params.key if key is None else key)
-    return [(i, counts_orig[i]) for i in selected], params, n, warnings
-
-
 def extract(original: ModelGraph | Receipt, suspect: ModelGraph,
             key: bytes | None = None, params: EmbedParams | None = None,
             n: int | None = None, criterion: str | None = None) -> ExtractionResult:
@@ -254,10 +217,38 @@ def extract(original: ModelGraph | Receipt, suspect: ModelGraph,
     and length are pinned by the receipt itself, so none of `params`, `n`
     and `criterion` may be given; `key` is only checked against it).
     Out-of-range rates decode by clamping and are reported as warnings.
+
+    Every error raised depends on the suspect's conv count alone, never on
+    its widths, so a caller can run this before work that keeps that count,
+    such as an attack, and get the error a call after it would give.
     """
-    carriers, params, n, warnings = select_carriers(original, suspect, key, params, n,
-                                                    criterion)
-    segments = decode_segments(carriers, channel_counts(suspect), params)
+    warnings = []
+    if isinstance(original, Receipt):
+        if params is not None or n is not None or criterion is not None:
+            raise CodecError("extraction from a receipt takes params and the payload "
+                             "length from the receipt, and needs no criterion")
+        if key is not None and wm_codec.key_fingerprint(key) != original.key_fingerprint:
+            warnings.append("key does not match the receipt fingerprint")
+        params = EmbedParams(segment_length=original.segment_length, key=b"",
+                             p_min=original.p_min, p_max=original.p_max)
+        n = original.payload_bits
+        counts_susp = channel_counts(suspect)
+        for e in original.layers:
+            if e.index >= len(counts_susp):
+                raise ArchitectureMismatchError(f"receipt refers to conv layer {e.index}, "
+                                                f"suspect has only {len(counts_susp)}")
+        carriers = [(e.index, e.c) for e in original.layers]
+    else:
+        if params is None or n is None:
+            raise CodecError("extraction from a model needs params and the payload length")
+        if n < 1:
+            raise CodecError("payload length must be >= 1")
+        counts_orig, counts_susp = matched_channel_counts(original, suspect)
+        m = -(-n // params.segment_length)
+        eligible = eligible_layers(original, params, criterion or "l1_norm")
+        selected = wm_codec.select_layers(eligible, m, params.key if key is None else key)
+        carriers = [(i, counts_orig[i]) for i in selected]
+    segments = decode_segments(carriers, counts_susp, params)
     warnings += [f"conv layer {s.layer_index}: observed rate {s.rate:.6f} outside "
                  f"[{params.p_min}, {params.p_max}); decoded by clamping"
                  for s in segments if s.clamped]

@@ -1,6 +1,8 @@
 """CLI tests: flows, exit codes, JSON output."""
 
+import dataclasses
 import json
+import os
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -600,6 +602,52 @@ def test_payload_file_path_with_nul_exit_two(tiny_host, capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def _valid_runs(host: Path, marked: Path, out: Path) -> list[list[str]]:
+    """One valid argv for each way each command takes its path flags."""
+    arch, weights = str(host / "tiny.json"), str(host / "tiny.bin")
+    suspect = ["--suspect", str(marked / "m.json")]
+    sources = [["--receipt", str(marked / "r.json")],
+               ["--original", arch, "--key", "k", "--n", "6"]]
+    attack = ["attack", "--type", "zero", "--arch", arch, "--weights", weights,
+              "--out-prefix", str(out / "a"), "--expect", "101100"]
+    return [["embed", "--arch", arch, "--weights", weights, "--payload", "101", "--key", "k",
+             "--out-prefix", str(out / "m"), "--receipt", str(out / "r.json")],
+            *(["extract", *suspect, *source] for source in sources),
+            *(["verify", *suspect, *source, "--expect", "101100"] for source in sources),
+            ["capacity", "--arch", arch, "--l", "3", "--rcov", "1"],
+            ["inspect", "--original", arch, *suspect],
+            ["inspect", "--scores", "--arch", arch, "--weights", weights],
+            *([*attack, *source] for source in sources),
+            ["train-demo", "--epochs", "0", "--finetune-epochs", "0",
+             "--metrics-csv", str(out / "metrics.csv")]]
+
+
+PATH_FLAGS = [("embed", "--arch"), ("embed", "--weights"), ("embed", "--out-prefix"),
+              ("embed", "--receipt"), ("extract", "--suspect"), ("extract", "--receipt"),
+              ("extract", "--original"), ("verify", "--suspect"), ("verify", "--receipt"),
+              ("verify", "--original"), ("capacity", "--arch"), ("inspect", "--original"),
+              ("inspect", "--suspect"), ("inspect", "--arch"), ("inspect", "--weights"),
+              ("attack", "--arch"), ("attack", "--weights"), ("attack", "--out-prefix"),
+              ("attack", "--receipt"), ("attack", "--original"), ("train-demo", "--metrics-csv")]
+
+
+@pytest.mark.parametrize("command, flag", PATH_FLAGS, ids=[" ".join(p) for p in PATH_FLAGS])
+def test_path_flag_with_nul_is_a_usage_error(tiny_host, tiny_marked, capsys, tmp_path,
+                                             command, flag):
+    # argv from a shell cannot hold a NUL, but an in-process caller of main can pass one
+    inputs = {p: p.read_bytes() for d in (tiny_host, tiny_marked) for p in d.iterdir()}
+    argv = next(a for a in _valid_runs(tiny_host, tiny_marked, tmp_path)
+                if a[0] == command and flag in a)
+    argv[argv.index(flag) + 1] = "a\x00b"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {flag}: path 'a\\x00b' holds a NUL byte\n")
+    assert list(tmp_path.iterdir()) == []
+    assert {p: p.read_bytes() for d in (tiny_host, tiny_marked) for p in d.iterdir()} == inputs
+
+
 @pytest.mark.parametrize("command", ["embed", "extract", "verify", "attack"])
 def test_key_not_utf8_exit_two(tiny_host, capsys, tmp_path, command):
     # "\udcff" is how Python hands over the argv byte 0xff that is not UTF-8
@@ -900,8 +948,9 @@ def test_attack_expect_bad_source_exit_two_and_writes_nothing(tiny_host, capsys,
 @pytest.mark.parametrize("case, n, message", [
     ("capacity", 18, "error: capacity exceeded: 6 segment(s) required, "
                      "5 eligible layer(s) available\n"),
-    ("other_arch", 3, "error: original has 6 conv layers, suspect has 5\n")],
-    ids=["capacity", "other_arch"])
+    ("other_arch", 3, "error: original has 6 conv layers, suspect has 5\n"),
+    ("payload_bits", 20, "error: 3 segment(s) of 3 bits cannot carry a 20-bit payload\n")],
+    ids=["capacity", "other_arch", "payload_bits"])
 def test_attack_expect_selects_carriers_before_attacking(tiny_host, capsys, tmp_path,
                                                          monkeypatch, attack, case, n,
                                                          message):
@@ -914,12 +963,17 @@ def test_attack_expect_selects_carriers_before_attacking(tiny_host, capsys, tmp_
     if case == "other_arch":
         original = tmp_path / "original.json"
         save_model(random_conv_net(3, n_convs=6), original, tmp_path / "original.bin")
+    source = ["--original", str(original), "--key", "k", "--n", str(n)]
+    if case == "payload_bits":  # the receipt's 3 carriers of 3 bits hold 7 to 9 bits
+        _, receipt = pipeline.embed(vgg_tiny(0), WatermarkPayload("101100111", 3),
+                                    EmbedParams(3, b"k"))
+        pruner.save_receipt(dataclasses.replace(receipt, payload_bits=n), tmp_path / "r.json")
+        source = ["--receipt", str(tmp_path / "r.json")]
     out = tmp_path / "out"
     out.mkdir()
     rc = main(["attack", "--type", attack, "--arch", str(tiny_host / "tiny.json"),
                "--weights", str(tiny_host / "tiny.bin"), "--out-prefix", str(out / "a"),
-               "--expect", "0" * n, "--original", str(original), "--key", "k",
-               "--n", str(n)])
+               "--expect", "0" * n, *source])
     assert rc == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", message)
@@ -1070,3 +1124,83 @@ def test_fuzz_train_demo_flags(capsys, tmp_path, values):
     values = {"--epochs": 0, "--finetune-epochs": 0, **values}
     _run_fuzzed(capsys, ["train-demo", *(f"{flag}={value}" for flag, value in values.items())],
                 [], tmp_path)
+
+
+# output paths: the input fixtures' own names, the cwd, a missing directory, a name
+# longer than any file system allows, a NUL; relative ones land in the example's cwd
+FUZZ_OUTPUTS = st.sampled_from(["{host}/tiny", "{host}/tiny.json", "{host}/tiny.bin",
+                                "{marked}/m", "{marked}/m.json", "{marked}/r.json",
+                                "", ".", "missing/o", "x" * 300, "a\x00b", "o", "o.json"])
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["embed", "attack", "train-demo"]),
+       first=FUZZ_OUTPUTS, second=FUZZ_OUTPUTS)
+def test_fuzz_output_flags(tiny_host, tiny_marked, capsys, monkeypatch, command, first,
+                           second):
+    first, second = (p.format(host=tiny_host, marked=tiny_marked) for p in (first, second))
+    host = ["--arch", tiny_host / "tiny.json", "--weights", tiny_host / "tiny.bin"]
+    argv = {"embed": ["embed", *host, "--payload", "101", "--key", "k",
+                      "--out-prefix", first, "--receipt", second],
+            "attack": ["attack", "--type", "zero", *host, "--out-prefix", first,
+                       "--expect", "101100", "--receipt", tiny_marked / "r.json"],
+            "train-demo": ["train-demo", "--epochs", "0", "--finetune-epochs", "0",
+                           "--metrics-csv", first]}[command]
+    inputs = {p: p.read_bytes() for d in (tiny_host, tiny_marked) for p in d.iterdir()}
+    capsys.readouterr()
+    with tempfile.TemporaryDirectory() as out:
+        monkeypatch.chdir(out)
+        try:
+            try:
+                rc = main([str(a) for a in argv])
+            except SystemExit as e:  # an argparse usage error, which prints the usage too
+                assert e.code == 2
+                rc = None
+            assert rc in (0, 1, 2, None)
+            if rc == 2:
+                err = capsys.readouterr().err.splitlines()
+                assert len(err) == 1 and err[0].startswith("error: "), err
+            if rc in (2, None):
+                assert os.listdir(out) == []
+                assert {p: p.read_bytes() for d in (tiny_host, tiny_marked)
+                        for p in d.iterdir()} == inputs
+        finally:  # an output may have replaced an input or landed beside it
+            for p in {p for d in (tiny_host, tiny_marked) for p in d.iterdir()} - set(inputs):
+                p.unlink()
+            for p, data in inputs.items():
+                p.write_bytes(data)
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(epochs=st.sampled_from([0, 1]), lr=FUZZ_FLOATS)
+def test_fuzz_attack_finetune_flags(tiny_host, capsys, tmp_path, epochs, lr):
+    _run_fuzzed(capsys, ["attack", "--type", "finetune", "--epochs", epochs, f"--lr={lr}",
+                         "--arch", tiny_host / "tiny.json", "--weights", tiny_host / "tiny.bin",
+                         "--out-prefix", tmp_path / "a"],
+                [tiny_host / "tiny.json", tiny_host / "tiny.bin"], tmp_path)
+    for p in tmp_path.iterdir():  # a run that exits 0 writes; the next must start empty
+        p.unlink()
+
+
+@pytest.fixture(scope="module")
+def other_host(tmp_path_factory):
+    """Directory holding random_conv_net(3) saved as o.json / o.bin: 1x1 kernels, 3 convs."""
+    d = tmp_path_factory.mktemp("other")
+    save_model(random_conv_net(3, n_convs=3), d / "o.json", d / "o.bin")
+    return d
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(arch=st.sampled_from(["tiny.json", "m.json", "o.json"]),
+       weights=st.sampled_from(["tiny.bin", "m.bin", "o.bin"]),
+       criterion=st.sampled_from(["l1", "bn"]))
+def test_fuzz_inspect_scores_fixtures(tiny_host, tiny_marked, other_host, capsys, tmp_path,
+                                      arch, weights, criterion):
+    # the manifest and the blob come from fixtures that need not match
+    where = {"tiny": tiny_host, "m": tiny_marked, "o": other_host}
+    arch, weights = (where[name.split(".")[0]] / name for name in (arch, weights))
+    _run_fuzzed(capsys, ["inspect", "--scores", "--arch", arch, "--weights", weights,
+                         "--criterion", criterion], [arch, weights], tmp_path)

@@ -1,5 +1,7 @@
 """Pipeline tests: embed/extract round trips, verification, attacks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from nnwm.pipeline import (
     extract,
     verify,
 )
+from nnwm.pruner import PlanEntry, apply_prune
 from nnwm.toy_trainer import synth_dataset, to_precision
 from nnwm.wm_codec import EmbedParams, WatermarkPayload, min_channels, round_half_up
 
@@ -167,6 +170,57 @@ def test_receipt_key_fingerprint_warning(marked_deep):
     res = extract(receipt, marked, key=b"not-the-key")
     assert res.bits == bits  # receipt pins the selection; key only cross-checked
     assert any("fingerprint" in w for w in res.warnings)
+
+
+@pytest.fixture(scope="module")
+def extraction_cases():
+    """Name -> (unmarked host, marked model, extract's source and keywords, error or None).
+
+    Each host bounds the widths of the suspects drawn for its case, and the
+    marked model has its conv count.
+    """
+    host, short = vgg_tiny(0), random_conv_net(0, n_convs=3)
+    params = EmbedParams(3, b"k")
+    marked, receipt = embed(host, WatermarkPayload("101100111", 3), params)
+    assert [e.index for e in receipt.layers] == [0, 2, 3]
+    by_key = {"params": params, "n": 9}
+    return {
+        "receipt": (host, marked, receipt, {}, None),
+        "receipt_payload_bits": (host, marked, replace(receipt, payload_bits=20), {},
+                                 CodecError),
+        "receipt_beyond_suspect": (short, short, receipt, {}, ArchitectureMismatchError),
+        "original": (host, marked, host, by_key, None),
+        "original_conv_count": (host, marked, random_conv_net(3, n_convs=6), by_key,
+                                ArchitectureMismatchError),
+        "original_capacity": (host, marked, host, {**by_key, "n": 18}, CapacityError),
+    }
+
+
+def _extract_outcome(source, suspect, kwargs):
+    """"ok" when extract succeeds, else the type and message of its error."""
+    try:
+        extract(source, suspect, **kwargs)
+    except NnwmError as e:
+        return type(e), str(e)
+    return "ok"
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from(["receipt", "receipt_payload_bits", "receipt_beyond_suspect",
+                             "original", "original_conv_count", "original_capacity"]),
+       data=st.data())
+def test_extract_outcome_depends_on_the_conv_count_alone(extraction_cases, case, data):
+    # so that attack --expect can extract from the model it is about to attack
+    host, marked, source, kwargs, error = extraction_cases[case]
+    expected = _extract_outcome(source, marked, kwargs)
+    assert (expected == "ok") if error is None else (expected[0] is error), expected
+    entries = []
+    for pos, c in zip(conv_layer_indices(host), channel_counts(host)):
+        w = data.draw(st.integers(1, c), label=f"width of layer {pos}")
+        if w < c:
+            entries.append(PlanEntry(pos, tuple(range(w))))
+    suspect = apply_prune(host, tuple(entries))
+    assert _extract_outcome(source, suspect, kwargs) == expected
 
 
 def test_verify_examples():
