@@ -22,7 +22,6 @@ import numpy as np
 from nnwm.fixtures import vgg16_style, vgg_tiny
 from nnwm.model_store import channel_counts
 from nnwm.pipeline import (
-    attack_finetune,
     attack_noise,
     attack_structural,
     attack_zero_weights,
@@ -30,7 +29,7 @@ from nnwm.pipeline import (
     extract,
     verify,
 )
-from nnwm.toy_trainer import synth_dataset
+from nnwm.toy_trainer import TrainConfig, finetune, synth_dataset
 from nnwm.wm_codec import EmbedParams, WatermarkPayload, decode_rate_clamped, encode_rate
 
 
@@ -89,7 +88,7 @@ def main(argv=None) -> int:
         "noise sigma=10": attack_noise(marked, 10.0, seed=3),
         "zero 30% weights": attack_zero_weights(marked, 0.3),
         "zero 90% weights": attack_zero_weights(marked, 0.9),
-        "finetune 5 epochs": attack_finetune(marked, train, epochs=5, seed=4),
+        "finetune 5 epochs": finetune(marked, train, TrainConfig(epochs=5, lr=0.001, seed=4)),
     }
     for name, suspect in attacks.items():
         ber = verify(bits, extract(receipt, suspect)).ber

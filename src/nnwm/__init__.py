@@ -34,7 +34,6 @@ from .model_store import (
 from .pipeline import (
     ExtractionResult,
     VerifyReport,
-    attack_finetune,
     attack_noise,
     attack_structural,
     attack_zero_weights,
@@ -44,7 +43,6 @@ from .pipeline import (
     verify,
 )
 from .pruner import (
-    PlanEntry,
     Receipt,
     ReceiptLayer,
     apply_prune,

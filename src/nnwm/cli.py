@@ -18,10 +18,14 @@ ignore exits 2.
 embed parses --payload and the scheme flags before it reads the host, and
 prunes the host in place (``pipeline.embed_in_place``), so it holds one
 copy of the weights, not two.  extract, verify and attack --expect read the
-receipt or the --original manifest before any other work; attack --expect
-also runs the whole extraction on the loaded model before attacking it,
-since no attack changes the conv count and every extraction error depends
-on that count alone.  A path flag that holds a NUL byte fails to parse.
+receipt or the --original manifest before any other work and bind
+``pipeline.extract`` to it (``_resolve_source``), so each suspect is one
+call; attack --expect also runs that extraction on the loaded model
+before attacking it, since no attack changes the conv count and every
+extraction error depends on that count alone.  attack --type finetune is
+``toy_trainer.finetune`` on the synthetic task.  A path flag that holds a
+NUL byte fails to parse, and an ``NNWM_SEED`` that is not an integer
+exits 2.
 
 embed's model and receipt and attack's model appear whole or not at all:
 each is written to a new file beside its target and moved into place only
@@ -42,6 +46,7 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -64,10 +69,11 @@ from .wm_codec import EmbedParams, WatermarkPayload
 
 
 def _default_seed() -> int:
+    text = os.environ.get("NNWM_SEED", "0")
     try:
-        return int(os.environ.get("NNWM_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        raise NnwmError(f"NNWM_SEED must be an integer, got {text!r}") from None
 
 
 def _hex(flag: str, digits: str) -> bytes:
@@ -186,32 +192,34 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _resolve_source(args) -> tuple[pruner.Receipt | ModelGraph, dict]:
+def _resolve_source(args) -> Callable[[ModelGraph], pipeline.ExtractionResult]:
     """Check the extraction flags, then read the receipt or the --original manifest;
-    return it with the keyword arguments ``pipeline.extract`` takes for it."""
+    return ``pipeline.extract`` bound to it and the flags, awaiting the suspect."""
     if args.receipt:
         receipt = pruner.load_receipt(args.receipt)
         params = _params_from(args, receipt)
-        return receipt, {"key": None if args.key is None else params.key}
+        key = None if args.key is None else params.key
+        return lambda suspect: pipeline.extract(receipt, suspect, key=key)
     missing = [f"--{f}" for f in ("original", "key", "n") if getattr(args, f) is None]
     if missing:
         raise NnwmError(f"extraction needs --receipt, or --original with --key and --n "
                         f"(missing {', '.join(missing)})")
     params = _params_from(args)  # the flags before the manifest
-    return load_arch(args.original), {"params": params, "n": args.n, "criterion": args.criterion}
+    original, n, criterion = load_arch(args.original), args.n, args.criterion
+    return lambda suspect: pipeline.extract(original, suspect, params=params, n=n,
+                                            criterion=criterion)
 
 
-def _run_extract(suspect: ModelGraph, source, kwargs: dict) -> pipeline.ExtractionResult:
-    """Extract from the suspect by the resolved source; warnings go to stderr."""
-    result = pipeline.extract(source, suspect, **kwargs)
+def _warn(result: pipeline.ExtractionResult) -> pipeline.ExtractionResult:
+    """Print the result's warnings to stderr and return it."""
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return result
 
 
 def cmd_extract(args) -> int:
-    source = _resolve_source(args)
-    result = _run_extract(load_arch(args.suspect), *source)
+    extraction = _resolve_source(args)
+    result = _warn(extraction(load_arch(args.suspect)))
     _emit(args, {
         "command": "extract", "bits": result.bits,
         "segments": [vars(s) for s in result.segments],
@@ -220,23 +228,17 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _verify_inputs(args) -> tuple[str, tuple]:
-    """The expected bits and the resolved extraction source, checked before any work.
+def _verify_inputs(args) -> tuple[str, Callable[[ModelGraph], pipeline.ExtractionResult]]:
+    """The expected bits and the bound extraction, checked before any work.
 
     Also fills an omitted --theta with 0.0 and checks its range, and checks
     that --expect is as long as the payload.
     """
     args.theta = pipeline.check_theta(0.0 if args.theta is None else args.theta)
-    expected, source = _parse_payload("--expect", args.expect), _resolve_source(args)
+    expected, extraction = _parse_payload("--expect", args.expect), _resolve_source(args)
     if len(expected) != args.n:  # --n, or the receipt's
         raise NnwmError(f"--expect has {len(expected)} bits, but the payload has {args.n}")
-    return expected, source
-
-
-def _verify(args, suspect: ModelGraph, inputs: tuple[str, tuple]) -> pipeline.VerifyReport:
-    """Extract from the suspect and compare with the expected bits."""
-    expected, source = inputs
-    return pipeline.verify(expected, _run_extract(suspect, *source), theta=args.theta)
+    return expected, extraction
 
 
 def _emit_verdict(args, report: pipeline.VerifyReport) -> int:
@@ -250,8 +252,9 @@ def _emit_verdict(args, report: pipeline.VerifyReport) -> int:
 
 
 def cmd_verify(args) -> int:
-    inputs = _verify_inputs(args)
-    return _emit_verdict(args, _verify(args, load_arch(args.suspect), inputs))
+    expected, extraction = _verify_inputs(args)
+    result = _warn(extraction(load_arch(args.suspect)))
+    return _emit_verdict(args, pipeline.verify(expected, result, theta=args.theta))
 
 
 def cmd_capacity(args) -> int:
@@ -316,7 +319,7 @@ def cmd_inspect(args) -> int:
 
 def cmd_attack(args) -> int:
     if args.expect:
-        inputs = _verify_inputs(args)
+        expected, extraction = _verify_inputs(args)
     else:
         _reject(args, (*EXTRACT_FLAGS, "theta"), "used only by attack --expect")
     out_arch = f"{args.out_prefix}.json"
@@ -324,21 +327,21 @@ def cmd_attack(args) -> int:
     with staged_outputs(out_arch, out_weights) as (tmp_arch, tmp_weights):
         model = load_model(args.arch, args.weights)
         if args.expect:  # no attack changes the conv count: fail now, not after the attack
-            source, kwargs = inputs[1]
-            pipeline.extract(source, model, **kwargs)  # its warnings print after the attack
+            extraction(model)  # its warnings print after the attack
         if args.type == "noise":
             attacked = pipeline.attack_noise(model, args.sigma, seed=args.seed)
         elif args.type == "zero":
             attacked = pipeline.attack_zero_weights(model, args.fraction)
         elif args.type == "finetune":
             train, _ = synth_dataset(args.seed, 512, 256)
-            attacked = pipeline.attack_finetune(model, train, epochs=args.epochs,
-                                                lr=args.lr, seed=args.seed)
+            attacked = finetune(model, train,
+                                TrainConfig(epochs=args.epochs, lr=args.lr, seed=args.seed))
         else:
             attacked = pipeline.attack_structural(model, args.extra_rate, seed=args.seed)
         save_model(attacked, tmp_arch, tmp_weights)
         # before the move, so that an extraction error leaves no output
-        report = _verify(args, attacked, inputs) if args.expect else None
+        report = (pipeline.verify(expected, _warn(extraction(attacked)), theta=args.theta)
+                  if args.expect else None)
     doc = {"command": "attack", "type": args.type,
            "out_arch": out_arch, "out_weights": out_weights,
            "channel_counts": channel_counts(attacked)}
@@ -508,9 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "seed", 0) is None:  # NNWM_SEED is read per call
-        args.seed = _default_seed()
     try:
+        if getattr(args, "seed", 0) is None:  # NNWM_SEED is read per call
+            args.seed = _default_seed()
         return args.func(args)
     except (NnwmError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

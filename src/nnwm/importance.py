@@ -19,8 +19,7 @@ CRITERION_BN = "bn_gamma"
 CRITERION_L1 = "l1_norm"
 
 _ALIASES = {
-    "bn": CRITERION_BN, "bn_gamma": CRITERION_BN, "slimming": CRITERION_BN,
-    "l1": CRITERION_L1, "l1_norm": CRITERION_L1,
+    "bn": CRITERION_BN, "bn_gamma": CRITERION_BN, "l1": CRITERION_L1, "l1_norm": CRITERION_L1,
 }
 
 

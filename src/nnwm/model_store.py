@@ -450,15 +450,19 @@ def validate(model: ModelGraph) -> None:
 
 
 def map_arrays(model: ModelGraph, make) -> ModelGraph:
-    """A new graph whose layers hold make(array) in place of each array."""
-    layers = [replace(ly, **{attr: make(arr) for attr, arr in layer_arrays(ly)})
+    """A new graph whose layers hold make(layer, attr, array) in place of each array.
+
+    ``make`` is called in blob order: layer by layer, each layer's arrays
+    in ``ARRAYS`` order.
+    """
+    layers = [replace(ly, **{attr: make(ly, attr, arr) for attr, arr in layer_arrays(ly)})
               for ly in model.layers]
     return ModelGraph(layers, tuple(model.input_shape), model.name)
 
 
 def clone_graph(model: ModelGraph) -> ModelGraph:
     """Deep copy; all weight arrays are owned by the copy."""
-    return map_arrays(model, lambda arr: arr.copy())
+    return map_arrays(model, lambda ly, attr, arr: arr.copy())
 
 
 def iter_named_params(model: ModelGraph) -> Iterator[tuple[int, str, np.ndarray]]:

@@ -10,6 +10,9 @@ original width) pairs, from a receipt or by key from the original model
 ``decode_segments`` decodes each rate from the suspect's width.
 Attacks either perturb parameters (which provably cannot change the
 extracted bits) or re-prune the structure (which degrades them measurably).
+Each weight attack builds its output in one ``map_arrays`` walk.  The
+fine-tuning attack is ``toy_trainer.finetune`` itself, which this module
+does not import: the watermark core never trains.
 """
 
 from __future__ import annotations
@@ -28,17 +31,13 @@ from .errors import (
 )
 from .importance import criterion_applicable, normalize_criterion
 from .model_store import (
-    ConvLayer,
-    LinearLayer,
     ModelGraph,
     channel_counts,
     clone_graph,
     conv_layer_indices,
-    iter_named_params,
     map_arrays,
 )
-from .pruner import PlanEntry, Receipt, ReceiptLayer, apply_prune, plan_layer
-from .toy_trainer import Batch, TrainConfig, finetune
+from .pruner import Receipt, ReceiptLayer, apply_prune, plan_layer
 from .wm_codec import EmbedParams, KeyStream, WatermarkPayload
 
 
@@ -141,14 +140,13 @@ def _embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
     if decoy:
         rates.update({o: params.p_min + stream.uniform() * (params.p_max - params.p_min)
                       for o in range(len(positions)) if o not in rates})
-    entries, pruned = [], {}
+    plan, pruned = {}, {}
     for ordinal, rate in rates.items():
         k = pruned[ordinal] = wm_codec.rate_to_channel_count(rate, counts[ordinal])
         # a carrier is eligible and prunes k >= 1, so only a decoy is ever skipped
         if k and criterion_applicable(model, positions[ordinal], crit):
-            retained = plan_layer(model, positions[ordinal], k, crit)
-            entries.append(PlanEntry(positions[ordinal], tuple(retained)))
-    marked = apply_prune(model, tuple(entries), in_place=in_place)
+            plan[positions[ordinal]] = plan_layer(model, positions[ordinal], k, crit)
+    marked = apply_prune(model, plan, in_place=in_place)
     receipt = Receipt(
         segment_length=params.segment_length,
         p_min=params.p_min,
@@ -307,11 +305,6 @@ def _standard_normal(rng: np.random.Generator, n: int, dtype: np.dtype) -> np.nd
     return u[:n]
 
 
-def _copy_with(model: ModelGraph, new: dict[int, np.ndarray]) -> ModelGraph:
-    """A deep copy of the model in which each array whose id is a key of `new` is its value."""
-    return map_arrays(model, lambda arr: new[id(arr)] if id(arr) in new else arr.copy())
-
-
 def attack_noise(model: ModelGraph, sigma_rel: float, seed: int = 0) -> ModelGraph:
     """Add zero-mean Gaussian noise, std = sigma_rel * per-tensor weight std.
 
@@ -320,30 +313,32 @@ def attack_noise(model: ModelGraph, sigma_rel: float, seed: int = 0) -> ModelGra
     computed in float64, where the square of a finite float32 cannot
     overflow.  Float32 uniforms lie on a 2⁻²⁴ grid, so a float32 draw
     never exceeds sqrt(48·ln 2) ≈ 5.77 standard deviations (a normal does
-    with probability about 8·10⁻⁹).  A tensor of zero std is copied, and
-    sigma_rel = 0 copies the model.  An overflow anywhere raises
-    AttackConfigError.  The model is left as it was.
+    with probability about 8·10⁻⁹).  A tensor of zero scale is copied;
+    sigma_rel = 0 computes no std, so it copies any valid model.  An
+    overflow anywhere raises AttackConfigError.  The model is left as it
+    was.
     """
     if not 0.0 <= sigma_rel < np.inf:
         raise AttackConfigError(f"noise sigma must be finite and >= 0, got {sigma_rel}")
     if seed < 0:
         raise AttackConfigError(f"seed must be >= 0, got {seed}")
-    if sigma_rel == 0:
-        return clone_graph(model)
     rng = np.random.default_rng(seed)
-    noisy = {}
+
+    def noisy(ly, attr: str, arr: np.ndarray) -> np.ndarray:
+        if attr in ly.TRAINABLE and sigma_rel:
+            # a numpy product, unlike a float one, reports overflow to errstate
+            scale = np.float64(sigma_rel) * arr.std(dtype=np.float64)
+            if scale > 0:
+                z = _standard_normal(rng, arr.size, arr.dtype)
+                z *= arr.dtype.type(scale)  # the cast, too, reports overflow
+                return arr + z.reshape(arr.shape)
+        return arr.copy()
+
     try:
         with np.errstate(over="raise"):
-            for _, _, arr in iter_named_params(model):
-                # a numpy product, unlike a float one, reports overflow to errstate
-                scale = np.float64(sigma_rel) * arr.std(dtype=np.float64)
-                if scale > 0:
-                    z = _standard_normal(rng, arr.size, arr.dtype)
-                    z *= arr.dtype.type(scale)  # the cast, too, reports overflow
-                    noisy[id(arr)] = arr + z.reshape(arr.shape)
+            return map_arrays(model, noisy)
     except FloatingPointError:
         raise AttackConfigError(f"noise sigma {sigma_rel} overflows the weights") from None
-    return _copy_with(model, noisy)
 
 
 def attack_zero_weights(model: ModelGraph, fraction: float) -> ModelGraph:
@@ -356,38 +351,33 @@ def attack_zero_weights(model: ModelGraph, fraction: float) -> ModelGraph:
     """
     if not (0.0 <= fraction <= 1.0):
         raise AttackConfigError(f"zeroed fraction must lie in [0, 1], got {fraction}")
-    tensors = [ly.weights for ly in model.layers if isinstance(ly, (ConvLayer, LinearLayer))]
+    tensors = [ly.weights for ly in model.layers if "weights" in ly.ARRAYS]
     total = sum(t.size for t in tensors)
     k = min(wm_codec.round_half_up(fraction * total), total)
     if k == 0:
         return clone_graph(model)
+    splits = np.cumsum([t.size for t in tensors[:-1]])
     magnitudes = np.empty(total, np.result_type(*tensors))
-    off = 0
-    for t in tensors:
-        np.abs(t, out=magnitudes[off:off + t.size].reshape(t.shape))
-        off += t.size
+    for t, m in zip(tensors, np.split(magnitudes, splits)):
+        np.abs(t, out=m.reshape(t.shape))
     # a non-negative float orders as its bit pattern, and integers partition faster
     bits = magnitudes.view(f"u{magnitudes.itemsize}")
     cut = np.partition(bits, k - 1)[k - 1]  # the k-th smallest magnitude
     kill = bits < cut
     kill[np.flatnonzero(bits == cut)[:k - np.count_nonzero(kill)]] = True
-    cleared = {}
-    off = 0
-    for t in tensors:
+    masks = iter(np.split(kill, splits))  # one per "weights" tensor, in blob order
+
+    def cleared(ly, attr: str, arr: np.ndarray) -> np.ndarray:
+        if attr != "weights":
+            return arr.copy()
         # AND with all ones (kill 0 - 1 wraps) keeps a weight, with zeros clears it
-        uint = f"u{t.itemsize}"
-        out = cleared[id(t)] = np.empty(t.shape, t.dtype)
-        np.bitwise_and(t.reshape(-1).view(uint),
-                       np.subtract(kill[off:off + t.size], 1, dtype=uint),
+        uint = f"u{arr.itemsize}"
+        out = np.empty(arr.shape, arr.dtype)
+        np.bitwise_and(arr.reshape(-1).view(uint), np.subtract(next(masks), 1, dtype=uint),
                        out=out.reshape(-1).view(uint))
-        off += t.size
-    return _copy_with(model, cleared)
+        return out
 
-
-def attack_finetune(model: ModelGraph, train: Batch,
-                    epochs: int, lr: float = 0.001, seed: int = 0) -> ModelGraph:
-    """Fine-tune the suspect model; parameters move, architecture cannot."""
-    return finetune(model, train, TrainConfig(epochs=epochs, lr=lr, seed=seed))
+    return map_arrays(model, cleared)
 
 
 def attack_structural(model: ModelGraph, extra_rate: float, seed: int = 0) -> ModelGraph:
@@ -403,11 +393,11 @@ def attack_structural(model: ModelGraph, extra_rate: float, seed: int = 0) -> Mo
     rng = np.random.default_rng(seed)
     positions = conv_layer_indices(model)
     counts = channel_counts(model)
-    entries = []
+    plan = {}
     for pos, c in zip(positions, counts):
         k = wm_codec.rate_to_channel_count(extra_rate, c)
         if k == 0:
             continue
         dropped = set(rng.choice(c, size=k, replace=False).tolist())
-        entries.append(PlanEntry(pos, tuple(i for i in range(c) if i not in dropped)))
-    return apply_prune(model, tuple(entries))
+        plan[pos] = [i for i in range(c) if i not in dropped]
+    return apply_prune(model, plan)

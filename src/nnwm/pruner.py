@@ -1,14 +1,15 @@
 """Structural channel pruning: remove output channels and rewire consumers.
 
-Pruning a conv layer slices its weight rows (and bias), then walks the
-layers after it and asks each to ``keep_inputs`` the retained channels:
-a batchnorm slices its vectors and relu and the pools pass the channels
-on unchanged, until the next conv (input channels) or a linear head (the
-matching columns, per channel of a flattened map) absorbs them.  The
-per-type rules live on the layer classes in ``model_store``.
-``apply_prune`` leaves its input as it was and returns a new graph that
-owns every array it holds; with ``in_place=True`` it prunes the graph it
-is given.
+A plan maps each conv layer's graph position to the output channels it
+retains, so no plan can name a conv twice.  Pruning a conv layer
+slices its weight rows (and bias), then walks the layers after it and
+asks each to ``keep_inputs`` the retained channels: a batchnorm slices
+its vectors and relu and the pools pass the channels on unchanged, until
+the next conv (input channels) or a linear head (the matching columns,
+per channel of a flattened map) absorbs them.  The per-type rules live
+on the layer classes in ``model_store``.  ``apply_prune`` leaves its
+input as it was and returns a new graph that owns every array it holds;
+with ``in_place=True`` it prunes the graph it is given.
 
 ``save_receipt`` writes a receipt as a new file, like ``save_model``.
 ``nnwm embed`` stages it with the marked model's two files through
@@ -39,14 +40,6 @@ from .model_store import clone_graph, validate  # noqa: F401
 RECEIPT_FORMAT = "nnwm-receipt-v1"
 
 
-@dataclass(frozen=True)
-class PlanEntry:
-    """One conv layer to prune: graph position and the surviving channels."""
-
-    conv_index: int
-    retained: tuple[int, ...]
-
-
 def plan_layer(model: ModelGraph, conv_index: int, k: int, criterion: str) -> list[int]:
     """Channels to retain after dropping the k least important ones.
 
@@ -61,17 +54,16 @@ def plan_layer(model: ModelGraph, conv_index: int, k: int, criterion: str) -> li
     return np.sort(drop_order[k:]).tolist()
 
 
-def _check_entry(model: ModelGraph, entry: PlanEntry) -> None:
-    if not (0 <= entry.conv_index < len(model.layers)):
-        raise PlanError(f"plan entry at position {entry.conv_index}: no such layer")
-    ly = model.layers[entry.conv_index]
+def _check_entry(model: ModelGraph, pos: int, r: list[int]) -> None:
+    if not (0 <= pos < len(model.layers)):
+        raise PlanError(f"plan entry at position {pos}: no such layer")
+    ly = model.layers[pos]
     if not isinstance(ly, ConvLayer):
-        raise PlanError(f"plan entry at position {entry.conv_index}: not a conv layer")
+        raise PlanError(f"plan entry at position {pos}: not a conv layer")
     c = ly.c_out
-    r = entry.retained
-    if not r or list(r) != sorted(set(r)) or r[0] < 0 or r[-1] >= c:
+    if not r or r != sorted(set(r)) or r[0] < 0 or r[-1] >= c:
         raise PlanError(
-            f"plan entry at position {entry.conv_index}: retained list must be "
+            f"plan entry at position {pos}: retained list must be "
             f"non-empty and strictly increasing within [0, {c})")
 
 
@@ -83,28 +75,26 @@ def _rewire_consumers(layers: list, pos: int, retained: list[int],
             return
 
 
-def apply_prune(model: ModelGraph, entries: tuple[PlanEntry, ...], *,
+def apply_prune(model: ModelGraph, plan: dict[int, list[int]], *,
                 in_place: bool = False) -> ModelGraph:
-    """Apply the plan entries; returns the pruned graph, which satisfies all invariants.
+    """Prune each planned conv to its retained channels; the result satisfies all invariants.
 
-    By default the model is left as it was and the result is a new graph
-    that owns every array it holds.  With in_place=True the model itself
-    is pruned and returned: each pruned array is a new one sliced from the
-    old, every other array stays the one it was.  Either way every check
-    runs before the first array is replaced, so a plan that fails leaves
-    the model exactly as it was.
+    The plan is read through ``dict``, so pairs serve as well as a mapping
+    and ``()`` is the empty plan.  By default the model is left as it was
+    and the result is a new graph that owns every array it holds.  With
+    in_place=True the model itself is pruned and returned: each pruned
+    array is a new one sliced from the old, every other array stays the
+    one it was.  Either way every check runs before the first array is
+    replaced, so a plan that fails leaves the model exactly as it was.
     """
-    positions = [e.conv_index for e in entries]
-    if len(set(positions)) != len(positions):
-        raise PlanError("plan contains duplicate conv positions")
-    for entry in entries:
-        _check_entry(model, entry)
+    plan = {pos: list(retained) for pos, retained in dict(plan).items()}
+    for pos, retained in plan.items():
+        _check_entry(model, pos, retained)
     input_shapes = layer_input_shapes(model)  # also proves every consumer's width
-    out = model if in_place else map_arrays(model, lambda arr: arr)
-    for entry in entries:
-        retained = list(entry.retained)
-        keep_channels(out.layers[entry.conv_index], retained)
-        _rewire_consumers(out.layers, entry.conv_index, retained, input_shapes)
+    out = model if in_place else map_arrays(model, lambda ly, attr, arr: arr)
+    for pos, retained in plan.items():
+        keep_channels(out.layers[pos], retained)
+        _rewire_consumers(out.layers, pos, retained, input_shapes)
     if not in_place:
         # slicing made new arrays; copy only the ones no entry touched
         for src, ly in zip(model.layers, out.layers):

@@ -132,7 +132,7 @@ class TrainConfig:
 def to_precision(model: ModelGraph, precision: str) -> ModelGraph:
     """Copy of the model with all arrays cast to the requested dtype."""
     dtype = _DTYPES[precision]
-    return map_arrays(model, lambda arr: arr.astype(dtype))
+    return map_arrays(model, lambda ly, attr, arr: arr.astype(dtype))
 
 
 def _model_dtype(model: ModelGraph) -> np.dtype:

@@ -19,16 +19,17 @@ from _fidelity import fidelity_seed, random_bits
 from nnwm.fixtures import random_conv_net, vgg16_style, vgg_tiny
 from nnwm.model_store import channel_counts, conv_layer_indices, iter_named_params
 from nnwm.pipeline import (
-    attack_finetune,
     attack_noise,
     attack_zero_weights,
     embed,
     extract,
     verify,
 )
-from nnwm.pruner import PlanEntry, apply_prune
+from nnwm.pruner import apply_prune
 from nnwm.toy_trainer import (
+    TrainConfig,
     backward,
+    finetune,
     forward,
     loss_softmax_ce,
     synth_dataset,
@@ -121,8 +122,8 @@ def test_criterion_4_structural_robustness(marked_tiny):
         "noise 1.0": attack_noise(marked, 1.0, seed=2),
         "zero 30%": attack_zero_weights(marked, 0.3),
         "zero 90%": attack_zero_weights(marked, 0.9),
-        "finetune 5 epochs": attack_finetune(
-            marked, synth_dataset(4, 256, 64)[0], epochs=5, lr=0.001, seed=3),
+        "finetune 5 epochs": finetune(
+            marked, synth_dataset(4, 256, 64)[0], TrainConfig(epochs=5, lr=0.001, seed=3)),
     }
     bad = []
     for name, suspect in suspects.items():
@@ -146,7 +147,7 @@ def test_criterion_5_pruning_functional_equivalence():
         bn.beta[dead] = 0.0
         retained = tuple(i for i in range(model.layers[pos].c_out)
                          if i not in set(dead))
-        entries.append(PlanEntry(pos, retained))
+        entries.append((pos, retained))
     pruned = apply_prune(model, tuple(entries))
     x = np.random.default_rng(55).normal(size=(100, 1, 16, 16)).astype(np.float32)
     full, _ = forward(model, x, mode="eval")

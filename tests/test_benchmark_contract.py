@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+import nnwm
+from nnwm import cli, importance, model_store, pipeline, pruner, toy_trainer
 from nnwm.cli import build_parser
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -35,3 +37,18 @@ def test_benchmark_ops_parse(monkeypatch, tmp_path, workload):
     parser = build_parser()
     for op in [warmup, *itertools.islice(ops, 60)]:
         parser.parse_args(op.argv)  # a rejected op exits 2 through SystemExit
+
+
+def test_namespaces_the_benchmark_tracer_patches_bind_the_traced_functions():
+    # the pairs perfbench/tests/test_perfbench.py reads; that suite is not part of this one
+    bindings = [
+        (cli, "load_arch", model_store.load_arch), (cli, "finetune", toy_trainer.finetune),
+        (cli, "score", importance.score), (pipeline, "apply_prune", pruner.apply_prune),
+        (pipeline, "clone_graph", model_store.clone_graph),
+        (pruner, "validate", model_store.validate),
+        (pruner, "clone_graph", model_store.clone_graph),
+        (nnwm, "load_model", model_store.load_model),
+        (model_store, "validate", model_store.validate),
+        (toy_trainer, "forward", toy_trainer.forward)]
+    assert [f"{m.__name__}.{name}" for m, name, fn in bindings
+            if getattr(m, name, None) is not fn] == []

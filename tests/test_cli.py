@@ -325,7 +325,6 @@ def no_training(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("training started before the flags were checked")
     monkeypatch.setattr("nnwm.cli.finetune", refuse)
-    monkeypatch.setattr("nnwm.pipeline.finetune", refuse)
 
 
 @pytest.mark.parametrize("flags", [["--epochs", "-1"], ["--finetune-epochs", "-2"],
@@ -703,8 +702,10 @@ def test_main_reads_nnwm_seed_per_call(monkeypatch, capsys):
     for env in ("11", "12", "not-a-number"):
         monkeypatch.setenv("NNWM_SEED", env)
         assert main(["train-demo"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "error: NNWM_SEED must be an integer, got 'not-a-number'"
     assert main(["train-demo", "--seed", "5"]) == 2
-    assert seeds == [11, 12, 0, 5]
+    assert seeds == [11, 12, 5]
 
 
 def test_scheme_flag_does_not_leak_into_next_call(marked, capsys):
@@ -958,7 +959,7 @@ def test_attack_expect_selects_carriers_before_attacking(tiny_host, capsys, tmp_
         raise AssertionError("the attack ran before the carriers were selected")
 
     monkeypatch.setattr(pipeline, "attack_zero_weights", refuse)
-    monkeypatch.setattr(pipeline, "attack_finetune", refuse)
+    monkeypatch.setattr("nnwm.cli.finetune", refuse)
     original = tiny_host / "tiny.json"
     if case == "other_arch":
         original = tmp_path / "original.json"

@@ -18,10 +18,11 @@ from nnwm.model_store import (
     channel_counts,
     clone_graph,
     conv_layer_indices,
+    iter_named_params,
     layer_arrays,
 )
 from nnwm.pipeline import (
-    attack_finetune,
+    _standard_normal,
     attack_noise,
     attack_structural,
     attack_zero_weights,
@@ -31,8 +32,8 @@ from nnwm.pipeline import (
     extract,
     verify,
 )
-from nnwm.pruner import PlanEntry, apply_prune
-from nnwm.toy_trainer import synth_dataset, to_precision
+from nnwm.pruner import apply_prune
+from nnwm.toy_trainer import TrainConfig, finetune, synth_dataset, to_precision
 from nnwm.wm_codec import EmbedParams, WatermarkPayload, min_channels, round_half_up
 
 
@@ -214,12 +215,12 @@ def test_extract_outcome_depends_on_the_conv_count_alone(extraction_cases, case,
     host, marked, source, kwargs, error = extraction_cases[case]
     expected = _extract_outcome(source, marked, kwargs)
     assert (expected == "ok") if error is None else (expected[0] is error), expected
-    entries = []
+    plan = {}
     for pos, c in zip(conv_layer_indices(host), channel_counts(host)):
         w = data.draw(st.integers(1, c), label=f"width of layer {pos}")
         if w < c:
-            entries.append(PlanEntry(pos, tuple(range(w))))
-    suspect = apply_prune(host, tuple(entries))
+            plan[pos] = list(range(w))
+    suspect = apply_prune(host, plan)
     assert _extract_outcome(source, suspect, kwargs) == expected
 
 
@@ -433,6 +434,30 @@ def test_attack_noise_is_gaussian_at_the_stated_scale():
     assert raw_arrays(attack_noise(model, 0.5, seed=12)) != raw_arrays(out)
 
 
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+def test_attack_noise_draws_for_each_trainable_tensor_in_turn(precision, sigma):
+    # a reference on this host, since tests/test_golden.py leaves the noise bytes out
+    model = vgg_tiny(0)
+    rng = np.random.default_rng(3)
+    for ly in model.layers:  # spread the constant vectors, so a widened walk shows
+        for _, arr in layer_arrays(ly):
+            if arr.ndim == 1:
+                arr[...] = rng.uniform(0.5, 1.5, arr.shape)
+    model = to_precision(model, precision)
+    rng = np.random.default_rng(3)
+    noisy = {}
+    for pos, attr, arr in iter_named_params(model):
+        scale = np.float64(sigma) * arr.std(dtype=np.float64)
+        if scale > 0:
+            z = _standard_normal(rng, arr.size, arr.dtype) * arr.dtype.type(scale)
+            noisy[pos, attr] = arr + z.reshape(arr.shape)
+    expected = [(arr.dtype.str, arr.shape, noisy.get((pos, attr), arr).tobytes())
+                for pos, ly in enumerate(model.layers) for attr, arr in layer_arrays(ly)]
+    assert len(noisy) == (0 if sigma == 0 else 17)
+    assert raw_arrays(attack_noise(model, sigma, seed=3)) == expected
+
+
 def test_attack_finetune_preserves_watermark():
     model = vgg_tiny(0)
     rng = np.random.default_rng(1)
@@ -440,7 +465,7 @@ def test_attack_finetune_preserves_watermark():
     params = EmbedParams(segment_length=3, key=b"ft")
     marked, receipt = embed(model, WatermarkPayload(bits, 3), params)
     train, _ = synth_dataset(5, 96, 32)
-    tuned = attack_finetune(marked, train, epochs=2, lr=0.001, seed=0)
+    tuned = finetune(marked, train, TrainConfig(epochs=2, lr=0.001, seed=0))
     assert channel_counts(tuned) == channel_counts(marked)
     assert extract(receipt, tuned).bits == bits
     # parameters did move
@@ -449,7 +474,6 @@ def test_attack_finetune_preserves_watermark():
 
 def test_attack_finetune_loss_trend():
     # fine-tuning should make progress on the easy synthetic task
-    from nnwm.toy_trainer import TrainConfig, finetune
     deltas = []
     for seed in range(3):
         model = vgg_tiny(seed)

@@ -20,7 +20,6 @@ from nnwm.model_store import (
 )
 from nnwm.pipeline import embed
 from nnwm.pruner import (
-    PlanEntry,
     Receipt,
     ReceiptLayer,
     apply_prune,
@@ -85,9 +84,8 @@ def test_plan_layer_matches_the_sorted_reference(scores, data):
 
 def test_apply_prune_k0_is_identity(tiny_model):
     positions = conv_layer_indices(tiny_model)
-    entries = tuple(PlanEntry(pos, tuple(range(tiny_model.layers[pos].c_out)))
-                    for pos in positions)
-    out = apply_prune(tiny_model, entries)
+    plan = {pos: list(range(tiny_model.layers[pos].c_out)) for pos in positions}
+    out = apply_prune(tiny_model, plan)
     for a, b in zip(tiny_model.layers, out.layers):
         if isinstance(a, ConvLayer):
             assert a.weights.tobytes() == b.weights.tobytes()
@@ -96,8 +94,7 @@ def test_apply_prune_k0_is_identity(tiny_model):
 def test_apply_prune_rewires_counts_and_next_conv(tiny_model):
     positions = conv_layer_indices(tiny_model)
     pos = positions[2]  # third conv, 64 channels
-    retained = tuple(plan_layer(tiny_model, pos, 3, "l1"))
-    out = apply_prune(tiny_model, (PlanEntry(pos, retained),))
+    out = apply_prune(tiny_model, {pos: plan_layer(tiny_model, pos, 3, "l1")})
     assert channel_counts(out) == [32, 32, 61, 64, 64]
     next_conv = out.layers[positions[3]]
     assert next_conv.c_in == 61
@@ -109,12 +106,12 @@ def test_apply_prune_rewires_counts_and_next_conv(tiny_model):
 def test_apply_prune_slices_linear_after_gap(tiny_model):
     positions = conv_layer_indices(tiny_model)
     pos = positions[-1]  # last conv feeds GAP then linear
-    retained = tuple(plan_layer(tiny_model, pos, 10, "l1"))
-    out = apply_prune(tiny_model, (PlanEntry(pos, retained),))
+    retained = plan_layer(tiny_model, pos, 10, "l1")
+    out = apply_prune(tiny_model, {pos: retained})
     linear = out.layers[-1]
     assert linear.in_features == 54
     np.testing.assert_array_equal(
-        linear.weights, tiny_model.layers[-1].weights[:, list(retained)])
+        linear.weights, tiny_model.layers[-1].weights[:, retained])
     validate(out)
 
 
@@ -126,8 +123,8 @@ def test_apply_prune_slices_flattened_linear_columns():
     from nnwm.model_store import LinearLayer
     model = ModelGraph([conv, LinearLayer(linear_w.copy())], (1, 2, 2))
     validate(model)
-    retained = (0, 2, 3)
-    out = apply_prune(model, (PlanEntry(0, retained),))
+    retained = [0, 2, 3]
+    out = apply_prune(model, {0: retained})
     cols = [c for ch in retained for c in range(ch * 4, ch * 4 + 4)]
     np.testing.assert_array_equal(out.layers[1].weights, linear_w[:, cols])
     validate(out)
@@ -157,20 +154,20 @@ def test_apply_prune_output_aliases_nothing(plan):
     assert [arr.tobytes() for arr in inputs] == before
 
 
-@pytest.mark.parametrize("bad", ["duplicate", "not_conv", "out_of_range"])
+@pytest.mark.parametrize("bad", ["not_conv", "out_of_range"])
 def test_in_place_prune_failing_in_its_last_entry_leaves_the_model_as_it_was(bad):
     model = vgg16_style(0)
     positions = conv_layer_indices(model)
-    good = tuple(PlanEntry(pos, tuple(plan_layer(model, pos, 3, "l1")))
-                 for pos in positions[:3])
+    plan = {pos: plan_layer(model, pos, 3, "l1") for pos in positions[:3]}
     c = model.layers[positions[3]].c_out
-    last = {"duplicate": PlanEntry(positions[0], (0, 1)),
-            "not_conv": PlanEntry(positions[3] + 1, (0, 1)),
-            "out_of_range": PlanEntry(positions[3], tuple(range(1, c + 1)))}[bad]
+    if bad == "not_conv":
+        plan[positions[3] + 1] = [0, 1]
+    else:
+        plan[positions[3]] = list(range(1, c + 1))
     before = all_arrays(model)
     raw = [(arr.shape, arr.tobytes()) for _, _, arr in before]
     with pytest.raises(PlanError):
-        apply_prune(model, good + (last,), in_place=True)
+        apply_prune(model, plan, in_place=True)
     after = all_arrays(model)
     assert [(arr.shape, arr.tobytes()) for _, _, arr in after] == raw
     assert all(a is b for (_, _, a), (_, _, b) in zip(before, after))
@@ -181,13 +178,12 @@ def test_in_place_prune_failing_in_its_last_entry_leaves_the_model_as_it_was(bad
 def test_in_place_prune_of_a_clone_gives_the_arrays_of_apply_prune(make):
     model = make()
     rng = np.random.default_rng(11)
-    entries = tuple(  # about half the convs, so some consumers are pruned convs themselves
-        PlanEntry(pos, tuple(plan_layer(model, pos, int(rng.integers(model.layers[pos].c_out)),
-                                        "l1")))
-        for pos in conv_layer_indices(model) if rng.random() < 0.5)
-    expected = apply_prune(model, entries)
+    plan = {  # about half the convs, so some consumers are pruned convs themselves
+        pos: plan_layer(model, pos, int(rng.integers(model.layers[pos].c_out)), "l1")
+        for pos in conv_layer_indices(model) if rng.random() < 0.5}
+    expected = apply_prune(model, plan)
     copy = clone_graph(model)
-    assert apply_prune(copy, entries, in_place=True) is copy
+    assert apply_prune(copy, plan, in_place=True) is copy
     assert channel_counts(copy) != channel_counts(model)
     assert [(pos, attr, arr.shape, arr.tobytes()) for pos, attr, arr in all_arrays(copy)] == \
         [(pos, attr, arr.shape, arr.tobytes()) for pos, attr, arr in all_arrays(expected)]
@@ -196,13 +192,10 @@ def test_in_place_prune_of_a_clone_gives_the_arrays_of_apply_prune(make):
 def test_apply_prune_rejects_bad_plans(tiny_model):
     c0 = tiny_model.layers[0].c_out
     with pytest.raises(PlanError):
-        apply_prune(tiny_model, (PlanEntry(1, tuple(range(c0 - 1))),))  # not a conv
-    for retained in [(), tuple(range(1, c0))[::-1], (0, 1, 1, 2), (0, c0), (-1, 0)]:
+        apply_prune(tiny_model, {1: list(range(c0 - 1))})  # not a conv
+    for retained in [[], list(range(1, c0))[::-1], [0, 1, 1, 2], [0, c0], [-1, 0]]:
         with pytest.raises(PlanError):  # empty, not increasing, repeated, out of range
-            apply_prune(tiny_model, (PlanEntry(0, retained),))
-    entry = PlanEntry(0, tuple(range(c0 - 1)))
-    with pytest.raises(PlanError):
-        apply_prune(tiny_model, (entry, entry))  # duplicate
+            apply_prune(tiny_model, {0: retained})
 
 
 def test_functional_equivalence_when_pruned_channels_are_silenced(tiny_model):
@@ -212,14 +205,13 @@ def test_functional_equivalence_when_pruned_channels_are_silenced(tiny_model):
     model = vgg_tiny(0)
     positions = conv_layer_indices(model)
     silenced = {positions[1]: list(range(3, 10)), positions[4]: list(range(50, 59))}
-    entries = []
+    plan = {}
     for pos, dead in silenced.items():
         bn = model.layers[pos + 1]
         bn.gamma[dead] = 0.0
         bn.beta[dead] = 0.0
-        retained = tuple(i for i in range(model.layers[pos].c_out) if i not in set(dead))
-        entries.append(PlanEntry(pos, retained))
-    pruned = apply_prune(model, tuple(entries))
+        plan[pos] = [i for i in range(model.layers[pos].c_out) if i not in set(dead)]
+    pruned = apply_prune(model, plan)
     rng = np.random.default_rng(11)
     x = rng.normal(size=(100, 1, 16, 16)).astype(np.float32)
     out_full, _ = forward(model, x, mode="eval")
@@ -243,16 +235,15 @@ def test_apply_prune_fuzz_random_models_and_plans():
         counts = channel_counts(model)
         chosen = rng.choice(len(positions), size=rng.integers(1, len(positions) + 1),
                             replace=False)
-        entries = []
+        plan = {}
         expect = list(counts)
         for ordinal in chosen:
             c = counts[ordinal]
             k = int(rng.integers(0, c))
-            retained = tuple(plan_layer(model, positions[ordinal], k,
-                                        "bn" if rng.random() < 0.5 else "l1"))
-            entries.append(PlanEntry(positions[ordinal], retained))
+            plan[positions[ordinal]] = plan_layer(model, positions[ordinal], k,
+                                                  "bn" if rng.random() < 0.5 else "l1")
             expect[ordinal] = c - k
-        out = apply_prune(model, tuple(entries))
+        out = apply_prune(model, plan)
         validate(out)
         assert channel_counts(out) == expect
 
