@@ -16,16 +16,18 @@ eligible conv layers.  attack takes the extraction flags (--original,
 ignore exits 2.
 
 embed parses --payload and the scheme flags before it reads the host, and
-prunes the host in place (``pipeline.embed_in_place``), so it holds one
-copy of the weights, not two.  extract, verify and attack --expect read the
-receipt or the --original manifest before any other work and bind
-``pipeline.extract`` to it (``_resolve_source``), so each suspect is one
-call; attack --expect also runs that extraction on the loaded model
-before attacking it, since no attack changes the conv count and every
-extraction error depends on that count alone.  attack --type finetune is
-``toy_trainer.finetune`` on the synthetic task.  A path flag that holds a
-NUL byte fails to parse, and an ``NNWM_SEED`` that is not an integer
-exits 2.
+streams the host's blob through the embed one layer at a time
+(``pipeline.embed_stream``), so its working memory is bounded by the
+largest layer, not the host; with --finetune-epochs it then loads the
+staged marked model, fine-tunes it and saves it over the staged files.
+extract, verify and attack --expect read the receipt or the --original
+manifest before any other work and bind ``pipeline.extract`` to it
+(``_resolve_source``), so each suspect is one call; attack --expect also
+runs that extraction on the loaded model before attacking it, since no
+attack changes the conv count and every extraction error depends on that
+count alone.  attack --type finetune is ``toy_trainer.finetune`` on the
+synthetic task.  A path flag that holds a NUL byte fails to parse, and
+an ``NNWM_SEED`` that is not an integer, or is negative, exits 2.
 
 embed's model and receipt and attack's model appear whole or not at all:
 each is written to a new file beside its target and moved into place only
@@ -71,9 +73,12 @@ from .wm_codec import EmbedParams, WatermarkPayload
 def _default_seed() -> int:
     text = os.environ.get("NNWM_SEED", "0")
     try:
-        return int(text)
+        seed = int(text)
     except ValueError:
         raise NnwmError(f"NNWM_SEED must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise NnwmError(f"NNWM_SEED must be >= 0, got {seed}")
+    return seed
 
 
 def _hex(flag: str, digits: str) -> bytes:
@@ -154,22 +159,21 @@ def cmd_embed(args) -> int:
     payload = WatermarkPayload(_parse_payload("--payload", args.payload), args.l)
     with staged_outputs(out_arch, out_weights, args.receipt) as (tmp_arch, tmp_weights,
                                                                  tmp_receipt):
-        model = load_model(args.arch, args.weights)
+        host = load_arch(args.arch)
         if tune_cfg.epochs > 0:
             train, _ = synth_dataset(args.seed, 512, 256)
-            check_fit(model, train)  # before the embed work; finetune checks the marked model
-        # the host's counts, taken before pruning narrows any carrier
-        eligible = pipeline.eligible_layers(model, params, args.criterion)
-        t = len(channel_counts(model))
-        receipt = pipeline.embed_in_place(model, payload, params,
-                                          criterion=args.criterion, decoy=args.decoy)
+            check_fit(host, train)  # before the embed work; finetune checks the marked model
+        receipt = pipeline.embed_stream(host, args.weights, payload, params, tmp_arch,
+                                        tmp_weights, criterion=args.criterion, decoy=args.decoy)
         if tune_cfg.epochs > 0:
-            model = finetune(model, train, tune_cfg)
-        save_model(model, tmp_arch, tmp_weights)
+            tuned = finetune(load_model(tmp_arch, tmp_weights), train, tune_cfg)
+            save_model(tuned, tmp_arch, tmp_weights)
         pruner.save_receipt(receipt, tmp_receipt)
     # only for a written mark, so that an exit 2 prints its error line alone
     for w in pipeline.one_value_warnings(wm_codec.segment(payload), "segments have"):
         print(f"warning: {w}", file=sys.stderr)
+    eligible = pipeline.eligible_layers(host, params, args.criterion)
+    t = len(channel_counts(host))
     n_max = wm_codec.capacity(len(eligible), args.l, 1.0)
     lines = [
         f"payload: n={payload.n} bits, m={payload.num_segments} segments (l={args.l})",

@@ -27,18 +27,22 @@ tensor costs no memory.
 
 The checks come in two parts, run where each is needed.  The structural
 part, ``layer_input_shapes``, needs only the manifest; the value part,
-``check_values`` (every value finite, every ``running_var`` >= 0), needs
-the weights; ``validate`` runs both.  Every check passes ``_check`` a
-message template and its arguments, so a message is formatted only when
-its check fails and a passing check builds no text.
+``check_values`` (every value finite, every ``running_var`` >= 0, layer
+by layer through ``check_layer_values``), needs the weights; ``validate``
+runs both.  Every check passes ``_check`` a message template and its
+arguments, so a message is formatted only when its check fails and a
+passing check builds no text.
 - ``load_arch`` runs the structural checks and stops.
-- ``load_model`` starts from ``load_arch``, checks the blob's header and
-  compares its size with the placeholder sizes before it reads any tensor,
-  reads each tensor with one ``readinto`` call into a new owned, writable
-  array of its own, then runs the value checks.
-- ``pruner.apply_prune`` runs the structural checks before it replaces
-  any array and reruns them after.  Slicing loaded arrays cannot create a
-  bad value.
+- ``open_blob`` checks a blob's header and compares its size with the
+  placeholder sizes before any tensor is read; ``read_layer`` then reads
+  one layer's tensors, each with one ``readinto`` call, and checks their
+  values.  ``load_model`` is ``load_arch`` followed by both, each tensor
+  read into a new owned, writable array of its own; ``nnwm embed`` reads
+  each layer into one reused buffer instead (``pipeline.embed_stream``).
+- ``pruner.apply_prune`` runs the structural checks before it slices any
+  array and reruns them after.  Slicing loaded arrays cannot create a
+  bad value, and slicing a placeholder (``take``) gives a placeholder, so
+  pruning a manifest-only graph allocates nothing.
 - ``save_model`` runs the full ``validate`` before it writes anything.
 
 Writers create their files with ``open_new`` and never truncate or write
@@ -57,7 +61,7 @@ import os
 import secrets
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -71,6 +75,7 @@ from .errors import (
 
 MAGIC = b"NNWM"
 VERSION = 1
+BLOB_HEADER = MAGIC + VERSION.to_bytes(4, "little")
 MANIFEST_FORMAT = "nnwm-v1"
 DEFAULT_BN_EPS = 1e-5
 
@@ -135,10 +140,15 @@ def _int_pair(rec: dict, key: str, idx: int) -> tuple[int, int]:
 _ZERO = bytes(4)  # one float32 zero; immutable, so every view of it is read-only
 
 
+def _zero_view(shape: tuple[int, ...]) -> np.ndarray:
+    """The all-zero-stride view of _ZERO that every placeholder is."""
+    return np.ndarray(shape, np.float32, _ZERO, 0, (0,) * len(shape))
+
+
 def _placeholder(shape: tuple[int, ...], idx: int) -> np.ndarray:
     """Read-only zero view of the declared shape; allocates nothing, whatever the shape."""
     try:
-        return np.ndarray(shape, np.float32, _ZERO, 0, (0,) * len(shape))
+        return _zero_view(shape)
     except (ValueError, OverflowError) as e:  # numpy's own text varies by version
         reason = "a dimension is negative" if min(shape) < 0 else "it is too large to address"
         raise ManifestError(f"layer {idx}: cannot represent a tensor of shape {shape}: "
@@ -238,8 +248,7 @@ class ConvLayer(_LayerBase):
         return ("map", co, ho, wo)
 
     def keep_inputs(self, retained: list[int], in_shape: tuple) -> bool:
-        # the bytes of weights[:, retained], but faster and in an array of its own
-        self.weights = np.take(self.weights, retained, axis=1)
+        self.weights = take(self.weights, retained, axis=1)
         return True
 
 
@@ -353,7 +362,7 @@ class LinearLayer(_LayerBase):
         # a flattened map feeds h*w consecutive columns per channel
         per_channel = in_shape[2] * in_shape[3] if in_shape[0] == "map" else 1
         cols = (np.asarray(retained)[:, None] * per_channel + np.arange(per_channel)).ravel()
-        self.weights = np.take(self.weights, cols, axis=1)
+        self.weights = take(self.weights, cols, axis=1)
         return True
 
 
@@ -370,10 +379,28 @@ def layer_arrays(ly: Layer) -> Iterator[tuple[str, np.ndarray]]:
             yield attr, arr
 
 
+def is_placeholder(arr: np.ndarray) -> bool:
+    """True for a manifest's read-only zero placeholder (see ``load_arch``)."""
+    return arr.base is _ZERO
+
+
+def take(arr: np.ndarray, indices, axis: int) -> np.ndarray:
+    """The entries of arr at indices along axis, in an array of its own.
+
+    The bytes of the matching fancy index, but faster; a placeholder gives
+    a placeholder of the new shape, so it allocates nothing.
+    """
+    if is_placeholder(arr):
+        shape = list(arr.shape)
+        shape[axis] = len(indices)
+        return _zero_view(tuple(shape))
+    return np.take(arr, indices, axis=axis)
+
+
 def keep_channels(ly: Layer, retained: list[int]) -> None:
     """Slice every array the layer owns down to the retained channels (axis 0)."""
     for attr, arr in list(layer_arrays(ly)):
-        setattr(ly, attr, arr[retained])
+        setattr(ly, attr, take(arr, retained, axis=0))
 
 
 @dataclass
@@ -430,17 +457,22 @@ def _all_finite(arr: np.ndarray) -> bool:
     return bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
 
 
-def check_values(model: ModelGraph) -> None:
-    """Check that every array holds finite values and no running_var is negative.
+def check_layer_values(pos: int, ly: Layer) -> None:
+    """Check that the layer at this position holds finite values and no negative running_var.
 
-    Raises ShapeConsistencyError on the first violation.
+    Raises ShapeConsistencyError on the first violation, in blob order.
     """
+    where = _Where(pos, ly)
+    for attr, arr in layer_arrays(ly):
+        _check(_all_finite(arr), "{}: non-finite {}", where, attr)
+    if isinstance(ly, BatchNormLayer):
+        _check(bool((ly.running_var >= 0).all()), "{}: negative running_var", where)
+
+
+def check_values(model: ModelGraph) -> None:
+    """``check_layer_values`` for every layer, in graph order."""
     for pos, ly in enumerate(model.layers):
-        where = _Where(pos, ly)
-        for attr, arr in layer_arrays(ly):
-            _check(_all_finite(arr), "{}: non-finite {}", where, attr)
-        if isinstance(ly, BatchNormLayer):
-            _check(bool((ly.running_var >= 0).all()), "{}: negative running_var", where)
+        check_layer_values(pos, ly)
 
 
 def validate(model: ModelGraph) -> None:
@@ -526,13 +558,19 @@ def load_arch(arch_path: str | Path) -> ModelGraph:
     return model
 
 
-def load_model(arch_path: str | Path, weights_path: str | Path) -> ModelGraph:
-    """Load a manifest + weight blob pair; bit-exact float payload.
+def layer_floats(ly: Layer) -> int:
+    """How many floats the layer's arrays hold in the blob."""
+    return sum(arr.size for _, arr in layer_arrays(ly))
 
-    The structural checks run first, then the blob's header and size are
-    checked before any tensor is read, and the value checks run last.
+
+@contextlib.contextmanager
+def open_blob(model: ModelGraph, weights_path: str | Path) -> Iterator[BinaryIO]:
+    """Open a weight blob for ``read_layer``, positioned at the first tensor.
+
+    The header and the size the model's arrays declare are checked before
+    any tensor is read, so a blob too short for a huge manifest fails
+    without allocating.
     """
-    model = load_arch(arch_path)
     with open(weights_path, "rb") as fh:
         head = fh.read(8)
         if len(head) < 8 or head[:4] != MAGIC:
@@ -541,23 +579,50 @@ def load_model(arch_path: str | Path, weights_path: str | Path) -> ModelGraph:
         if version != VERSION:
             raise BlobFormatError(f"unsupported blob version {version} (expected {VERSION})")
         size = os.fstat(fh.fileno()).st_size
-        expected = 8 + 4 * sum(arr.size for ly in model.layers for _, arr in layer_arrays(ly))
+        expected = 8 + 4 * sum(layer_floats(ly) for ly in model.layers)
         if size != expected:
             raise BlobSizeError(f"weight blob is {size} bytes, manifest declares {expected}")
-        for pos, ly in enumerate(model.layers):
-            for attr, shaped in list(layer_arrays(ly)):
-                arr = np.empty(shaped.shape, "<f4")
-                if fh.readinto(arr) != arr.nbytes:  # the file shrank after the size check
-                    raise BlobSizeError(f"weight blob {weights_path} ended inside "
-                                        f"layer {pos} {attr}")
-                setattr(ly, attr, arr)
-    check_values(model)
+        yield fh
+
+
+def read_layer(fh: BinaryIO, pos: int, ly: Layer, buf: np.ndarray | None = None) -> Layer:
+    """A copy of the layer at this position holding its arrays read from the blob, values checked.
+
+    Reads from fh's position (``open_blob``) the tensors ly's arrays
+    declare.  Each lands in a new owned, writable array, or with ``buf``
+    (float32, at least ``layer_floats(ly)`` long) in a view of buf's
+    start, which the next read into buf overwrites.
+    """
+    arrays, start = {}, 0
+    for attr, shaped in layer_arrays(ly):
+        if buf is None:
+            arr = np.empty(shaped.shape, "<f4")
+        else:
+            arr = buf[start:start + shaped.size].reshape(shaped.shape)
+            start += shaped.size
+        if fh.readinto(arr) != arr.nbytes:  # the file shrank after the size check
+            raise BlobSizeError(f"weight blob {fh.name} ended inside layer {pos} {attr}")
+        arrays[attr] = arr
+    ly = replace(ly, **arrays)
+    check_layer_values(pos, ly)
+    return ly
+
+
+def load_model(arch_path: str | Path, weights_path: str | Path) -> ModelGraph:
+    """Load a manifest + weight blob pair; bit-exact float payload.
+
+    The structural checks run first, then the blob's header and size are
+    checked before any tensor is read, and each layer's values are
+    checked as it is read.
+    """
+    model = load_arch(arch_path)
+    with open_blob(model, weights_path) as fh:
+        model.layers = [read_layer(fh, pos, ly) for pos, ly in enumerate(model.layers)]
     return model
 
 
-def save_model(model: ModelGraph, arch_path: str | Path, weights_path: str | Path) -> None:
-    """Write the manifest/blob pair as new files; deterministic bytes for identical input."""
-    validate(model)
+def write_manifest(model: ModelGraph, arch_path: str | Path) -> None:
+    """Write the model's manifest as a new file; the caller has checked the structure."""
     manifest = {
         "format": MANIFEST_FORMAT,
         "name": model.name,
@@ -566,11 +631,22 @@ def save_model(model: ModelGraph, arch_path: str | Path, weights_path: str | Pat
     }
     with open_new(arch_path) as fh:
         fh.write((json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
+
+
+def write_layer(fh: BinaryIO, ly: Layer) -> None:
+    """Append the layer's arrays to a blob, in blob order."""
+    for _, arr in layer_arrays(ly):
+        fh.write(np.ascontiguousarray(arr, dtype="<f4"))
+
+
+def save_model(model: ModelGraph, arch_path: str | Path, weights_path: str | Path) -> None:
+    """Write the manifest/blob pair as new files; deterministic bytes for identical input."""
+    validate(model)
+    write_manifest(model, arch_path)
     with open_new(weights_path) as fh:
-        fh.write(MAGIC + VERSION.to_bytes(4, "little"))
+        fh.write(BLOB_HEADER)
         for ly in model.layers:
-            for _, arr in layer_arrays(ly):
-                fh.write(np.ascontiguousarray(arr, dtype="<f4"))
+            write_layer(fh, ly)
 
 
 # --- writing outputs -------------------------------------------------------

@@ -1,8 +1,12 @@
 """End-to-end embed / extract / verify plus the attack harness.
 
 Embedding prunes one key-selected conv layer per payload segment, at the
-rate encoding that segment: ``embed`` prunes a copy of the host and
-``embed_in_place`` the host itself, through one planner and one
+rate encoding that segment.  One planner works out, from the host's
+structure and the key alone, how many channels each conv drops and the
+receipt; ``plan_layer`` then picks the channels from the weights.
+``embed`` prunes a copy of a loaded host; ``embed_stream`` reads the
+host's blob one layer at a time and writes the marked model as it goes,
+so its working memory is bounded by the largest layer.  Both end in one
 self-check, which decodes the carriers the key selects from the widths
 the plan started from.  Extraction names the carriers as (conv ordinal,
 original width) pairs, from a receipt or by key from the original model
@@ -18,6 +22,7 @@ does not import: the watermark core never trains.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -29,15 +34,23 @@ from .errors import (
     CodecError,
     NnwmError,
 )
-from .importance import criterion_applicable, normalize_criterion
+from .importance import CRITERION_BN, criterion_applicable, normalize_criterion
 from .model_store import (
+    BLOB_HEADER,
     ModelGraph,
     channel_counts,
     clone_graph,
     conv_layer_indices,
+    layer_floats,
+    layer_input_shapes,
     map_arrays,
+    open_blob,
+    open_new,
+    read_layer,
+    write_layer,
+    write_manifest,
 )
-from .pruner import Receipt, ReceiptLayer, apply_prune, plan_layer
+from .pruner import Receipt, ReceiptLayer, apply_prune, plan_layer, prune_layer
 from .wm_codec import EmbedParams, KeyStream, WatermarkPayload
 
 
@@ -92,36 +105,29 @@ def eligible_layers(model: ModelGraph, params: EmbedParams, criterion: str,
     return eligible
 
 
-def embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
-          criterion: str = "l1_norm", decoy: bool = False) -> tuple[ModelGraph, Receipt]:
-    """Prune the payload into a copy of the model; returns (marked model, receipt).
+@dataclass
+class _EmbedPlan:
+    """An embed worked out from the host's structure and the key alone."""
 
-    The model is left as it was.  With decoy=True, every non-selected conv
-    layer is additionally pruned at a key-stream rate from [p_min, p_max),
-    so carriers do not stand out.
-    """
-    return _embed(model, payload, params, criterion, decoy, in_place=False)
+    drops: dict[int, int]  # graph position of each conv to prune -> channels it drops
+    receipt: Receipt
+    carriers: list[tuple[int, int]]  # (conv ordinal, host width), selected as extraction does
+    values: list[int]  # the segment values the carriers must decode to
 
-
-def embed_in_place(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
-                   criterion: str = "l1_norm", decoy: bool = False) -> Receipt:
-    """Prune the payload into the model itself, as ``embed`` would into a copy.
-
-    For a caller that no longer needs the unmarked host: no second copy of
-    its weights is made.  An error raised before pruning (the payload does
-    not fit, the plan fails a check) leaves the model as it was; after a
-    failed self-check it is left pruned.
-    """
-    return _embed(model, payload, params, criterion, decoy, in_place=True)[1]
+    def self_check(self, marked: ModelGraph, params: EmbedParams) -> None:
+        """Decode the carriers against the marked widths; each must give back its value."""
+        decoded = decode_segments(self.carriers, channel_counts(marked), params)
+        if [s.value for s in decoded] != self.values:
+            raise NnwmError("internal error: freshly embedded payload failed to extract")
 
 
-def _embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
-           criterion: str, decoy: bool, in_place: bool) -> tuple[ModelGraph, Receipt]:
-    """Plan, prune (``apply_prune`` with ``in_place``) and self-check one embed.
+def _plan(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
+          criterion: str, decoy: bool) -> _EmbedPlan:
+    """Select the carriers, their rates and (with decoy) the decoys' from the key.
 
-    The self-check selects the carriers by key, as extraction does, and
-    decodes them from the host's widths, taken before pruning, against the
-    marked model's: each must give back its segment value, padding included.
+    Reads only the structure, so a manifest's placeholder graph serves.
+    The self-check's carriers are selected by key, as extraction does,
+    with the host's widths, taken before pruning.
     """
     crit = normalize_criterion(criterion)
     if payload.segment_length != params.segment_length:
@@ -140,13 +146,10 @@ def _embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
     if decoy:
         rates.update({o: params.p_min + stream.uniform() * (params.p_max - params.p_min)
                       for o in range(len(positions)) if o not in rates})
-    plan, pruned = {}, {}
-    for ordinal, rate in rates.items():
-        k = pruned[ordinal] = wm_codec.rate_to_channel_count(rate, counts[ordinal])
-        # a carrier is eligible and prunes k >= 1, so only a decoy is ever skipped
-        if k and criterion_applicable(model, positions[ordinal], crit):
-            plan[positions[ordinal]] = plan_layer(model, positions[ordinal], k, crit)
-    marked = apply_prune(model, plan, in_place=in_place)
+    pruned = {o: wm_codec.rate_to_channel_count(rate, counts[o]) for o, rate in rates.items()}
+    # a carrier is eligible and prunes k >= 1, so only a decoy is ever skipped
+    drops = {positions[o]: k for o, k in pruned.items()
+             if k and criterion_applicable(model, positions[o], crit)}
     receipt = Receipt(
         segment_length=params.segment_length,
         p_min=params.p_min,
@@ -160,10 +163,65 @@ def _embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
         key_fingerprint=wm_codec.key_fingerprint(params.key),
     )
     carriers = [(o, counts[o]) for o in wm_codec.select_layers(eligible, m, params.key)]
-    decoded = decode_segments(carriers, channel_counts(marked), params)
-    if [s.value for s in decoded] != values:
-        raise NnwmError("internal error: freshly embedded payload failed to extract")
-    return marked, receipt
+    return _EmbedPlan(drops, receipt, carriers, values)
+
+
+def embed(model: ModelGraph, payload: WatermarkPayload, params: EmbedParams,
+          criterion: str = "l1_norm", decoy: bool = False) -> tuple[ModelGraph, Receipt]:
+    """Prune the payload into a copy of the model; returns (marked model, receipt).
+
+    The model is left as it was.  With decoy=True, every non-selected conv
+    layer is additionally pruned at a key-stream rate from [p_min, p_max),
+    so carriers do not stand out.
+    """
+    plan = _plan(model, payload, params, criterion, decoy)
+    crit = plan.receipt.criterion
+    marked = apply_prune(model, {pos: plan_layer(model, pos, k, crit)
+                                 for pos, k in plan.drops.items()})
+    plan.self_check(marked, params)
+    return marked, plan.receipt
+
+
+def embed_stream(host: ModelGraph, weights_path: str | Path, payload: WatermarkPayload,
+                 params: EmbedParams, out_arch: str | Path, out_weights: str | Path,
+                 criterion: str = "l1_norm", decoy: bool = False) -> Receipt:
+    """``embed`` from the host's blob to new files, one layer at a time; returns the receipt.
+
+    ``host`` is the host's manifest graph (``load_arch``).  Once the blob's
+    header and size are checked, the plan is worked out from the manifest
+    and the key.  One pass then reads each layer into a buffer sized for
+    the largest layer (``read_layer`` checks its values), picks a planned
+    conv's channels from the weights just read, or with bn from the
+    batchnorm after it, read one layer early, prunes the layer
+    (``prune_layer``) and writes it to ``out_weights``.  Last,
+    ``apply_prune`` on the manifest graph checks every entry and gives the
+    marked structure, which the self-check decodes and ``out_arch`` gets.
+    The bytes are those of ``embed`` on the loaded host and ``save_model``.
+    """
+    in_shapes = layer_input_shapes(host)
+    retained, pending, ahead = {}, None, None
+    with open_blob(host, weights_path) as blob:
+        plan = _plan(host, payload, params, criterion, decoy)
+        crit = plan.receipt.criterion
+        buf = np.empty(max(layer_floats(ly) for ly in host.layers), "<f4")
+        with open_new(out_weights) as out:
+            out.write(BLOB_HEADER)
+            for pos, placeholder in enumerate(host.layers):
+                ly = read_layer(blob, pos, placeholder, buf) if ahead is None else ahead
+                ahead = None
+                if pos in plan.drops:
+                    scored = [ly]
+                    if crit == CRITERION_BN:  # the scores are the next layer's gammas
+                        ahead = read_layer(blob, pos + 1, host.layers[pos + 1])
+                        scored.append(ahead)
+                    retained[pos] = plan_layer(ModelGraph(scored, host.input_shape), 0,
+                                               plan.drops[pos], crit)
+                pending = prune_layer(ly, in_shapes[pos], pending, retained.get(pos))
+                write_layer(out, ly)
+    marked = apply_prune(host, retained)
+    plan.self_check(marked, params)
+    write_manifest(marked, out_arch)
+    return plan.receipt
 
 
 def one_value_warnings(values: list[int], what: str) -> list[str]:

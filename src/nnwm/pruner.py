@@ -1,15 +1,17 @@
 """Structural channel pruning: remove output channels and rewire consumers.
 
-A plan maps each conv layer's graph position to the output channels it
-retains, so no plan can name a conv twice.  Pruning a conv layer
-slices its weight rows (and bias), then walks the layers after it and
-asks each to ``keep_inputs`` the retained channels: a batchnorm slices
+A plan pairs each conv layer's graph position with the output channels
+it retains; a plan that names a conv twice raises PlanError.  Pruning is
+one pass over the layers in graph order (``prune_layer``): a planned conv
+slices its weight rows (and bias), and its retained list stays pending
+while each later layer is asked to ``keep_inputs`` it: a batchnorm slices
 its vectors and relu and the pools pass the channels on unchanged, until
 the next conv (input channels) or a linear head (the matching columns,
 per channel of a flattened map) absorbs them.  The per-type rules live
-on the layer classes in ``model_store``.  ``apply_prune`` leaves its
-input as it was and returns a new graph that owns every array it holds;
-with ``in_place=True`` it prunes the graph it is given.
+on the layer classes in ``model_store``.  ``apply_prune`` runs that pass
+over a graph, leaving its input as it was and returning a new graph that
+owns every array it holds; ``pipeline.embed_stream`` runs it over layers
+as it reads them from a blob.
 
 ``save_receipt`` writes a receipt as a new file, like ``save_model``.
 ``nnwm embed`` stages it with the marked model's two files through
@@ -18,7 +20,8 @@ with ``in_place=True`` it prunes the graph it is given.
 
 import json
 import math
-from dataclasses import dataclass, fields
+from collections.abc import Mapping
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +30,12 @@ from . import importance
 from .errors import CriterionError, PlanError
 from .model_store import (
     ConvLayer,
+    Layer,
     ModelGraph,
+    is_placeholder,
     keep_channels,
     layer_arrays,
     layer_input_shapes,
-    map_arrays,
     open_new,
 )
 # Not called here: bound only because perfbench/tests/test_perfbench.py patches them here.
@@ -67,40 +71,48 @@ def _check_entry(model: ModelGraph, pos: int, r: list[int]) -> None:
             f"non-empty and strictly increasing within [0, {c})")
 
 
-def _rewire_consumers(layers: list, pos: int, retained: list[int],
-                      input_shapes: list[tuple]) -> None:
-    """Slice every layer downstream of a pruned conv that shares its channels."""
-    for j in range(pos + 1, len(layers)):
-        if layers[j].keep_inputs(retained, input_shapes[j]):
-            return
+def prune_layer(ly: Layer, in_shape: tuple, pending: list[int] | None,
+                retained: list[int] | None) -> list[int] | None:
+    """One step of the pruning pass: prune ly itself; return the list pending after it.
+
+    ``retained``, None unless ly is a planned conv, keeps those output channels.
+    ``pending`` is the retained list of the last pruned conv that no layer
+    has absorbed yet; ly, entered by ``in_shape``, keeps those input
+    channels.  Every array either step touches is replaced by a new one.
+    """
+    if retained is not None:
+        keep_channels(ly, retained)
+    if pending is not None and ly.keep_inputs(pending, in_shape):
+        pending = None
+    return pending if retained is None else retained
 
 
-def apply_prune(model: ModelGraph, plan: dict[int, list[int]], *,
-                in_place: bool = False) -> ModelGraph:
+def apply_prune(model: ModelGraph, plan) -> ModelGraph:
     """Prune each planned conv to its retained channels; the result satisfies all invariants.
 
-    The plan is read through ``dict``, so pairs serve as well as a mapping
-    and ``()`` is the empty plan.  By default the model is left as it was
-    and the result is a new graph that owns every array it holds.  With
-    in_place=True the model itself is pruned and returned: each pruned
-    array is a new one sliced from the old, every other array stays the
-    one it was.  Either way every check runs before the first array is
-    replaced, so a plan that fails leaves the model exactly as it was.
+    The plan is a mapping from conv position to retained channels, or
+    (position, retained) pairs, and ``()`` is the empty plan.  Every
+    entry and the structure are checked before any array is sliced.  The
+    model is left as it was; the result is a new graph that owns every
+    array it holds, except that a placeholder stays one.
     """
-    plan = {pos: list(retained) for pos, retained in dict(plan).items()}
-    for pos, retained in plan.items():
-        _check_entry(model, pos, retained)
+    retained_at = {}
+    for pos, retained in plan.items() if isinstance(plan, Mapping) else plan:
+        if pos in retained_at:
+            raise PlanError(f"plan entry at position {pos}: the plan names this conv twice")
+        retained_at[pos] = list(retained)
+        _check_entry(model, pos, retained_at[pos])
     input_shapes = layer_input_shapes(model)  # also proves every consumer's width
-    out = model if in_place else map_arrays(model, lambda ly, attr, arr: arr)
-    for pos, retained in plan.items():
-        keep_channels(out.layers[pos], retained)
-        _rewire_consumers(out.layers, pos, retained, input_shapes)
-    if not in_place:
-        # slicing made new arrays; copy only the ones no entry touched
-        for src, ly in zip(model.layers, out.layers):
-            for attr, arr in list(layer_arrays(ly)):
-                if np.may_share_memory(arr, getattr(src, attr)):
-                    setattr(ly, attr, arr.copy())
+    layers, pending = [], None
+    for pos, (src, in_shape) in enumerate(zip(model.layers, input_shapes)):
+        ly = replace(src)
+        pending = prune_layer(ly, in_shape, pending, retained_at.get(pos))
+        # slicing made new arrays; copy only the ones it left
+        for attr, arr in list(layer_arrays(ly)):
+            if arr is getattr(src, attr) and not is_placeholder(arr):
+                setattr(ly, attr, arr.copy())
+        layers.append(ly)
+    out = ModelGraph(layers, tuple(model.input_shape), model.name)
     layer_input_shapes(out)  # slicing creates no value; save_model checks the values
     return out
 

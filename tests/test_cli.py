@@ -16,7 +16,16 @@ from nnwm import cli, pipeline, pruner, wm_codec
 from nnwm.cli import main
 from nnwm.errors import NnwmError
 from nnwm.fixtures import random_conv_net, vgg16_style, vgg_tiny
-from nnwm.model_store import layer_arrays, load_arch, load_model, save_model
+from nnwm.model_store import (
+    BLOB_HEADER,
+    conv_layer_indices,
+    layer_arrays,
+    layer_floats,
+    load_arch,
+    load_model,
+    save_model,
+    write_manifest,
+)
 from nnwm.toy_trainer import TrainConfig, finetune, synth_dataset
 from nnwm.wm_codec import EmbedParams, WatermarkPayload
 
@@ -372,7 +381,7 @@ def test_negative_nnwm_seed_exit_two(no_training, tiny_host, monkeypatch, capsys
             }.get(command, ["attack", "--type", command, *host])
     rc = main(argv)
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: seed must be >= 0")
+    assert capsys.readouterr().err == "error: NNWM_SEED must be >= 0, got -1\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -425,7 +434,7 @@ def test_finetune_unfit_model_exit_two(unfit_hosts, capsys, tmp_path, monkeypatc
     def embed_runs(*args, **kwargs):
         raise AssertionError("embed ran before the fit check")
 
-    monkeypatch.setattr(pipeline, "embed_in_place", embed_runs)
+    monkeypatch.setattr(pipeline, "embed_stream", embed_runs)
     host = ["--arch", str(unfit_hosts / f"{model}.json"),
             "--weights", str(unfit_hosts / f"{model}.bin"),
             "--out-prefix", str(tmp_path / "m")]
@@ -699,11 +708,12 @@ def test_main_reads_nnwm_seed_per_call(monkeypatch, capsys):
         raise NnwmError("stop before training")
 
     monkeypatch.setattr("nnwm.cli.vgg_tiny", stop)
-    for env in ("11", "12", "not-a-number"):
+    for env in ("11", "12", "not-a-number", "-1"):
         monkeypatch.setenv("NNWM_SEED", env)
         assert main(["train-demo"]) == 2
-    assert capsys.readouterr().err.splitlines()[-1] == \
-        "error: NNWM_SEED must be an integer, got 'not-a-number'"
+    assert capsys.readouterr().err.splitlines()[-2:] == [
+        "error: NNWM_SEED must be an integer, got 'not-a-number'",
+        "error: NNWM_SEED must be >= 0, got -1"]
     assert main(["train-demo", "--seed", "5"]) == 2
     assert seeds == [11, 12, 5]
 
@@ -830,7 +840,7 @@ def test_uniformly_repruned_unmarked_host_warns(tiny_host, capsys, tmp_path):
     assert "warning: all 3 carriers decode to value 2" in capsys.readouterr().err
 
 
-# --- embed prunes the loaded host in place ----------------------------------
+# --- embed streams the host one layer at a time -----------------------------
 
 def _embed_files(tmp_path, arch, weights, payload, *flags):
     """Run nnwm embed into tmp_path; the bytes of its manifest, blob and receipt."""
@@ -877,12 +887,13 @@ def test_embed_cli_finetune_writes_the_bytes_of_embed_then_finetune(tiny_host, t
     assert got == _library_files(tmp_path, tuned, receipt)
 
 
-@pytest.mark.parametrize("segments, flags", [(1, []), (8, []), (8, ["--decoy"]), (16, [])])
-def test_embed_holds_one_copy_of_the_host(host, tmp_path, capsys, segments, flags):
-    # numpy reports its buffers to tracemalloc; a second copy of the host would not fit
-    sizes = [4 * arr.size for ly in load_arch(host / "host.json").layers
-             for _, arr in layer_arrays(ly)]
-    bound = sum(sizes) + 2 * max(sizes) + 256 * 1024
+@pytest.mark.parametrize("segments, flags", [(1, []), (8, []), (8, ["--decoy"]), (16, []),
+                                             (16, ["--criterion", "bn"])])
+def test_embed_working_memory_is_bounded_by_the_largest_layer(host, tmp_path, capsys,
+                                                              segments, flags):
+    # numpy reports its buffers to tracemalloc; the bound does not grow with the host
+    largest = max(4 * layer_floats(ly) for ly in load_arch(host / "host.json").layers)
+    bound = 3 * largest + 256 * 1024
     tracemalloc.start()
     try:
         rc = main(["embed", "--arch", str(host / "host.json"),
@@ -894,6 +905,57 @@ def test_embed_holds_one_copy_of_the_host(host, tmp_path, capsys, segments, flag
         tracemalloc.stop()
     assert rc == 0
     assert peak <= bound, f"peak {peak / 2**20:.2f} MiB > bound {bound / 2**20:.2f} MiB"
+
+
+def _host_with_bad_values(d: Path, model, spots) -> None:
+    """Write model to d/h.json and d/h.bin with value v at the first entry of each
+    (position, attr, v) spot; save_model would refuse such a model."""
+    for pos, attr, value in spots:
+        getattr(model.layers[pos], attr).flat[0] = value
+    write_manifest(model, d / "h.json")
+    (d / "h.bin").write_bytes(BLOB_HEADER + b"".join(
+        arr.astype("<f4").tobytes() for ly in model.layers for _, arr in layer_arrays(ly)))
+
+
+@pytest.mark.parametrize("case", ["non_carrier_conv_nan", "linear_bias_inf",
+                                  "negative_running_var", "bn_carrier_gamma_nan",
+                                  "first_of_two"])
+def test_embed_reports_a_bad_host_value_as_load_model_does(tmp_path, capsys, case):
+    crit = "bn" if case == "bn_carrier_gamma_nan" else "l1"
+    model = vgg_tiny(0)
+    _, receipt = pipeline.embed(model, WatermarkPayload("101", 3), EmbedParams(3, b"k"),
+                                criterion=crit)
+    positions = conv_layer_indices(model)
+    carrier = positions[receipt.layers[0].index]
+    other = next(p for p in positions if p != carrier)
+    head = len(model.layers) - 1
+    spots = {"non_carrier_conv_nan": [(other, "weights", np.nan)],
+             "linear_bias_inf": [(head, "bias", np.inf)],
+             "negative_running_var": [(carrier + 1, "running_var", -1.0)],
+             "bn_carrier_gamma_nan": [(carrier + 1, "gamma", np.nan)],
+             "first_of_two": [(head, "weights", np.nan), (carrier, "weights", -np.inf)]}[case]
+    _host_with_bad_values(tmp_path, model, spots)
+    with pytest.raises(NnwmError) as loaded:
+        load_model(tmp_path / "h.json", tmp_path / "h.bin")
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["embed", "--arch", str(tmp_path / "h.json"), "--weights", str(tmp_path / "h.bin"),
+               "--payload", "101", "--key", "k", "--l", "3", "--criterion", crit,
+               "--out-prefix", str(out / "m"), "--receipt", str(out / "r.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {loaded.value}\n"
+    assert list(out.iterdir()) == []
+
+
+def test_embed_reports_a_plan_error_before_a_bad_host_value(tmp_path, capsys):
+    # the plan needs only the manifest and the key, so it is worked out before the pass
+    _host_with_bad_values(tmp_path, vgg_tiny(0), [(0, "weights", np.nan)])
+    rc = main(["embed", "--arch", str(tmp_path / "h.json"), "--weights", str(tmp_path / "h.bin"),
+               "--payload", "1" * 18, "--key", "k", "--l", "3",
+               "--out-prefix", str(tmp_path / "m"), "--receipt", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: capacity exceeded: 6 segment(s)")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["h.bin", "h.json"]
 
 
 def test_embed_json_counts_come_from_the_host_before_pruning(tiny_host, tmp_path, capsys):
@@ -990,6 +1052,7 @@ def test_embed_checks_payload_and_scheme_flags_before_reading_the_host(
     def refuse(*args):
         raise AssertionError("embed read the host before checking its flags")
 
+    monkeypatch.setattr("nnwm.cli.load_arch", refuse)
     monkeypatch.setattr("nnwm.cli.load_model", refuse)
     rc = main(["embed", "--arch", str(tiny_host / "tiny.json"),
                "--weights", str(tiny_host / "tiny.bin"), "--key", "k", *flags,

@@ -28,7 +28,6 @@ from nnwm.pipeline import (
     attack_zero_weights,
     eligible_layers,
     embed,
-    embed_in_place,
     extract,
     verify,
 )
@@ -236,14 +235,6 @@ def test_verify_examples():
     for theta in (float("nan"), float("inf"), -0.1, 1.5):
         with pytest.raises(CodecError):
             verify("1010", "1010", theta=theta)
-
-
-def test_embed_in_place_that_cannot_fit_leaves_the_host_as_it_was():
-    host = vgg16_style(0)
-    before = raw_arrays(host)
-    with pytest.raises(CapacityError):
-        embed_in_place(host, WatermarkPayload("1" * 51, 3), EmbedParams(3, b"owner"))
-    assert raw_arrays(host) == before
 
 
 def test_embed_that_fails_its_self_check_raises_and_leaves_the_host(misselected_carriers):

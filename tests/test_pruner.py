@@ -13,7 +13,6 @@ from nnwm.model_store import (
     ConvLayer,
     ModelGraph,
     channel_counts,
-    clone_graph,
     conv_layer_indices,
     layer_arrays,
     validate,
@@ -154,41 +153,6 @@ def test_apply_prune_output_aliases_nothing(plan):
     assert [arr.tobytes() for arr in inputs] == before
 
 
-@pytest.mark.parametrize("bad", ["not_conv", "out_of_range"])
-def test_in_place_prune_failing_in_its_last_entry_leaves_the_model_as_it_was(bad):
-    model = vgg16_style(0)
-    positions = conv_layer_indices(model)
-    plan = {pos: plan_layer(model, pos, 3, "l1") for pos in positions[:3]}
-    c = model.layers[positions[3]].c_out
-    if bad == "not_conv":
-        plan[positions[3] + 1] = [0, 1]
-    else:
-        plan[positions[3]] = list(range(1, c + 1))
-    before = all_arrays(model)
-    raw = [(arr.shape, arr.tobytes()) for _, _, arr in before]
-    with pytest.raises(PlanError):
-        apply_prune(model, plan, in_place=True)
-    after = all_arrays(model)
-    assert [(arr.shape, arr.tobytes()) for _, _, arr in after] == raw
-    assert all(a is b for (_, _, a), (_, _, b) in zip(before, after))
-
-
-@pytest.mark.parametrize("make", [lambda: vgg16_style(0), lambda: random_conv_net(3)],
-                         ids=["vgg16_style", "random_conv_net_3"])
-def test_in_place_prune_of_a_clone_gives_the_arrays_of_apply_prune(make):
-    model = make()
-    rng = np.random.default_rng(11)
-    plan = {  # about half the convs, so some consumers are pruned convs themselves
-        pos: plan_layer(model, pos, int(rng.integers(model.layers[pos].c_out)), "l1")
-        for pos in conv_layer_indices(model) if rng.random() < 0.5}
-    expected = apply_prune(model, plan)
-    copy = clone_graph(model)
-    assert apply_prune(copy, plan, in_place=True) is copy
-    assert channel_counts(copy) != channel_counts(model)
-    assert [(pos, attr, arr.shape, arr.tobytes()) for pos, attr, arr in all_arrays(copy)] == \
-        [(pos, attr, arr.shape, arr.tobytes()) for pos, attr, arr in all_arrays(expected)]
-
-
 def test_apply_prune_rejects_bad_plans(tiny_model):
     c0 = tiny_model.layers[0].c_out
     with pytest.raises(PlanError):
@@ -196,6 +160,8 @@ def test_apply_prune_rejects_bad_plans(tiny_model):
     for retained in [[], list(range(1, c0))[::-1], [0, 1, 1, 2], [0, c0], [-1, 0]]:
         with pytest.raises(PlanError):  # empty, not increasing, repeated, out of range
             apply_prune(tiny_model, {0: retained})
+    with pytest.raises(PlanError, match="names this conv twice"):  # pairs can repeat a conv
+        apply_prune(tiny_model, [(0, [0, 1]), (0, list(range(30)))])
 
 
 def test_functional_equivalence_when_pruned_channels_are_silenced(tiny_model):
