@@ -11,9 +11,11 @@ must agree with the receipt or the command exits 2.  --original and
 takes --pmin, --pmax and --criterion only with --arch, which counts the
 eligible conv layers.  attack takes the extraction flags (--original,
 --receipt, --key, --n and the scheme flags) and --theta only with
---expect, and inspect takes --arch, --weights and --criterion only with
---scores and the other flags only without it; a flag the command would
-ignore exits 2.
+--expect, and each of --sigma (noise), --fraction (zero), --epochs and
+--lr (finetune) and --extra-rate (structural) only with its own --type;
+--seed goes with every type.  inspect takes --arch, --weights and
+--criterion only with --scores and the other flags only without it.  A
+flag the command would ignore exits 2, before any file is read.
 
 embed parses --payload and the scheme flags before it reads the host, and
 streams the host's blob through the embed one layer at a time
@@ -278,7 +280,7 @@ def cmd_capacity(args) -> int:
 
 def _reject(args, flags, why: str) -> None:
     """Raise (exit 2) naming every one of flags that was given: the command would ignore it."""
-    given = [f"--{f}" for f in flags if getattr(args, f) is not None]
+    given = [f"--{f.replace('_', '-')}" for f in flags if getattr(args, f) is not None]
     if given:
         raise NnwmError(f"{', '.join(given)}: {why}")
 
@@ -321,7 +323,18 @@ def cmd_inspect(args) -> int:
     return 0
 
 
+# each attack type's own flags, by attribute, with their defaults
+ATTACK_DEFAULTS = {"noise": {"sigma": 0.1}, "zero": {"fraction": 0.3},
+                   "finetune": {"epochs": 5, "lr": 0.001}, "structural": {"extra_rate": 0.05}}
+
+
 def cmd_attack(args) -> int:
+    own = ATTACK_DEFAULTS[args.type]
+    _reject(args, [f for flags in ATTACK_DEFAULTS.values() for f in flags if f not in own],
+            f"not used by attack --type {args.type}")
+    for name, value in own.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
     if args.expect:
         expected, extraction = _verify_inputs(args)
     else:
@@ -486,11 +499,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", type=_path, required=True)
     p.add_argument("--weights", type=_path, required=True)
     p.add_argument("--out-prefix", type=_path, required=True)
-    p.add_argument("--sigma", type=float, default=0.1)
-    p.add_argument("--fraction", type=float, default=0.3)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--extra-rate", type=float, default=0.05)
+    for kind, flags in ATTACK_DEFAULTS.items():  # None when omitted, so cmd_attack can tell
+        for name, value in flags.items():
+            p.add_argument(f"--{name.replace('_', '-')}", type=type(value),
+                           help=f"only with --type {kind} (default {value})")
     p.add_argument("--seed", type=int)
     p.add_argument("--expect", help="chain a verify run against these bits")
     _add_extract_flags(p)

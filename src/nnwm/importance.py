@@ -2,10 +2,8 @@
 
 Two criteria: the magnitude of the trailing batchnorm scale per channel
 (network-slimming style), and the L1 norm of each output filter (bias
-excluded), summed a block of filters at a time so that its temporary
-stays small whatever the layer's size.  ``score`` returns either as a
-plain array of non-negative scores in output-channel order; smaller
-means safer to prune.
+excluded).  ``score`` returns either as a plain array of non-negative
+scores in output-channel order; smaller means safer to prune.
 ``criterion_applicable`` is the one rule for which positions a criterion
 can score.
 """
@@ -19,8 +17,6 @@ from .model_store import BatchNormLayer, ConvLayer, ModelGraph
 
 CRITERION_BN = "bn_gamma"
 CRITERION_L1 = "l1_norm"
-
-L1_BLOCK_BYTES = 128 * 1024  # the l1 temporary's size, at least one filter
 
 _ALIASES = {
     "bn": CRITERION_BN, "bn_gamma": CRITERION_BN, "l1": CRITERION_L1, "l1_norm": CRITERION_L1,
@@ -59,14 +55,4 @@ def score(model: ModelGraph, conv_index: int, criterion: str) -> np.ndarray:
         raise CriterionError(f"{crit} criterion not applicable at layer position {conv_index}")
     if crit == CRITERION_BN:
         return np.abs(model.layers[conv_index + 1].gamma)
-    w = model.layers[conv_index].weights
-    # each filter's row goes through the one reduction np.abs(w).sum(axis=(1, 2, 3)) runs
-    rows = max(1, L1_BLOCK_BYTES // w[0].nbytes)
-    block = np.empty((min(rows, w.shape[0]), *w.shape[1:]), w.dtype)
-    out = np.empty(w.shape[0], w.dtype)
-    for start in range(0, w.shape[0], rows):
-        filters = w[start:start + rows]
-        part = block[:len(filters)]
-        np.abs(filters, out=part)
-        part.sum(axis=(1, 2, 3), out=out[start:start + rows])
-    return out
+    return np.abs(model.layers[conv_index].weights).sum(axis=(1, 2, 3))

@@ -35,10 +35,10 @@ passing check builds no text.
 - ``load_arch`` runs the structural checks and stops.
 - ``open_blob`` checks a blob's header and compares its size with the
   placeholder sizes before any tensor is read; ``read_layer`` then reads
-  one layer's tensors, each with one ``readinto`` call, and checks their
-  values.  ``load_model`` is ``load_arch`` followed by both, each tensor
-  read into a new owned, writable array of its own; ``nnwm embed`` reads
-  each layer into one reused buffer instead (``pipeline.embed_stream``).
+  one layer's tensors, each with one ``readinto`` call into a new owned,
+  writable array, and checks their values.  ``load_model`` is
+  ``load_arch`` followed by both; ``nnwm embed`` reads and prunes one
+  layer at a time (``pipeline.embed_stream``).
 - ``pruner.apply_prune`` runs the structural checks before it slices any
   array and reruns them after.  Slicing loaded arrays cannot create a
   bad value, and slicing a placeholder (``take``) gives a placeholder, so
@@ -497,14 +497,6 @@ def clone_graph(model: ModelGraph) -> ModelGraph:
     return map_arrays(model, lambda ly, attr, arr: arr.copy())
 
 
-def iter_named_params(model: ModelGraph) -> Iterator[tuple[int, str, np.ndarray]]:
-    """Yield (layer position, attribute name, array) for every trainable tensor."""
-    for pos, ly in enumerate(model.layers):
-        for attr, arr in layer_arrays(ly):
-            if attr in ly.TRAINABLE:
-                yield pos, attr, arr
-
-
 # --- serialization ---------------------------------------------------------
 
 def _record_to_layer(rec: dict, idx: int) -> Layer:
@@ -585,21 +577,15 @@ def open_blob(model: ModelGraph, weights_path: str | Path) -> Iterator[BinaryIO]
         yield fh
 
 
-def read_layer(fh: BinaryIO, pos: int, ly: Layer, buf: np.ndarray | None = None) -> Layer:
+def read_layer(fh: BinaryIO, pos: int, ly: Layer) -> Layer:
     """A copy of the layer at this position holding its arrays read from the blob, values checked.
 
     Reads from fh's position (``open_blob``) the tensors ly's arrays
-    declare.  Each lands in a new owned, writable array, or with ``buf``
-    (float32, at least ``layer_floats(ly)`` long) in a view of buf's
-    start, which the next read into buf overwrites.
+    declare, each into a new owned, writable array.
     """
-    arrays, start = {}, 0
+    arrays = {}
     for attr, shaped in layer_arrays(ly):
-        if buf is None:
-            arr = np.empty(shaped.shape, "<f4")
-        else:
-            arr = buf[start:start + shaped.size].reshape(shaped.shape)
-            start += shaped.size
+        arr = np.empty(shaped.shape, "<f4")
         if fh.readinto(arr) != arr.nbytes:  # the file shrank after the size check
             raise BlobSizeError(f"weight blob {fh.name} ended inside layer {pos} {attr}")
         arrays[attr] = arr

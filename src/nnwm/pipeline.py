@@ -41,7 +41,6 @@ from .model_store import (
     channel_counts,
     clone_graph,
     conv_layer_indices,
-    layer_floats,
     layer_input_shapes,
     map_arrays,
     open_blob,
@@ -189,13 +188,13 @@ def embed_stream(host: ModelGraph, weights_path: str | Path, payload: WatermarkP
 
     ``host`` is the host's manifest graph (``load_arch``).  Once the blob's
     header and size are checked, the plan is worked out from the manifest
-    and the key.  One pass then reads each layer into a buffer sized for
-    the largest layer (``read_layer`` checks its values), picks a planned
-    conv's channels from the weights just read, or with bn from the
-    batchnorm after it, read one layer early, prunes the layer
-    (``prune_layer``) and writes it to ``out_weights``.  Last,
-    ``apply_prune`` on the manifest graph checks every entry and gives the
-    marked structure, which the self-check decodes and ``out_arch`` gets.
+    and the key.  One pass then reads each layer (``read_layer`` checks
+    its values), picks a planned conv's channels from the weights just
+    read, or with bn from the batchnorm after it, read one layer early,
+    prunes the layer (``prune_layer``) and writes it to ``out_weights``.
+    Last, ``apply_prune`` on the manifest graph checks every entry and
+    gives the marked structure, which the self-check decodes and
+    ``out_arch`` gets.
     The bytes are those of ``embed`` on the loaded host and ``save_model``.
     """
     in_shapes = layer_input_shapes(host)
@@ -203,11 +202,10 @@ def embed_stream(host: ModelGraph, weights_path: str | Path, payload: WatermarkP
     with open_blob(host, weights_path) as blob:
         plan = _plan(host, payload, params, criterion, decoy)
         crit = plan.receipt.criterion
-        buf = np.empty(max(layer_floats(ly) for ly in host.layers), "<f4")
         with open_new(out_weights) as out:
             out.write(BLOB_HEADER)
             for pos, placeholder in enumerate(host.layers):
-                ly = read_layer(blob, pos, placeholder, buf) if ahead is None else ahead
+                ly = read_layer(blob, pos, placeholder) if ahead is None else ahead
                 ahead = None
                 if pos in plan.drops:
                     scored = [ly]
@@ -366,12 +364,12 @@ def _standard_normal(rng: np.random.Generator, n: int, dtype: np.dtype) -> np.nd
 def attack_noise(model: ModelGraph, sigma_rel: float, seed: int = 0) -> ModelGraph:
     """Add zero-mean Gaussian noise, std = sigma_rel * per-tensor weight std.
 
-    Each trainable tensor gets its own draw, in ``iter_named_params`` order
-    and in the tensor's dtype, by the Box–Muller transform; its std is
-    computed in float64, where the square of a finite float32 cannot
-    overflow.  Float32 uniforms lie on a 2⁻²⁴ grid, so a float32 draw
-    never exceeds sqrt(48·ln 2) ≈ 5.77 standard deviations (a normal does
-    with probability about 8·10⁻⁹).  A tensor of zero scale is copied;
+    Each trainable tensor gets its own draw, in blob order and in the
+    tensor's dtype, by the Box–Muller transform; its std is computed in
+    float64, where the square of a finite float32 cannot overflow.
+    Float32 uniforms lie on a 2⁻²⁴ grid, so a float32 draw never exceeds
+    sqrt(48·ln 2) ≈ 5.77 standard deviations (a normal does with
+    probability about 8·10⁻⁹).  A tensor of zero scale is copied;
     sigma_rel = 0 computes no std, so it copies any valid model.  An
     overflow anywhere raises AttackConfigError.  The model is left as it
     was.

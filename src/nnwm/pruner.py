@@ -1,17 +1,17 @@
 """Structural channel pruning: remove output channels and rewire consumers.
 
-A plan pairs each conv layer's graph position with the output channels
-it retains; a plan that names a conv twice raises PlanError.  Pruning is
-one pass over the layers in graph order (``prune_layer``): a planned conv
-slices its weight rows (and bias), and its retained list stays pending
-while each later layer is asked to ``keep_inputs`` it: a batchnorm slices
-its vectors and relu and the pools pass the channels on unchanged, until
-the next conv (input channels) or a linear head (the matching columns,
-per channel of a flattened map) absorbs them.  The per-type rules live
-on the layer classes in ``model_store``.  ``apply_prune`` runs that pass
-over a graph, leaving its input as it was and returning a new graph that
-owns every array it holds; ``pipeline.embed_stream`` runs it over layers
-as it reads them from a blob.
+A plan maps each planned conv layer's graph position to the output
+channels it retains.  Pruning is one pass over the layers in graph order
+(``prune_layer``): a planned conv slices its weight rows (and bias), and
+its retained list stays pending while each later layer is asked to
+``keep_inputs`` it: a batchnorm slices its vectors and relu and the pools
+pass the channels on unchanged, until the next conv (input channels) or a
+linear head (the matching columns, per channel of a flattened map)
+absorbs them.  The per-type rules live on the layer classes in
+``model_store``.  ``apply_prune`` runs that pass over a graph, leaving
+its input as it was and returning a new graph that owns every array it
+holds; ``pipeline.embed_stream`` runs it over layers as it reads them
+from a blob.
 
 ``save_receipt`` writes a receipt as a new file, like ``save_model``.
 ``nnwm embed`` stages it with the marked model's two files through
@@ -20,7 +20,6 @@ as it reads them from a blob.
 
 import json
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -90,18 +89,14 @@ def prune_layer(ly: Layer, in_shape: tuple, pending: list[int] | None,
 def apply_prune(model: ModelGraph, plan) -> ModelGraph:
     """Prune each planned conv to its retained channels; the result satisfies all invariants.
 
-    The plan is a mapping from conv position to retained channels, or
-    (position, retained) pairs, and ``()`` is the empty plan.  Every
+    The plan is a mapping from conv position to retained channels.  Every
     entry and the structure are checked before any array is sliced.  The
     model is left as it was; the result is a new graph that owns every
     array it holds, except that a placeholder stays one.
     """
-    retained_at = {}
-    for pos, retained in plan.items() if isinstance(plan, Mapping) else plan:
-        if pos in retained_at:
-            raise PlanError(f"plan entry at position {pos}: the plan names this conv twice")
-        retained_at[pos] = list(retained)
-        _check_entry(model, pos, retained_at[pos])
+    retained_at = {pos: list(retained) for pos, retained in plan.items()}
+    for pos, retained in retained_at.items():
+        _check_entry(model, pos, retained)
     input_shapes = layer_input_shapes(model)  # also proves every consumer's width
     layers, pending = [], None
     for pos, (src, in_shape) in enumerate(zip(model.layers, input_shapes)):

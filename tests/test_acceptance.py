@@ -15,9 +15,10 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 from _fidelity import fidelity_seed, random_bits
+from _params import trainable_params
 
 from nnwm.fixtures import random_conv_net, vgg16_style, vgg_tiny
-from nnwm.model_store import channel_counts, conv_layer_indices, iter_named_params
+from nnwm.model_store import channel_counts, conv_layer_indices
 from nnwm.pipeline import (
     attack_noise,
     attack_zero_weights,
@@ -148,7 +149,7 @@ def test_criterion_5_pruning_functional_equivalence():
         retained = tuple(i for i in range(model.layers[pos].c_out)
                          if i not in set(dead))
         entries.append((pos, retained))
-    pruned = apply_prune(model, tuple(entries))
+    pruned = apply_prune(model, dict(entries))
     x = np.random.default_rng(55).normal(size=(100, 1, 16, 16)).astype(np.float32)
     full, _ = forward(model, x, mode="eval")
     cut, _ = forward(pruned, x, mode="eval")
@@ -167,7 +168,7 @@ def test_criterion_6_gradient_correctness():
     h = 1e-5
     worst, checked = 0.0, 0
     kinds = set()
-    for pos, name, arr in iter_named_params(model):
+    for pos, name, arr in trainable_params(model):
         kinds.add(type(model.layers[pos]).__name__)
         flat = arr.ravel()
         for _ in range(3):

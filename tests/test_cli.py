@@ -412,6 +412,26 @@ def test_attack_finetune_bad_flags_exit_two(no_training, tiny_host, capsys, tmp_
     assert not (tmp_path / "a.json").exists()
 
 
+ATTACK_OWN_FLAGS = {"noise": ["--sigma"], "zero": ["--fraction"],
+                    "finetune": ["--epochs", "--lr"], "structural": ["--extra-rate"]}
+
+
+@pytest.mark.parametrize("kind, flag, value", [
+    (kind, flag, value) for kind in ATTACK_OWN_FLAGS
+    for flag, value in [("--sigma", "5"), ("--fraction", "0.5"), ("--epochs", "3"),
+                        ("--lr", "0.01"), ("--extra-rate", "0.1")]
+    if flag not in ATTACK_OWN_FLAGS[kind]])
+def test_attack_flag_of_another_type_exit_two(tiny_host, capsys, tmp_path, kind, flag, value):
+    # --seed is valid with every type
+    rc = main(["attack", "--type", kind, "--arch", str(tiny_host / "tiny.json"),
+               "--weights", str(tiny_host / "tiny.bin"), "--out-prefix", str(tmp_path / "a"),
+               flag, value, "--seed", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {flag}: not used by attack --type {kind}"]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def unfit_hosts(tmp_path_factory):
     """Valid models the 2-class 1x16x16 synthetic task cannot train."""

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nnwm import importance
 from nnwm.errors import CriterionError
 from nnwm.importance import (
     CRITERION_BN,
@@ -59,20 +58,6 @@ def test_l1_sums_absolute_filter_weights():
     w[0, 0] = [[1, -2], [3, -4]]
     w[1, 0] = [[0, 0], [0, 0.5]]
     np.testing.assert_allclose(score(conv_model(w), 0, "l1"), [10.0, 0.5], atol=1e-7)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape", [(512, 512, 3, 3), (64, 3, 3, 3), (33, 17, 5, 5),
-                                   (300, 1000, 1, 1), (7, 5, 1, 1), (1, 1, 1, 1)])
-def test_l1_score_by_blocks_has_the_bits_of_the_one_shot_sum(monkeypatch, shape, dtype):
-    w = np.random.default_rng(5).normal(size=shape).astype(dtype)
-    model = ModelGraph([ConvLayer(w)], (shape[1], 8, 8))
-    reference = np.abs(w).sum(axis=(1, 2, 3))
-    for block_bytes in (1, 4096, 100_000, importance.L1_BLOCK_BYTES, 10**9):
-        monkeypatch.setattr(importance, "L1_BLOCK_BYTES", block_bytes)
-        got = score(model, 0, "l1")
-        assert got.dtype == reference.dtype
-        assert got.tobytes() == reference.tobytes(), block_bytes
 
 
 def test_l1_zero_filter_scores_zero():

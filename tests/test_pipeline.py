@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from _params import trainable_params
 
 from nnwm.errors import ArchitectureMismatchError, CapacityError, CodecError, NnwmError
 from nnwm.fixtures import _bn, _conv, _linear, random_conv_net, vgg16_style, vgg_tiny
@@ -18,7 +19,6 @@ from nnwm.model_store import (
     channel_counts,
     clone_graph,
     conv_layer_indices,
-    iter_named_params,
     layer_arrays,
 )
 from nnwm.pipeline import (
@@ -438,7 +438,7 @@ def test_attack_noise_draws_for_each_trainable_tensor_in_turn(precision, sigma):
     model = to_precision(model, precision)
     rng = np.random.default_rng(3)
     noisy = {}
-    for pos, attr, arr in iter_named_params(model):
+    for pos, attr, arr in trainable_params(model):
         scale = np.float64(sigma) * arr.std(dtype=np.float64)
         if scale > 0:
             z = _standard_normal(rng, arr.size, arr.dtype) * arr.dtype.type(scale)

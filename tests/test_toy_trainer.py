@@ -6,6 +6,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from _params import trainable_params
 
 from nnwm.errors import ShapeConsistencyError, TrainConfigError
 from nnwm.fixtures import vgg16_style, vgg_tiny
@@ -17,7 +18,6 @@ from nnwm.model_store import (
     MaxPoolLayer,
     ModelGraph,
     channel_counts,
-    iter_named_params,
     layer_input_shapes,
 )
 from nnwm.toy_trainer import (
@@ -385,7 +385,7 @@ def test_full_model_gradients_vs_finite_differences():
     y = rng.integers(0, 2, size=4)
     grads = gradients(model, x, y)
     checked = 0
-    for pos, name, arr in iter_named_params(model):
+    for pos, name, arr in trainable_params(model):
         for _ in range(2):
             i = int(rng.integers(0, arr.size))
             fd = central_difference(model, x, y, pos, name, i)
@@ -407,7 +407,7 @@ def test_per_layer_type_gradients():
     x = rng.normal(size=(5, 2, 6, 6))
     y = rng.integers(0, 2, size=5)
     grads = gradients(model, x, y)
-    for pos, name, arr in iter_named_params(model):
+    for pos, name, arr in trainable_params(model):
         idx = rng.choice(arr.size, size=min(4, arr.size), replace=False)
         for i in idx:
             fd = central_difference(model, x, y, pos, name, int(i))
@@ -428,7 +428,7 @@ def test_strided_conv_and_overlapping_pool_gradients():
     x = rng.normal(size=(3, 2, 9, 11))
     y = rng.integers(0, 2, size=3)
     grads = gradients(model, x, y)
-    for pos, name, arr in iter_named_params(model):
+    for pos, name, arr in trainable_params(model):
         for i in rng.choice(arr.size, size=min(5, arr.size), replace=False):
             fd = central_difference(model, x, y, pos, name, int(i))
             an = grads[(pos, name)].ravel()[int(i)]
@@ -518,19 +518,19 @@ def test_finetune_identity_at_zero_epochs(tiny_model):
     out = finetune(tiny_model, train, TrainConfig(epochs=0),
                    lambda *row: calls.append(row))
     assert calls == []
-    for (p1, n1, a1), (p2, n2, a2) in zip(iter_named_params(tiny_model),
-                                          iter_named_params(out)):
+    for (p1, n1, a1), (p2, n2, a2) in zip(trainable_params(tiny_model),
+                                          trainable_params(out)):
         np.testing.assert_array_equal(a1, a2)
 
 
 def test_finetune_never_changes_shapes(tiny_model):
     train, test = synth_dataset(3, 64, 16)
     calls = []
-    before = [arr.copy() for _, _, arr in iter_named_params(tiny_model)]
+    before = [arr.copy() for _, _, arr in trainable_params(tiny_model)]
     out = finetune(tiny_model, train, TrainConfig(epochs=1, lr=0.01),
                    lambda *row: calls.append(row))
     assert channel_counts(out) == channel_counts(tiny_model)
-    for (_, _, arr), old in zip(iter_named_params(tiny_model), before):
+    for (_, _, arr), old in zip(trainable_params(tiny_model), before):
         np.testing.assert_array_equal(arr, old)  # trains a private copy
     assert len(calls) == 1
     epoch, model, loss = calls[0]
@@ -566,8 +566,8 @@ def test_finetune_determinism_f64(tiny_model):
     out1 = finetune(model, train, cfg, lambda e, m, loss: h1.append((e, loss)))
     out2 = finetune(model, train, cfg, lambda e, m, loss: h2.append((e, loss)))
     assert len(h1) == 2 and h1 == h2
-    for (p1, n1, a1), (p2, n2, a2) in zip(iter_named_params(out1),
-                                          iter_named_params(out2)):
+    for (p1, n1, a1), (p2, n2, a2) in zip(trainable_params(out1),
+                                          trainable_params(out2)):
         assert a1.dtype == np.float64  # trained in the model's own dtype
         assert a1.tobytes() == a2.tobytes()
 
