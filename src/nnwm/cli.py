@@ -25,11 +25,15 @@ staged marked model, fine-tunes it and saves it over the staged files.
 extract, verify and attack --expect read the receipt or the --original
 manifest before any other work and bind ``pipeline.extract`` to it
 (``_resolve_source``), so each suspect is one call; attack --expect also
-runs that extraction on the loaded model before attacking it, since no
-attack changes the conv count and every extraction error depends on that
-count alone.  attack --type finetune is ``toy_trainer.finetune`` on the
-synthetic task.  A path flag that holds a NUL byte fails to parse, and
-an ``NNWM_SEED`` that is not an integer, or is negative, exits 2.
+runs that extraction on the manifest before attacking, once the blob's
+header and size are checked, since no attack changes the conv count and
+every extraction error depends on that count alone.  attack --type
+noise, zero and structural stream the host's blob through the attack one
+layer at a time (``model_store.BlobStream``), as embed does; the zero
+attack reads the blob twice.  attack --type finetune loads the model and
+is ``toy_trainer.finetune`` on the synthetic task.  A path flag that
+holds a NUL byte fails to parse, and an ``NNWM_SEED`` that is not an
+integer, or is negative, exits 2.
 
 embed's model and receipt and attack's model appear whole or not at all:
 each is written to a new file beside its target and moved into place only
@@ -60,13 +64,16 @@ from .errors import NnwmError
 from .fixtures import vgg_tiny
 from .importance import normalize_criterion, score
 from .model_store import (
+    BlobStream,
     ModelGraph,
     channel_counts,
     conv_layer_indices,
     load_arch,
     load_model,
+    open_blob,
     save_model,
     staged_outputs,
+    write_manifest,
 )
 from .toy_trainer import TrainConfig, check_fit, evaluate, finetune, synth_dataset
 from .wm_codec import EmbedParams, WatermarkPayload
@@ -342,20 +349,27 @@ def cmd_attack(args) -> int:
     out_arch = f"{args.out_prefix}.json"
     out_weights = f"{args.out_prefix}.bin"
     with staged_outputs(out_arch, out_weights) as (tmp_arch, tmp_weights):
-        model = load_model(args.arch, args.weights)
-        if args.expect:  # no attack changes the conv count: fail now, not after the attack
-            extraction(model)  # its warnings print after the attack
-        if args.type == "noise":
-            attacked = pipeline.attack_noise(model, args.sigma, seed=args.seed)
-        elif args.type == "zero":
-            attacked = pipeline.attack_zero_weights(model, args.fraction)
-        elif args.type == "finetune":
+        if args.type == "finetune":  # training needs the whole model
+            model = load_model(args.arch, args.weights)
+            if args.expect:  # no attack changes the conv count: fail now, not after the attack
+                extraction(model)  # its warnings print after the attack
             train, _ = synth_dataset(args.seed, 512, 256)
             attacked = finetune(model, train,
                                 TrainConfig(epochs=args.epochs, lr=args.lr, seed=args.seed))
+            save_model(attacked, tmp_arch, tmp_weights)
         else:
-            attacked = pipeline.attack_structural(model, args.extra_rate, seed=args.seed)
-        save_model(attacked, tmp_arch, tmp_weights)
+            host = load_arch(args.arch)
+            with open_blob(host, args.weights) as blob:
+                if args.expect:  # as above, on the manifest, before any tensor is read
+                    extraction(host)
+                src = BlobStream(host, blob, tmp_weights)
+                if args.type == "noise":
+                    attacked = pipeline.attack_noise(src, args.sigma, seed=args.seed)
+                elif args.type == "zero":
+                    attacked = pipeline.attack_zero_weights(src, args.fraction)
+                else:
+                    attacked = pipeline.attack_structural(src, args.extra_rate, seed=args.seed)
+            write_manifest(attacked, tmp_arch)
         # before the move, so that an extraction error leaves no output
         report = (pipeline.verify(expected, _warn(extraction(attacked)), theta=args.theta)
                   if args.expect else None)

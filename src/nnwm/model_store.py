@@ -37,8 +37,11 @@ passing check builds no text.
   placeholder sizes before any tensor is read; ``read_layer`` then reads
   one layer's tensors, each with one ``readinto`` call into a new owned,
   writable array, and checks their values.  ``load_model`` is
-  ``load_arch`` followed by both; ``nnwm embed`` reads and prunes one
-  layer at a time (``pipeline.embed_stream``).
+  ``load_arch`` followed by both.  A ``BlobStream`` reads a blob one
+  layer at a time and writes each edited layer to a new blob, values
+  checked, before it reads the next: ``nnwm embed`` and the noise, zero
+  and structural attacks of ``nnwm attack`` stream the host so.
+  ``edit_layers`` runs the same per-layer edit on a loaded graph.
 - ``pruner.apply_prune`` runs the structural checks before it slices any
   array and reruns them after.  Slicing loaded arrays cannot create a
   bad value, and slicing a placeholder (``take``) gives a placeholder, so
@@ -497,6 +500,26 @@ def clone_graph(model: ModelGraph) -> ModelGraph:
     return map_arrays(model, lambda ly, attr, arr: arr.copy())
 
 
+def edit_layers(model: ModelGraph, edit) -> ModelGraph:
+    """A new graph of shallow copies of the model's layers, each passed to edit(pos, layer).
+
+    ``edit`` is called in graph order.  It replaces each array it changes
+    with a new one and writes into none; every array it left is then
+    copied, except a placeholder, so the model is left as it was and the
+    result owns every other array it holds.  ``BlobStream.rewrite`` runs
+    the same edit from blob to blob.
+    """
+    layers = []
+    for pos, src in enumerate(model.layers):
+        ly = replace(src)
+        edit(pos, ly)
+        for attr, arr in list(layer_arrays(ly)):
+            if arr is getattr(src, attr) and not is_placeholder(arr):
+                setattr(ly, attr, arr.copy())
+        layers.append(ly)
+    return ModelGraph(layers, tuple(model.input_shape), model.name)
+
+
 # --- serialization ---------------------------------------------------------
 
 def _record_to_layer(rec: dict, idx: int) -> Layer:
@@ -592,6 +615,48 @@ def read_layer(fh: BinaryIO, pos: int, ly: Layer) -> Layer:
     ly = replace(ly, **arrays)
     check_layer_values(pos, ly)
     return ly
+
+
+class BlobStream:
+    """A model read from its weight blob and written to a new one, one layer at a time.
+
+    ``host`` is the model's manifest graph (``load_arch``) and ``blob`` the
+    handle ``open_blob`` gave for it.  Every layer is read by ``read_layer``,
+    which checks its values.  ``rewrite`` is ``edit_layers`` from blob to
+    blob: each layer is written to ``out_weights`` as soon as it is edited
+    and its values are checked, as ``save_model`` checks them, so the
+    working memory is bounded by the largest layer, not the model.
+    """
+
+    def __init__(self, host: ModelGraph, blob: BinaryIO, out_weights: str | Path):
+        self.host, self.blob, self.out_weights = host, blob, out_weights
+        self._last: tuple[int, Layer] | None = None  # the layer read last, and its position
+
+    def layer(self, pos: int) -> Layer:
+        """Layer pos, which is the layer read last or the next one in the blob.
+
+        An edit may so read the next layer early; the walk then takes that
+        layer without reading it again.
+        """
+        if self._last is None or self._last[0] != pos:
+            self._last = pos, read_layer(self.blob, pos, self.host.layers[pos])
+        return self._last[1]
+
+    def read_layers(self) -> Iterator[tuple[int, Layer]]:
+        """(position, layer) for every layer, read from the blob's first tensor on."""
+        self.blob.seek(len(BLOB_HEADER))
+        self._last = None
+        for pos in range(len(self.host.layers)):
+            yield pos, self.layer(pos)
+
+    def rewrite(self, edit) -> None:
+        """Write a new blob at ``out_weights`` from edit(pos, layer), as ``edit_layers`` calls it."""
+        with open_new(self.out_weights) as out:
+            out.write(BLOB_HEADER)
+            for pos, ly in self.read_layers():
+                edit(pos, ly)
+                check_layer_values(pos, ly)
+                write_layer(out, ly)
 
 
 def load_model(arch_path: str | Path, weights_path: str | Path) -> ModelGraph:

@@ -5,18 +5,21 @@ rate encoding that segment.  One planner works out, from the host's
 structure and the key alone, how many channels each conv drops and the
 receipt; ``plan_layer`` then picks the channels from the weights.
 ``embed`` prunes a copy of a loaded host; ``embed_stream`` reads the
-host's blob one layer at a time and writes the marked model as it goes,
-so its working memory is bounded by the largest layer.  Both end in one
-self-check, which decodes the carriers the key selects from the widths
-the plan started from.  Extraction names the carriers as (conv ordinal,
-original width) pairs, from a receipt or by key from the original model
-(``extract``, whose every check needs only the suspect's conv count);
-``decode_segments`` decodes each rate from the suspect's width.
+host's blob one layer at a time and writes the marked model as it goes
+(``model_store.BlobStream``), so its working memory is bounded by the
+largest layer.  Both end in one self-check, which decodes the carriers
+the key selects from the widths the plan started from.  Extraction names
+the carriers as (conv ordinal, original width) pairs, from a receipt or
+by key from the original model (``extract``, whose every check needs
+only the suspect's conv count); ``decode_segments`` decodes each rate
+from the suspect's width.
 Attacks either perturb parameters (which provably cannot change the
 extracted bits) or re-prune the structure (which degrades them measurably).
-Each weight attack builds its output in one ``map_arrays`` walk.  The
-fine-tuning attack is ``toy_trainer.finetune`` itself, which this module
-does not import: the watermark core never trains.
+Each takes a loaded model, or a ``BlobStream`` of a host, which it attacks
+and writes one layer at a time through the walk ``embed_stream`` uses;
+one per-layer edit does the arithmetic for both.  The fine-tuning attack
+is ``toy_trainer.finetune`` itself, which this module does not import:
+the watermark core never trains.
 """
 
 from __future__ import annotations
@@ -36,19 +39,18 @@ from .errors import (
 )
 from .importance import CRITERION_BN, criterion_applicable, normalize_criterion
 from .model_store import (
-    BLOB_HEADER,
+    BlobStream,
     ModelGraph,
     channel_counts,
-    clone_graph,
     conv_layer_indices,
+    edit_layers,
+    layer_arrays,
     layer_input_shapes,
-    map_arrays,
     open_blob,
-    open_new,
-    read_layer,
-    write_layer,
     write_manifest,
 )
+# Not called here: bound only because perfbench/tests/test_perfbench.py patches it here.
+from .model_store import clone_graph  # noqa: F401
 from .pruner import Receipt, ReceiptLayer, apply_prune, plan_layer, prune_layer
 from .wm_codec import EmbedParams, KeyStream, WatermarkPayload
 
@@ -188,38 +190,52 @@ def embed_stream(host: ModelGraph, weights_path: str | Path, payload: WatermarkP
 
     ``host`` is the host's manifest graph (``load_arch``).  Once the blob's
     header and size are checked, the plan is worked out from the manifest
-    and the key.  One pass then reads each layer (``read_layer`` checks
-    its values), picks a planned conv's channels from the weights just
-    read, or with bn from the batchnorm after it, read one layer early,
-    prunes the layer (``prune_layer``) and writes it to ``out_weights``.
-    Last, ``apply_prune`` on the manifest graph checks every entry and
-    gives the marked structure, which the self-check decodes and
-    ``out_arch`` gets.
-    The bytes are those of ``embed`` on the loaded host and ``save_model``.
+    and the key.  One ``BlobStream`` walk then reads each layer, picks a
+    planned conv's channels from the weights just read, or with bn from
+    the batchnorm after it, read one layer early, prunes the layer and
+    writes it to ``out_weights`` (``_prune_stream``).  The marked
+    structure that walk returns is what the self-check decodes and
+    ``out_arch`` gets.  The bytes are those of ``embed`` on the loaded
+    host and ``save_model``.
     """
-    in_shapes = layer_input_shapes(host)
-    retained, pending, ahead = {}, None, None
     with open_blob(host, weights_path) as blob:
         plan = _plan(host, payload, params, criterion, decoy)
         crit = plan.receipt.criterion
-        with open_new(out_weights) as out:
-            out.write(BLOB_HEADER)
-            for pos, placeholder in enumerate(host.layers):
-                ly = read_layer(blob, pos, placeholder) if ahead is None else ahead
-                ahead = None
-                if pos in plan.drops:
-                    scored = [ly]
-                    if crit == CRITERION_BN:  # the scores are the next layer's gammas
-                        ahead = read_layer(blob, pos + 1, host.layers[pos + 1])
-                        scored.append(ahead)
-                    retained[pos] = plan_layer(ModelGraph(scored, host.input_shape), 0,
-                                               plan.drops[pos], crit)
-                pending = prune_layer(ly, in_shapes[pos], pending, retained.get(pos))
-                write_layer(out, ly)
-    marked = apply_prune(host, retained)
+        src = BlobStream(host, blob, out_weights)
+
+        def retain(pos: int, ly) -> list[int] | None:
+            if pos not in plan.drops:
+                return None
+            # with bn the scores are the gammas of the batchnorm after the conv
+            scored = [ly, src.layer(pos + 1)] if crit == CRITERION_BN else [ly]
+            return plan_layer(ModelGraph(scored, host.input_shape), 0, plan.drops[pos], crit)
+
+        marked = _prune_stream(src, retain)
     plan.self_check(marked, params)
     write_manifest(marked, out_arch)
     return plan.receipt
+
+
+def _prune_stream(src: BlobStream, retain) -> ModelGraph:
+    """Prune each layer as the stream passes it; returns the pruned structure.
+
+    retain(pos, layer) gives the channels a conv keeps, or None for every
+    layer it leaves whole; ``prune_layer`` slices each layer as
+    ``apply_prune`` does.  Last, ``apply_prune`` on the manifest graph
+    checks every entry and gives the pruned structure, allocating nothing.
+    """
+    in_shapes = layer_input_shapes(src.host)
+    retained, pending = {}, None
+
+    def prune(pos: int, ly) -> None:
+        nonlocal pending
+        keep = retain(pos, ly)
+        if keep is not None:
+            retained[pos] = keep
+        pending = prune_layer(ly, in_shapes[pos], pending, keep)
+
+    src.rewrite(prune)
+    return apply_prune(src.host, retained)
 
 
 def one_value_warnings(values: list[int], what: str) -> list[str]:
@@ -338,6 +354,26 @@ def verify(expected: str, extracted: str | ExtractionResult,
 
 
 # --- attacks ----------------------------------------------------------------
+#
+# Each attack takes a loaded model or a BlobStream of one.  A loaded model
+# is left as it was and the attacked copy returned; a stream is attacked as
+# it is read, its blob written as it goes, and the attacked structure is
+# returned for the caller's manifest.  Either way one per-layer edit does
+# the arithmetic: edit_layers runs it on a graph, BlobStream.rewrite on a
+# stream.
+
+def _structure(model: ModelGraph | BlobStream) -> ModelGraph:
+    """The graph whose shapes the attack reads: the model, or the stream's manifest graph."""
+    return model if isinstance(model, ModelGraph) else model.host
+
+
+def _edited(model: ModelGraph | BlobStream, edit) -> ModelGraph:
+    """``edit_layers`` on a graph; a stream is rewritten and keeps its structure."""
+    if isinstance(model, ModelGraph):
+        return edit_layers(model, edit)
+    model.rewrite(edit)
+    return model.host
+
 
 def _standard_normal(rng: np.random.Generator, n: int, dtype: np.dtype) -> np.ndarray:
     """n standard normal values of the given float dtype, by the Box–Muller transform.
@@ -361,18 +397,19 @@ def _standard_normal(rng: np.random.Generator, n: int, dtype: np.dtype) -> np.nd
     return u[:n]
 
 
-def attack_noise(model: ModelGraph, sigma_rel: float, seed: int = 0) -> ModelGraph:
+def attack_noise(model: ModelGraph | BlobStream, sigma_rel: float,
+                 seed: int = 0) -> ModelGraph:
     """Add zero-mean Gaussian noise, std = sigma_rel * per-tensor weight std.
 
     Each trainable tensor gets its own draw, in blob order and in the
-    tensor's dtype, by the Box–Muller transform; its std is computed in
-    float64, where the square of a finite float32 cannot overflow.
-    Float32 uniforms lie on a 2⁻²⁴ grid, so a float32 draw never exceeds
-    sqrt(48·ln 2) ≈ 5.77 standard deviations (a normal does with
-    probability about 8·10⁻⁹).  A tensor of zero scale is copied;
-    sigma_rel = 0 computes no std, so it copies any valid model.  An
-    overflow anywhere raises AttackConfigError.  The model is left as it
-    was.
+    tensor's dtype, by the Box–Muller transform, from one generator that
+    continues across the tensors; its std is computed in float64, where
+    the square of a finite float32 cannot overflow.  Float32 uniforms lie
+    on a 2⁻²⁴ grid, so a float32 draw never exceeds sqrt(48·ln 2) ≈ 5.77
+    standard deviations (a normal does with probability about 8·10⁻⁹).  A
+    tensor of zero scale is kept; sigma_rel = 0 computes no std, so it
+    keeps any valid model.  An overflow anywhere raises AttackConfigError.
+    A stream is noised layer by layer as it is read (see the note above).
     """
     if not 0.0 <= sigma_rel < np.inf:
         raise AttackConfigError(f"noise sigma must be finite and >= 0, got {sigma_rel}")
@@ -380,80 +417,113 @@ def attack_noise(model: ModelGraph, sigma_rel: float, seed: int = 0) -> ModelGra
         raise AttackConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
 
-    def noisy(ly, attr: str, arr: np.ndarray) -> np.ndarray:
-        if attr in ly.TRAINABLE and sigma_rel:
-            # a numpy product, unlike a float one, reports overflow to errstate
-            scale = np.float64(sigma_rel) * arr.std(dtype=np.float64)
-            if scale > 0:
-                z = _standard_normal(rng, arr.size, arr.dtype)
-                z *= arr.dtype.type(scale)  # the cast, too, reports overflow
-                return arr + z.reshape(arr.shape)
-        return arr.copy()
+    def noisy(pos: int, ly) -> None:
+        for attr, arr in list(layer_arrays(ly)):
+            if attr in ly.TRAINABLE and sigma_rel:
+                # a numpy product, unlike a float one, reports overflow to errstate
+                scale = np.float64(sigma_rel) * arr.std(dtype=np.float64)
+                if scale > 0:
+                    z = _standard_normal(rng, arr.size, arr.dtype)
+                    z *= arr.dtype.type(scale)  # the cast, too, reports overflow
+                    setattr(ly, attr, arr + z.reshape(arr.shape))
 
     try:
         with np.errstate(over="raise"):
-            return map_arrays(model, noisy)
+            return _edited(model, noisy)
     except FloatingPointError:
         raise AttackConfigError(f"noise sigma {sigma_rel} overflows the weights") from None
 
 
-def attack_zero_weights(model: ModelGraph, fraction: float) -> ModelGraph:
+def attack_zero_weights(model: ModelGraph | BlobStream, fraction: float) -> ModelGraph:
     """Zero the given fraction of smallest-magnitude conv/linear weights, globally.
 
     Ties at the cut go to the earlier weights in blob order, as in a stable
     ascending sort of the (finite, validated) magnitudes.  A zeroed weight
     becomes +0.0 and every other weight keeps its exact bits.  The model is
-    left as it was.
+    read twice.  The first pass puts every weight's magnitude in one array
+    and partitions it in place for the cut (the k-th smallest magnitude)
+    and the count below it.  The second clears each tensor's weights below
+    the cut and the earliest ties, k in all; any other count means the
+    weights changed between the passes, and raises NnwmError.  A stream
+    is read twice and written in the second pass (see the note above).
     """
     if not (0.0 <= fraction <= 1.0):
         raise AttackConfigError(f"zeroed fraction must lie in [0, 1], got {fraction}")
-    tensors = [ly.weights for ly in model.layers if "weights" in ly.ARRAYS]
+    structure = _structure(model)
+    tensors = [ly.weights for ly in structure.layers if "weights" in ly.ARRAYS]
     total = sum(t.size for t in tensors)
     k = min(wm_codec.round_half_up(fraction * total), total)
     if k == 0:
-        return clone_graph(model)
-    splits = np.cumsum([t.size for t in tensors[:-1]])
+        return _edited(model, lambda pos, ly: None)
     magnitudes = np.empty(total, np.result_type(*tensors))
-    for t, m in zip(tensors, np.split(magnitudes, splits)):
-        np.abs(t, out=m.reshape(t.shape))
+    end = 0
+    for _, ly in enumerate(model.layers) if model is structure else model.read_layers():
+        if "weights" in ly.ARRAYS:
+            w = ly.weights
+            np.abs(w, out=magnitudes[end:end + w.size].reshape(w.shape))
+            end += w.size
     # a non-negative float orders as its bit pattern, and integers partition faster
     bits = magnitudes.view(f"u{magnitudes.itemsize}")
-    cut = np.partition(bits, k - 1)[k - 1]  # the k-th smallest magnitude
-    kill = bits < cut
-    kill[np.flatnonzero(bits == cut)[:k - np.count_nonzero(kill)]] = True
-    masks = iter(np.split(kill, splits))  # one per "weights" tensor, in blob order
+    bits.partition(k - 1)
+    cut = magnitudes[k - 1]
+    below = bits[:k - 1]
+    np.subtract(below, bits[k - 1], out=below)  # wraps: non-zero below the cut, 0 for a tie
+    ties = k - np.count_nonzero(below)  # the earliest ties in blob order, the cut's own among them
+    del magnitudes, bits, below
+    cleared = 0
 
-    def cleared(ly, attr: str, arr: np.ndarray) -> np.ndarray:
-        if attr != "weights":
-            return arr.copy()
-        # AND with all ones (kill 0 - 1 wraps) keeps a weight, with zeros clears it
-        uint = f"u{arr.itemsize}"
-        out = np.empty(arr.shape, arr.dtype)
-        np.bitwise_and(arr.reshape(-1).view(uint), np.subtract(next(masks), 1, dtype=uint),
-                       out=out.reshape(-1).view(uint))
-        return out
+    def clear(pos: int, ly) -> None:
+        nonlocal ties, cleared
+        if "weights" not in ly.ARRAYS:
+            return
+        w = ly.weights
+        magnitude = np.abs(w)
+        kill = magnitude < cut
+        if ties:
+            tie = magnitude == cut
+            n = np.count_nonzero(tie)
+            if n > ties:  # the ties run out inside this tensor
+                tie.reshape(-1)[np.flatnonzero(tie)[ties]:] = False
+                n = ties
+            kill |= tie
+            ties -= n
+        cleared += np.count_nonzero(kill)
+        # AND with all ones (kill 0 - 1 wraps) keeps a weight, with zeros clears it;
+        # the mask takes the magnitudes' buffer
+        uint = f"u{w.itemsize}"
+        mask = np.subtract(kill, 1, dtype=uint, out=magnitude.view(uint))
+        ly.weights = np.empty(w.shape, w.dtype)
+        np.bitwise_and(w.view(uint), mask, out=ly.weights.view(uint))
 
-    return map_arrays(model, cleared)
+    attacked = _edited(model, clear)
+    if cleared != k:
+        raise NnwmError(f"the zero attack's second read cleared {cleared} weights, not {k}: "
+                        "the weights changed between its two reads")
+    return attacked
 
 
-def attack_structural(model: ModelGraph, extra_rate: float, seed: int = 0) -> ModelGraph:
+def attack_structural(model: ModelGraph | BlobStream, extra_rate: float,
+                      seed: int = 0) -> ModelGraph:
     """Prune extra channels uniformly at random from every conv layer.
 
     The only attack here that changes the architecture; used to measure how
-    fast the watermark degrades, not to make any robustness claim.
+    fast the watermark degrades, not to make any robustness claim.  The
+    plan comes from the structure and the seed alone; a loaded model is
+    pruned by ``apply_prune``, a stream by the walk ``embed_stream`` uses.
     """
     if not (0.0 <= extra_rate < 1.0):
         raise AttackConfigError(f"extra pruning rate must lie in [0, 1), got {extra_rate}")
     if seed < 0:
         raise AttackConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    positions = conv_layer_indices(model)
-    counts = channel_counts(model)
+    structure = _structure(model)
     plan = {}
-    for pos, c in zip(positions, counts):
+    for pos, c in zip(conv_layer_indices(structure), channel_counts(structure)):
         k = wm_codec.rate_to_channel_count(extra_rate, c)
         if k == 0:
             continue
         dropped = set(rng.choice(c, size=k, replace=False).tolist())
         plan[pos] = [i for i in range(c) if i not in dropped]
-    return apply_prune(model, plan)
+    if model is structure:
+        return apply_prune(model, plan)
+    return _prune_stream(model, lambda pos, ly: plan.get(pos))

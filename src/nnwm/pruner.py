@@ -8,10 +8,11 @@ its retained list stays pending while each later layer is asked to
 pass the channels on unchanged, until the next conv (input channels) or a
 linear head (the matching columns, per channel of a flattened map)
 absorbs them.  The per-type rules live on the layer classes in
-``model_store``.  ``apply_prune`` runs that pass over a graph, leaving
-its input as it was and returning a new graph that owns every array it
-holds; ``pipeline.embed_stream`` runs it over layers as it reads them
-from a blob.
+``model_store``.  ``apply_prune`` runs that pass over a graph through
+``model_store.edit_layers``, leaving its input as it was and returning a
+new graph that owns every array it holds; ``pipeline.embed_stream`` and
+the streamed ``pipeline.attack_structural`` run it over layers as a
+``model_store.BlobStream`` reads them from a blob.
 
 ``save_receipt`` writes a receipt as a new file, like ``save_model``.
 ``nnwm embed`` stages it with the marked model's two files through
@@ -20,7 +21,7 @@ from a blob.
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +32,8 @@ from .model_store import (
     ConvLayer,
     Layer,
     ModelGraph,
-    is_placeholder,
+    edit_layers,
     keep_channels,
-    layer_arrays,
     layer_input_shapes,
     open_new,
 )
@@ -98,16 +98,13 @@ def apply_prune(model: ModelGraph, plan) -> ModelGraph:
     for pos, retained in retained_at.items():
         _check_entry(model, pos, retained)
     input_shapes = layer_input_shapes(model)  # also proves every consumer's width
-    layers, pending = [], None
-    for pos, (src, in_shape) in enumerate(zip(model.layers, input_shapes)):
-        ly = replace(src)
-        pending = prune_layer(ly, in_shape, pending, retained_at.get(pos))
-        # slicing made new arrays; copy only the ones it left
-        for attr, arr in list(layer_arrays(ly)):
-            if arr is getattr(src, attr) and not is_placeholder(arr):
-                setattr(ly, attr, arr.copy())
-        layers.append(ly)
-    out = ModelGraph(layers, tuple(model.input_shape), model.name)
+    pending = None
+
+    def prune(pos: int, ly: Layer) -> None:
+        nonlocal pending
+        pending = prune_layer(ly, input_shapes[pos], pending, retained_at.get(pos))
+
+    out = edit_layers(model, prune)
     layer_input_shapes(out)  # slicing creates no value; save_model checks the values
     return out
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nnwm import cli, pipeline, pruner, wm_codec
+from nnwm import cli, model_store, pipeline, pruner, wm_codec
 from nnwm.cli import main
 from nnwm.errors import NnwmError
 from nnwm.fixtures import random_conv_net, vgg16_style, vgg_tiny
@@ -1288,3 +1288,134 @@ def test_fuzz_inspect_scores_fixtures(tiny_host, tiny_marked, other_host, capsys
     arch, weights = (where[name.split(".")[0]] / name for name in (arch, weights))
     _run_fuzzed(capsys, ["inspect", "--scores", "--arch", arch, "--weights", weights,
                          "--criterion", criterion], [arch, weights], tmp_path)
+
+
+# --- attack streams the host one layer at a time ----------------------------
+
+# streamed type -> (its flag, two values, the library attack at a value)
+STREAMED_ATTACKS = {
+    "noise": ("--sigma", ("0", "0.5"), lambda m, v: pipeline.attack_noise(m, v, seed=3)),
+    "zero": ("--fraction", ("0.3", "1"), pipeline.attack_zero_weights),
+    "structural": ("--extra-rate", ("0.1", "0.5"),
+                   lambda m, v: pipeline.attack_structural(m, v, seed=3)),
+}
+ATTACK_HOSTS = {"vgg_tiny": lambda: vgg_tiny(0), "vgg16_style": lambda: vgg16_style(0),
+                "random_conv_net_1": lambda: random_conv_net(1),
+                "random_conv_net_2": lambda: random_conv_net(2)}
+
+
+@pytest.fixture(scope="module")
+def attack_hosts(tmp_path_factory):
+    """Each host of ATTACK_HOSTS marked with 101 under key k: <name>.json/.bin, <name>-r.json."""
+    d = tmp_path_factory.mktemp("attack-hosts")
+    for name, make in ATTACK_HOSTS.items():
+        marked, receipt = pipeline.embed(make(), WatermarkPayload("101", 3), EmbedParams(3, b"k"))
+        save_model(marked, d / f"{name}.json", d / f"{name}.bin")
+        pruner.save_receipt(receipt, d / f"{name}-r.json")
+    return d
+
+
+@pytest.mark.parametrize("expect", [False, True], ids=["plain", "expect"])
+@pytest.mark.parametrize("value", [0, 1], ids=["first_value", "second_value"])
+@pytest.mark.parametrize("host", sorted(ATTACK_HOSTS))
+@pytest.mark.parametrize("kind", sorted(STREAMED_ATTACKS))
+def test_attack_cli_writes_the_bytes_of_the_library_attack(attack_hosts, tmp_path, capsys,
+                                                           kind, host, value, expect):
+    flag, values, attack = STREAMED_ATTACKS[kind]
+    arch, blob = attack_hosts / f"{host}.json", attack_hosts / f"{host}.bin"
+    chained = ["--receipt", str(attack_hosts / f"{host}-r.json"), "--expect", "101"]
+    rc = main(["attack", "--type", kind, flag, values[value], "--seed", "3",
+               "--arch", str(arch), "--weights", str(blob),
+               "--out-prefix", str(tmp_path / "cli"), *(chained if expect else [])])
+    assert rc == 0 or (rc == 1 and kind == "structural" and expect)
+    save_model(attack(load_model(arch, blob), float(values[value])),
+               tmp_path / "lib.json", tmp_path / "lib.bin")
+    for suffix in (".json", ".bin"):
+        assert (tmp_path / f"cli{suffix}").read_bytes() == (tmp_path / f"lib{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("case", ["conv_nan", "linear_bias_inf", "negative_running_var",
+                                  "gamma_nan", "first_of_two"])
+@pytest.mark.parametrize("kind", sorted(STREAMED_ATTACKS))
+def test_attack_reports_a_bad_host_value_as_load_model_does(tmp_path, capsys, kind, case):
+    model = vgg_tiny(0)
+    conv, head = conv_layer_indices(model)[1], len(model.layers) - 1
+    spots = {"conv_nan": [(conv, "weights", np.nan)],
+             "linear_bias_inf": [(head, "bias", np.inf)],
+             "negative_running_var": [(conv + 1, "running_var", -1.0)],
+             "gamma_nan": [(conv + 1, "gamma", np.nan)],
+             "first_of_two": [(head, "weights", np.nan), (conv, "weights", -np.inf)]}[case]
+    _host_with_bad_values(tmp_path, model, spots)
+    with pytest.raises(NnwmError) as loaded:
+        load_model(tmp_path / "h.json", tmp_path / "h.bin")
+    out = tmp_path / "out"
+    out.mkdir()
+    flag, values, _ = STREAMED_ATTACKS[kind]
+    rc = main(["attack", "--type", kind, flag, values[1], "--arch", str(tmp_path / "h.json"),
+               "--weights", str(tmp_path / "h.bin"), "--out-prefix", str(out / "a")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {loaded.value}\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", sorted(STREAMED_ATTACKS))
+def test_attack_reports_an_extraction_error_before_a_bad_host_value(tmp_path, capsys, kind):
+    # the extraction reads only the manifest, so it runs before any tensor is read
+    _host_with_bad_values(tmp_path, vgg_tiny(0), [(0, "weights", np.nan)])
+    save_model(random_conv_net(3, n_convs=6), tmp_path / "o.json", tmp_path / "o.bin")
+    rc = main(["attack", "--type", kind, "--arch", str(tmp_path / "h.json"),
+               "--weights", str(tmp_path / "h.bin"), "--out-prefix", str(tmp_path / "a"),
+               "--expect", "101", "--original", str(tmp_path / "o.json"), "--key", "k",
+               "--n", "3"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: original has 6 conv layers, suspect has 5\n"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["h.bin", "h.json", "o.bin", "o.json"]
+
+
+@pytest.mark.parametrize("kind", sorted(STREAMED_ATTACKS))
+def test_attack_working_memory_is_bounded_by_the_largest_layer(marked, tmp_path, capsys, kind):
+    # the zero attack also holds one magnitude of 4 bytes per weight between its reads
+    host = load_arch(marked / "marked.json")
+    largest = max(4 * layer_floats(ly) for ly in host.layers)
+    weights = sum(ly.weights.size for ly in host.layers if "weights" in ly.ARRAYS)
+    bound = 4 * largest + 256 * 1024 + (4 * weights if kind == "zero" else 0)
+    tracemalloc.start()
+    try:
+        rc = main(["attack", "--type", kind, "--arch", str(marked / "marked.json"),
+                   "--weights", str(marked / "marked.bin"), "--out-prefix", str(tmp_path / "a"),
+                   "--receipt", str(marked / "r.json"), "--expect", BITS48, "--seed", "7",
+                   "--json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc in (0, 1)
+    assert peak <= bound, f"peak {peak / 2**20:.2f} MiB > bound {bound / 2**20:.2f} MiB"
+
+
+def test_zero_attack_whose_second_read_differs_exit_two_and_writes_nothing(
+        tiny_host, tmp_path, capsys, monkeypatch):
+    host = load_arch(tiny_host / "tiny.json")
+    weights = sum(ly.weights.size for ly in host.layers if "weights" in ly.ARRAYS)
+    k = wm_codec.round_half_up(0.3 * weights)
+    read_layer, reads = model_store.read_layer, []
+
+    def changing_read_layer(fh, pos, ly):
+        ly = read_layer(fh, pos, ly)
+        reads.append(pos)
+        if len(reads) == len(host.layers) + 1:  # the second read of the first conv
+            w = ly.weights.reshape(-1)
+            w[np.argmax(np.abs(w))] = 0.0  # from the largest magnitude to below the cut
+        return ly
+
+    monkeypatch.setattr(model_store, "read_layer", changing_read_layer)
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["attack", "--type", "zero", "--fraction", "0.3",
+               "--arch", str(tiny_host / "tiny.json"), "--weights", str(tiny_host / "tiny.bin"),
+               "--out-prefix", str(out / "a")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: the zero attack's second read cleared {k + 1} weights, not {k}: "
+        "the weights changed between its two reads\n")
+    assert reads == 2 * list(range(len(host.layers)))
+    assert list(out.iterdir()) == []
